@@ -27,11 +27,10 @@
 //! the guard threshold; `MQ_BENCH_THREADS=1,2,4` additionally times the
 //! optimized core at each listed worker count (via the scheduler's
 //! thread override — the first entry is the primary measurement the
-//! speedup guards use), so shared-vs-private memo scaling shows up in
-//! the perf trajectory even before real many-core hardware is
-//! available. The report records the `threads`, `split_depth` and
-//! `shared_memo` configuration the scheduler ran with (`MQ_THREADS`,
-//! `MQ_SPLIT_DEPTH`, `MQ_SHARED_MEMO`), plus per-workload shared-memo
+//! speedup guards use), so memo scaling shows up in the perf trajectory
+//! even before real many-core hardware is available. The report records
+//! the `threads` and `split_depth` configuration the scheduler ran with
+//! (`MQ_THREADS`, `MQ_SPLIT_DEPTH`), plus per-workload shared-memo
 //! hit/miss counters.
 //!
 //! The `net_load` workload drives the hardened TCP serving layer with
@@ -62,10 +61,8 @@ use mq_bench::netload::{run_load, LoadConfig, LoadReport};
 use mq_bench::{
     chain_workload, cycle_workload, hybrid_star_workload, mid_thresholds, time, Workload,
 };
-use mq_core::engine::find_rules::{
-    find_rules, find_rules_instrumented, find_rules_seq, find_rules_shared,
-};
-use mq_core::engine::memo::{shared_memo_enabled, MemoStats, SharedMemos};
+use mq_core::engine::find_rules::{find_rules, find_rules_instrumented, find_rules_seq};
+use mq_core::engine::memo::{MemoStats, SharedMemos};
 use mq_core::plan::PlanNodeId;
 use mq_core::prelude::*;
 use mq_obs::NodeStat;
@@ -82,7 +79,7 @@ struct Row {
     median_opt_s: f64,
     median_base_s: f64,
     /// Shared-memo traffic accumulated over the primary optimized
-    /// samples (zero when `MQ_SHARED_MEMO=0`).
+    /// samples.
     memo: MemoStats,
     /// `(worker count, optimized median)` per `MQ_BENCH_THREADS` entry;
     /// empty when no sweep was requested.
@@ -181,15 +178,22 @@ fn measure(
     // exactly the primary samples with no cross-search bleed.
     let memo_total = Cell::new(MemoStats::default());
     let (median_opt_s, answers) = {
-        let measured = || match shared_memo_enabled().then(|| Arc::new(SharedMemos::new())) {
-            Some(memos) => {
-                let out = find_rules_shared(&w.db, &w.mq, ty, th, Arc::clone(&memos))
-                    .unwrap()
-                    .len();
-                memo_total.set(memo_total.get().merged(memos.stats()));
-                out
-            }
-            None => run(),
+        let measured = || {
+            let memos = Arc::new(SharedMemos::new());
+            let out = find_rules_instrumented(
+                &w.db,
+                &w.mq,
+                ty,
+                th,
+                Some(Arc::clone(&memos)),
+                None,
+                None,
+                0,
+            )
+            .unwrap()
+            .len();
+            memo_total.set(memo_total.get().merged(memos.stats()));
+            out
         };
         match sweep.first() {
             Some(&t) => {
@@ -315,13 +319,11 @@ fn bench_service() -> Option<ServiceReport> {
     });
     let m = svc.metrics();
     let atom = svc.atom_cache_stats("fig4").expect("fig4 stats");
-    if shared_memo_enabled() {
-        assert!(
-            atom.hits > 0,
-            "repeated sessions over an unchanged db must hit the \
-             cross-search atom cache, got {atom:?}"
-        );
-    }
+    assert!(
+        atom.hits > 0,
+        "repeated sessions over an unchanged db must hit the \
+         cross-search atom cache, got {atom:?}"
+    );
     assert_eq!(m.requests, (SESSIONS * ROUNDS * MQS.len()) as u64);
     assert_eq!(m.executed + m.deduped, m.requests);
     eprintln!(
@@ -1093,13 +1095,12 @@ fn main() {
     // count when no sweep was requested.
     let sweep = thread_sweep();
     json.push_str(&format!(
-        "  \"threads\": {},\n  \"split_depth\": {},\n  \"shared_memo\": {},\n",
+        "  \"threads\": {},\n  \"split_depth\": {},\n",
         sweep
             .first()
             .copied()
             .unwrap_or_else(rayon::current_num_threads),
         mq_core::engine::parallel::split_depth(),
-        shared_memo_enabled(),
     ));
     if !sweep.is_empty() {
         json.push_str(&format!(

@@ -9,21 +9,17 @@
 //!   evaluations, so each distinct instantiated atom is evaluated once;
 //! * **plan cache** — `(χ, λ atom keys) → plan root`, so re-visiting a
 //!   vertex under the same λ assignment skips re-planning entirely;
-//! * **result memo** — plan-node id → bindings, aligned with the
-//!   hash-consing [`PlanArena`]. Because node identity is the operator
-//!   plus its operands, sibling plans that share a planned prefix share
-//!   node ids, and the memo resumes them from the cached intermediate.
+//! * **result memo** — plan-node id → bindings, keyed by the
+//!   hash-consing [`crate::plan::PlanArena`]'s node ids. Because node
+//!   identity is the operator plus its operands, sibling plans that share
+//!   a planned prefix share node ids, and the memo resumes them from the
+//!   cached intermediate.
 //!
-//! The memos come in two backings:
-//!
-//! * **Shared** (the default) — handles into the search-global
-//!   [`SharedMemos`] service: every scheduler worker reads and publishes
-//!   into one memo, so an intermediate computed by any worker is a hit
-//!   for all of them. Sound because every memo value is a deterministic
-//!   function of its key and publication is first-writer-wins.
-//! * **Private** (`MQ_SHARED_MEMO=0`) — the PR 3 layout: one arena, one
-//!   atom/plan map and one dense id-indexed result vector per executor,
-//!   traveling with the worker that owns it.
+//! The memos are handles into the search-global [`SharedMemos`]
+//! service: every scheduler worker reads and publishes into one memo,
+//! so an intermediate computed by any worker is a hit for all of them.
+//! Sound because every memo value is a deterministic function of its
+//! key and publication is first-writer-wins.
 //!
 //! In baseline mode ([`mq_relation::baseline_mode`]) the executor
 //! reproduces the pre-optimization engine faithfully: atoms re-evaluated
@@ -31,38 +27,19 @@
 
 use crate::engine::memo::{PlanKey, SharedMemos};
 use crate::plan::{
-    build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanArena, PlanNodeId,
-    PlanOp,
+    build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanNodeId, PlanOp,
 };
 use mq_obs::profile::{NodeStat, SearchProfile};
 use mq_relation::{Bindings, Database, VarId};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The executor's memo backing: private per-worker slices, or handles
-/// into the cross-worker shared memo service.
-enum Memos {
-    /// One memo slice per executor (the `MQ_SHARED_MEMO=0` escape
-    /// hatch): an arena plus maps only this worker touches.
-    Private {
-        arena: PlanArena,
-        /// Memo of instantiated-atom bindings, keyed by `(relation, terms)`.
-        atom_cache: HashMap<AtomKey, Arc<Bindings>>,
-        /// `(χ, λ atom keys) → plan root` — "decide once".
-        plan_cache: HashMap<PlanKey, PlanNodeId>,
-        /// Plan-node id → result, aligned with the arena ("execute many").
-        results: Vec<Option<Arc<Bindings>>>,
-    },
-    /// Handles into the search-global shared memo service.
-    Shared(Arc<SharedMemos>),
-}
 
 /// Interprets [`crate::plan`] IR against a database, memoizing per
 /// plan-node id. Cheap to construct — one per search engine.
 pub(crate) struct Executor<'a> {
     db: &'a Database,
-    memos: Memos,
+    /// The search-global memo service (atoms, plans, node results).
+    memos: Arc<SharedMemos>,
     /// The search's profile sink (`mq-obs`), when the caller asked for
     /// one. Node evals and memo hits accumulate in the worker-local
     /// fields below and flush into the shared profile exactly once — on
@@ -80,25 +57,15 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// An executor over `db`. With `shared = Some(service)` all memo
-    /// traffic goes through the cross-worker service; with `None` the
-    /// executor owns private memo slices. `profile` (when given)
-    /// receives this worker's node-eval totals — and per-node detail if
-    /// it is a detailed profile — when the executor drops.
+    /// An executor over `db` whose memo traffic goes through `memos`.
+    /// `profile` (when given) receives this worker's node-eval totals —
+    /// and per-node detail if it is a detailed profile — when the
+    /// executor drops.
     pub(crate) fn new(
         db: &'a Database,
-        shared: Option<Arc<SharedMemos>>,
+        memos: Arc<SharedMemos>,
         profile: Option<Arc<SearchProfile>>,
     ) -> Self {
-        let memos = match shared {
-            Some(s) => Memos::Shared(s),
-            None => Memos::Private {
-                arena: PlanArena::new(),
-                atom_cache: HashMap::new(),
-                plan_cache: HashMap::new(),
-                results: Vec::new(),
-            },
-        };
         let detailed = profile.as_deref().is_some_and(SearchProfile::is_detailed);
         Executor {
             db,
@@ -139,21 +106,12 @@ impl<'a> Executor<'a> {
             return Arc::new(Bindings::from_atom(self.db.relation(key.0), &key.1));
         }
         let db = self.db;
-        match &mut self.memos {
-            Memos::Private { atom_cache, .. } => {
-                Arc::clone(atom_cache.entry(key).or_insert_with_key(|(rel, terms)| {
-                    Arc::new(Bindings::from_atom(db.relation(*rel), terms))
-                }))
-            }
-            Memos::Shared(memos) => {
-                // The service consults the search-local atom memo, then
-                // (when seeded by the serving layer) the persistent
-                // cross-search cache under the snapshot's generations.
-                memos.atom_or_compute(key, |(rel, terms)| {
-                    Arc::new(Bindings::from_atom(db.relation(*rel), terms))
-                })
-            }
-        }
+        // The service consults the search-local atom memo, then (when
+        // seeded by the serving layer) the persistent cross-search cache
+        // under the snapshot's generations.
+        self.memos.atom_or_compute(key, |(rel, terms)| {
+            Arc::new(Bindings::from_atom(db.relation(*rel), terms))
+        })
     }
 
     /// `π_χ(J(σi(λ(p_ν(i)))))`: plan (or fetch the cached plan for) the
@@ -180,11 +138,7 @@ impl<'a> Executor<'a> {
             return Arc::new(join.project(chi));
         }
         let cache_key: PlanKey = (chi.to_vec(), atom_keys);
-        let cached_root = match &self.memos {
-            Memos::Private { plan_cache, .. } => plan_cache.get(&cache_key).copied(),
-            Memos::Shared(memos) => memos.plans.get(&cache_key),
-        };
-        if let Some(root) = cached_root {
+        if let Some(root) = self.memos.plans.get(&cache_key) {
             return self.exec(root);
         }
         let atoms: Vec<Arc<Bindings>> = cache_key
@@ -203,61 +157,17 @@ impl<'a> Executor<'a> {
             atoms[i].len() as f64 / atoms[i].distinct_keys(shared).max(1) as f64
         };
         // Costing probes row statistics (index builds); do it before any
-        // arena lock so shared-mode planning never serializes workers on
-        // O(rows) work.
+        // arena lock so planning never serializes workers on O(rows) work.
         let order = crate::plan::plan_join_order(&stats, expansion);
-        let root = match &mut self.memos {
-            Memos::Private {
-                arena, plan_cache, ..
-            } => {
-                let root = build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order);
-                plan_cache.insert(cache_key, root);
-                root
-            }
-            Memos::Shared(memos) => {
-                // Interning is idempotent, so racing planners converge
-                // on identical node ids; the plan cache then keeps the
-                // first-published (equal) root. Only the pure intern
-                // runs under the shared arena's write lock.
-                let root = memos.intern_plan(|arena| {
-                    build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order)
-                });
-                memos.plans.publish(cache_key, root)
-            }
-        };
+        // Interning is idempotent, so racing planners converge on
+        // identical node ids; the plan cache then keeps the
+        // first-published (equal) root. Only the pure intern runs under
+        // the shared arena's write lock.
+        let root = self
+            .memos
+            .intern_plan(|arena| build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order));
+        let root = self.memos.plans.publish(cache_key, root);
         self.exec(root)
-    }
-
-    /// The memoized result of node `id`, if present.
-    fn result_hit(&self, id: PlanNodeId) -> Option<Arc<Bindings>> {
-        match &self.memos {
-            Memos::Private { results, .. } => results.get(id.0 as usize).and_then(Clone::clone),
-            Memos::Shared(memos) => memos.results.get(&id),
-        }
-    }
-
-    /// Publish `out` as node `id`'s result; returns the canonical value
-    /// (a racing worker's first-published result wins in shared mode —
-    /// byte-identical either way, since node execution is deterministic).
-    fn result_publish(&mut self, id: PlanNodeId, out: Arc<Bindings>) -> Arc<Bindings> {
-        match &mut self.memos {
-            Memos::Private { arena, results, .. } => {
-                if results.len() < arena.len() {
-                    results.resize(arena.len(), None);
-                }
-                results[id.0 as usize] = Some(Arc::clone(&out));
-                out
-            }
-            Memos::Shared(memos) => memos.results.publish(id, out),
-        }
-    }
-
-    /// The operator of node `id`.
-    fn op(&self, id: PlanNodeId) -> PlanOp {
-        match &self.memos {
-            Memos::Private { arena, .. } => arena.op(id).clone(),
-            Memos::Shared(memos) => memos.op(id),
-        }
     }
 
     /// Execute plan node `id`, memoized per node id. Recursion depth is
@@ -276,14 +186,14 @@ impl<'a> Executor<'a> {
     /// child's recursion subtracted — so a plan's node times sum to the
     /// executor total instead of multiply-counting shared prefixes.
     pub(crate) fn exec(&mut self, id: PlanNodeId) -> Arc<Bindings> {
-        if let Some(hit) = self.result_hit(id) {
+        if let Some(hit) = self.memos.results.get(&id) {
             self.memo_hits += 1;
             if self.detailed {
                 self.node_mut(id).memo_hits += 1;
             }
             return hit;
         }
-        let op = self.op(id);
+        let op = self.memos.op(id);
         self.execs += 1;
         let t0 = self.clock();
         let mut child_ns = 0u64;
@@ -337,7 +247,9 @@ impl<'a> Executor<'a> {
             stat.rows_in += rows_in;
             stat.rows_out += rows_out;
         }
-        self.result_publish(id, out)
+        // A racing worker's first-published result wins — byte-identical
+        // either way, since node execution is deterministic.
+        self.memos.results.publish(id, out)
     }
 
     /// Execute a count-only plan over the given input slots — the

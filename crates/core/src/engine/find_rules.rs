@@ -67,68 +67,34 @@ pub fn find_rules(
     ty: InstType,
     thresholds: Thresholds,
 ) -> Result<Vec<MqAnswer>, InstError> {
-    validate(db, mq, ty)?;
-    let setup = Setup::new(db, mq, ty, thresholds);
-    let mut out = super::parallel::run(&setup);
-    crate::engine::sort_answers(&mut out);
-    Ok(out)
+    find_rules_instrumented(db, mq, ty, thresholds, None, None, None, 0)
 }
 
-/// [`find_rules`] with an **externally supplied memo service** — the
-/// serving layer's entry point. The search reads and publishes into
-/// `memos` instead of creating a fresh service, so a catalog can seed
-/// the atom layer from its persistent cross-search [`AtomCache`]
-/// (`SharedMemos::with_persistent_atoms`) and read per-search hit rates
-/// off the instance afterwards. Answers are byte-identical to
-/// [`find_rules`]/[`find_rules_seq`]: every memo value is a
-/// deterministic function of its key and the snapshot the generations
-/// describe (see the memo-sharing contract in `ARCHITECTURE.md`).
+/// [`find_rules`] with its inputs declared — the serving/bench entry
+/// point.
 ///
-/// In baseline mode the supplied service is ignored (the baseline engine
-/// bypasses every memo by design).
-pub fn find_rules_shared(
-    db: &Database,
-    mq: &Metaquery,
-    ty: InstType,
-    thresholds: Thresholds,
-    memos: Arc<super::memo::SharedMemos>,
-) -> Result<Vec<MqAnswer>, InstError> {
-    validate(db, mq, ty)?;
-    let setup = Setup::with_memo_service(db, mq, ty, thresholds, Some(memos));
-    let mut out = super::parallel::run(&setup);
-    crate::engine::sort_answers(&mut out);
-    Ok(out)
-}
-
-/// [`find_rules_shared`] under a **wall-clock budget** — the serving
-/// layer's deadline entry point. The search checks the deadline
-/// cooperatively (in the engine's enumeration loop and in the
-/// scheduler's task loop) and, once it expires, unwinds and returns
-/// [`InstError::DeadlineExceeded`] instead of a partial answer set —
-/// partial answers are never surfaced, so every `Ok` is still
-/// byte-identical to [`find_rules_seq`]. `memos: None` keeps the
-/// default memo-service resolution; `max_wall_ms: None` runs unbounded
-/// (exactly [`find_rules_shared`] / [`find_rules`]).
-pub fn find_rules_budgeted(
-    db: &Database,
-    mq: &Metaquery,
-    ty: InstType,
-    thresholds: Thresholds,
-    memos: Option<Arc<super::memo::SharedMemos>>,
-    max_wall_ms: Option<u64>,
-) -> Result<Vec<MqAnswer>, InstError> {
-    find_rules_instrumented(db, mq, ty, thresholds, memos, max_wall_ms, None, 0)
-}
-
-/// [`find_rules_budgeted`] with observability attached — the fully
-/// instrumented serving/bench entry point. `profile` (when given)
-/// receives the search's scheduler-task and node-eval totals, plus
-/// per-plan-node wall time / rows / memo hits when it was built
-/// [`mq_obs::SearchProfile::detailed`]. `req_id` (0 = unattributed)
-/// scopes every worker's trace spans to the serving request, so
-/// `trace <req-id>` shows scheduler tasks next to the session spans.
-/// Neither affects answers: `Ok` results stay byte-identical to
-/// [`find_rules_seq`].
+/// * `memos` — the memo service the search reads and publishes into.
+///   The serving layer passes one seeded from a catalog's persistent
+///   cross-search [`AtomCache`](super::memo::AtomCache)
+///   (`SharedMemos::with_persistent_atoms`) and reads per-search hit
+///   rates off the instance afterwards; `None` means a fresh service.
+///   Baseline mode bypasses every memo by design.
+/// * `max_wall_ms` — a **wall-clock budget**. The search checks the
+///   deadline cooperatively (in the engine's enumeration loop and in the
+///   scheduler's task loop) and, once it expires, unwinds and returns
+///   [`InstError::DeadlineExceeded`] instead of a partial answer set;
+///   `None` runs unbounded.
+/// * `profile` — receives the search's scheduler-task and node-eval
+///   totals, plus per-plan-node wall time / rows / memo hits when it was
+///   built [`mq_obs::SearchProfile::detailed`].
+/// * `req_id` (0 = unattributed) — scopes every worker's trace spans to
+///   the serving request, so `trace <req-id>` shows scheduler tasks next
+///   to the session spans.
+///
+/// None of these affects answers: every `Ok` is byte-identical to
+/// [`find_rules_seq`], because every memo value is a deterministic
+/// function of its key and the snapshot the generations describe (see
+/// the memo-sharing contract in `ARCHITECTURE.md`).
 #[allow(clippy::too_many_arguments)]
 pub fn find_rules_instrumented(
     db: &Database,
@@ -223,23 +189,8 @@ pub fn find_rules_with(
     thresholds: Thresholds,
     f: impl FnMut(&MqAnswer) -> ControlFlow<()>,
 ) -> Result<bool, InstError> {
-    find_rules_with_memos(db, mq, ty, thresholds, None, f)
-}
-
-/// [`find_rules_with`] with an optionally supplied memo service (`None`
-/// keeps the default per-search service resolution) — the streaming
-/// sibling of [`find_rules_shared`], used by serving-layer callers that
-/// want early termination under a persistent atom cache.
-pub fn find_rules_with_memos(
-    db: &Database,
-    mq: &Metaquery,
-    ty: InstType,
-    thresholds: Thresholds,
-    memos: Option<Arc<super::memo::SharedMemos>>,
-    f: impl FnMut(&MqAnswer) -> ControlFlow<()>,
-) -> Result<bool, InstError> {
     validate(db, mq, ty)?;
-    let setup = Setup::with_memo_service(db, mq, ty, thresholds, memos);
+    let setup = Setup::new(db, mq, ty, thresholds);
     let mut engine = Engine::new(&setup, f);
     let stopped = engine.find_bodies(0).is_break();
     Ok(stopped)
@@ -283,7 +234,7 @@ pub fn body_decomposition(mq: &Metaquery) -> BodyDecomposition {
 /// `expired`, after which every poll is a cheap atomic load and the
 /// whole search unwinds without further clock reads. Latching matters
 /// for determinism of the *error*: once any worker observes expiry the
-/// search is doomed, so [`find_rules_budgeted`] reports
+/// search is doomed, so [`find_rules_instrumented`] reports
 /// [`InstError::DeadlineExceeded`] rather than whatever partial answers
 /// happened to be merged.
 pub(crate) struct SearchDeadline {
@@ -362,16 +313,14 @@ pub(crate) struct Setup<'a> {
     /// `|inputs[0] ⋉ inputs[1]|` (cvr feeds `[h, b]`, cnf `[b, h]`).
     semijoin_count_plan: CountPlan,
     /// The cross-worker shared memo service (atoms, plans, node
-    /// results), created once per search when `MQ_SHARED_MEMO` is on
-    /// (the default) — or supplied by the serving layer, possibly seeded
-    /// with a persistent cross-search atom cache — and handed to every
-    /// worker's executor. `None` means each worker warms a private memo
-    /// slice (the escape hatch, and baseline mode — which bypasses memos
-    /// anyway).
-    pub(crate) shared_memos: Option<Arc<super::memo::SharedMemos>>,
+    /// results), created once per search — or supplied by the serving
+    /// layer, possibly seeded with a persistent cross-search atom cache
+    /// — and handed to every worker's executor. Baseline mode gets a
+    /// fresh one, which it bypasses anyway.
+    pub(crate) shared_memos: Arc<super::memo::SharedMemos>,
     /// Optional wall-clock budget, polled cooperatively by every engine
     /// and by the scheduler's task loop. `None` (every entry point but
-    /// [`find_rules_budgeted`]) is a single branch on the hot path.
+    /// [`find_rules_instrumented`]) is a single branch on the hot path.
     pub(crate) deadline: Option<SearchDeadline>,
     /// Optional per-search profile sink (`mq-obs`): scheduler tasks and
     /// executor node evals always, per-plan-node detail when the profile
@@ -395,10 +344,9 @@ impl<'a> Setup<'a> {
     }
 
     /// [`Setup::new`] with an externally supplied memo service. `None`
-    /// resolves the default (fresh service when shared memos are
-    /// enabled); `Some` is honored unconditionally — except in baseline
-    /// mode, which bypasses every memo to reproduce the pre-optimization
-    /// engine faithfully.
+    /// creates a fresh service; `Some` is honored unconditionally —
+    /// except in baseline mode, which bypasses every memo to reproduce
+    /// the pre-optimization engine faithfully.
     pub(crate) fn with_memo_service(
         db: &'a Database,
         mq: &'a Metaquery,
@@ -503,13 +451,9 @@ impl<'a> Setup<'a> {
             pattern_pv,
             enum_order,
             semijoin_count_plan: CountPlan::semijoin_count(0, 1),
-            shared_memos: if mq_relation::baseline_mode() {
-                None
-            } else {
-                external_memos.or_else(|| {
-                    super::memo::shared_memo_enabled()
-                        .then(|| Arc::new(super::memo::SharedMemos::new()))
-                })
+            shared_memos: match external_memos {
+                Some(memos) if !mq_relation::baseline_mode() => memos,
+                _ => Arc::default(),
             },
             deadline: None,
             profile: None,
@@ -609,7 +553,11 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         let n_pos = setup.post.len();
         Engine {
             setup,
-            exec: Executor::new(setup.db, setup.shared_memos.clone(), setup.profile.clone()),
+            exec: Executor::new(
+                setup.db,
+                Arc::clone(&setup.shared_memos),
+                setup.profile.clone(),
+            ),
             f,
             assign: vec![None; n_patterns],
             pv_rel: HashMap::new(),
@@ -1421,8 +1369,10 @@ mod tests {
         let db = random_db(&mut rng, &[("p", 2), ("q", 2)], 12, 4);
         let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
         let th = Thresholds::none();
+        let budgeted =
+            |ms| find_rules_instrumented(&db, &mq, InstType::Zero, th, None, ms, None, 0);
         // An already-expired budget fails fast with the budget echoed.
-        let err = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, Some(0)).unwrap_err();
+        let err = budgeted(Some(0)).unwrap_err();
         assert!(
             matches!(err, InstError::DeadlineExceeded { budget_ms: 0 }),
             "want DeadlineExceeded, got {err:?}"
@@ -1430,10 +1380,8 @@ mod tests {
         // A generous budget and no budget both match the sequential
         // reference byte-for-byte.
         let seq = find_rules_seq(&db, &mq, InstType::Zero, th).unwrap();
-        let ok = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, Some(60_000)).unwrap();
-        assert_eq!(ok, seq);
-        let unbounded = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, None).unwrap();
-        assert_eq!(unbounded, seq);
+        assert_eq!(budgeted(Some(60_000)).unwrap(), seq);
+        assert_eq!(budgeted(None).unwrap(), seq);
     }
 
     #[test]

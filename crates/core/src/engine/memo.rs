@@ -41,17 +41,13 @@
 //! database update (which bumps only the touched relation's generation)
 //! cold-starts only that relation's entries.
 //!
-//! The service is attached to every non-baseline search, including
-//! sequential ones (`find_rules_seq`, 1-thread pools): a sharded hit
-//! costs one uncontended read lock + `Arc` clone over the private
-//! path's map probe — measured as noise on the bench guards (see
-//! PERFORMANCE.md) — and in exchange the default path always reports
+//! The service is the only memo backing and is attached to every
+//! search, including sequential ones (`find_rules_seq`, 1-thread
+//! pools): a sharded hit costs one uncontended read lock + `Arc` clone,
+//! measured as noise against a private per-worker map on the bench
+//! guards (see PERFORMANCE.md). In exchange every search reports
 //! hit-rate telemetry and exercises the exact storage layer that
-//! concurrent sessions share. Deliberate trade-off; revisit if a
-//! profile ever says otherwise.
-//!
-//! Knobs: `MQ_SHARED_MEMO=0` (or [`set_shared_memo_override`]) falls
-//! back to the PR 3 behavior — one private memo slice per worker.
+//! concurrent sessions share. Baseline mode bypasses it.
 //!
 //! ## Counters
 //!
@@ -66,7 +62,6 @@ use crate::plan::{AtomKey, PlanArena, PlanNodeId, PlanOp};
 use mq_relation::{Bindings, VarId};
 pub use mq_store::MemoStats;
 use mq_store::{lock::read_recover, lock::write_recover, ShardedMemo};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Key of the plan cache: the node join's χ plus its instantiated λ atom
@@ -78,37 +73,6 @@ pub(crate) type PlanKey = (Vec<VarId>, Vec<AtomKey>);
 /// update that touches the relation, so `(generation, atom key)` names
 /// the atom's bindings unambiguously across database versions.
 pub type RelGeneration = u64;
-
-/// Runtime override of the `MQ_SHARED_MEMO` knob: 0 = none, 1 = forced
-/// off, 2 = forced on. Exists so tests can sweep the axis without
-/// `std::env::set_var` (unsound under concurrent env reads on glibc).
-static SHARED_MEMO_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Force the shared memo service on or off (`None` restores the
-/// `MQ_SHARED_MEMO` env / default resolution). Process-global; intended
-/// for tests and harnesses.
-pub fn set_shared_memo_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    SHARED_MEMO_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether searches use the cross-worker shared memo service: the
-/// override, else `MQ_SHARED_MEMO` (`0`/`false`/`off` disable), else on.
-pub fn shared_memo_enabled() -> bool {
-    match SHARED_MEMO_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return false,
-        2 => return true,
-        _ => {}
-    }
-    match std::env::var_os("MQ_SHARED_MEMO") {
-        Some(v) => !matches!(v.to_str(), Some("0") | Some("false") | Some("off")),
-        None => true,
-    }
-}
 
 /// A **persistent, cross-search** cache of instantiated-atom bindings,
 /// keyed by `(relation generation, relation, terms)`.
@@ -189,7 +153,7 @@ struct PersistentAtoms {
 /// shared plan arena, all `Send + Sync`. Created once per `Setup` and
 /// handed (via `Arc`) to every worker's executor — or supplied
 /// externally by the serving layer ([`SharedMemos::with_persistent_atoms`],
-/// threaded through `find_rules_shared`), in which case the atom layer
+/// threaded through `find_rules_instrumented`), in which case the atom layer
 /// is seeded from, and publishes back to, a catalog's cross-search
 /// [`AtomCache`].
 pub struct SharedMemos {
@@ -336,15 +300,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedMemos>();
         assert_send_sync::<AtomCache>();
-    }
-
-    #[test]
-    fn override_beats_env_resolution() {
-        set_shared_memo_override(Some(false));
-        assert!(!shared_memo_enabled());
-        set_shared_memo_override(Some(true));
-        assert!(shared_memo_enabled());
-        set_shared_memo_override(None);
     }
 
     #[test]

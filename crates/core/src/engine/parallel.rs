@@ -7,13 +7,11 @@
 //! becomes one task. Tasks go into a shared deque drained by
 //! work-stealing workers (`rayon::scope`/`spawn`, identical under the
 //! offline shim and real rayon): each worker owns **one** engine reused
-//! across every task it steals. By default every engine's executor
-//! reads and publishes into the search-global shared memo service
+//! across every task it steals. Every engine's executor reads and
+//! publishes into the search-global shared memo service
 //! ([`super::memo::SharedMemos`], carried by the `Setup`), so an atom,
 //! plan or plan-node intermediate computed by any worker is a memo hit
-//! for all of them — no per-worker warm-up. With `MQ_SHARED_MEMO=0`
-//! each worker instead warms a private memo slice that travels with it
-//! (the PR 3 behavior).
+//! for all of them — no per-worker warm-up.
 //!
 //! Determinism: tasks are generated in enumeration order and each task's
 //! answers land in its own output slot; concatenating slots in task order
@@ -25,8 +23,7 @@
 //! Knobs: `MQ_PARALLEL=0` disables the scheduler; `MQ_THREADS` caps the
 //! worker count (via the rayon shim); `MQ_SPLIT_DEPTH` (default 2) sets
 //! how many leading patterns the split enumerates — deeper splits give
-//! more, finer tasks for many-core machines; `MQ_SHARED_MEMO=0` falls
-//! back to one private memo slice per worker.
+//! more, finer tasks for many-core machines.
 
 use super::find_rules::{collect_sequential, Engine, Setup};
 use super::MqAnswer;
@@ -106,10 +103,9 @@ pub(crate) fn run(setup: &Setup) -> Vec<MqAnswer> {
         for _ in 0..n_workers {
             s.spawn(|_| {
                 // One engine per worker, reused across stolen tasks. Its
-                // executor talks to the Setup's shared memo service (or,
-                // with MQ_SHARED_MEMO=0, a private slice), so a prefix
-                // computed for one task is a memo hit for the next —
-                // and, when shared, for every other worker too.
+                // executor talks to the Setup's shared memo service, so
+                // a prefix computed for one task is a memo hit for the
+                // next, and for every other worker too.
                 // The sink is worker-local (the engine's callback and the
                 // drain below are the only handles), so every lock here
                 // is uncontended — Arc<Mutex> instead of Rc<RefCell>

@@ -95,7 +95,7 @@ pub enum InstError {
     },
     /// The search overran its wall-clock deadline and was cooperatively
     /// cancelled (serving-layer per-request budget; see
-    /// [`crate::engine::find_rules::find_rules_budgeted`]).
+    /// [`crate::engine::find_rules::find_rules_instrumented`]).
     DeadlineExceeded {
         /// The budget the search was given, in milliseconds.
         budget_ms: u64,

@@ -84,11 +84,6 @@ pub const KNOBS: &[Knob] = &[
         purpose: "Comma list of worker counts to sweep the optimized core over (first = primary)",
     },
     Knob {
-        name: "MQ_COLUMNAR",
-        default: "1 (on)",
-        purpose: "Column-major kernels over `ColumnarRows` (`0` falls back to the row-major loops)",
-    },
-    Knob {
         name: "MQ_FAULTS",
         default: "(none)",
         purpose: "Deterministic fault plan `site:prob:seed[,…]` for the serving stack",
@@ -117,11 +112,6 @@ pub const KNOBS: &[Knob] = &[
         name: "MQ_SCRAPE_MS",
         default: "1000",
         purpose: "Flight-recorder scrape cadence, ms (`0` keeps the recorder fully off)",
-    },
-    Knob {
-        name: "MQ_SHARED_MEMO",
-        default: "1 (on)",
-        purpose: "Cross-worker shared memo service (`0` falls back to private per-worker slices)",
     },
     Knob {
         name: "MQ_SLOW_MS",

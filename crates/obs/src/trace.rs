@@ -28,7 +28,7 @@
 //! overridable through process-wide atomics
 //! ([`set_trace_override`]/[`set_slow_ms_override`]) — never by mutating
 //! the environment, which is unsound under concurrent reads (the same
-//! pattern as `MQ_SHARED_MEMO`).
+//! pattern as `MQ_SPLIT_DEPTH`).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};

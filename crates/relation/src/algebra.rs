@@ -9,9 +9,13 @@
 //!
 //! ## Kernels
 //!
-//! The join/semijoin/projection kernels are **allocation-free per row**:
-//! keys are hashed straight out of row storage and compared positionally
-//! ([`crate::hashjoin`]), so no `Box<[Value]>` key is ever materialized.
+//! The join/semijoin/projection kernels run **column-major**: keys are
+//! batch-hashed straight out of [`ColumnarRows`] column slices and
+//! compared positionally ([`crate::hashjoin`]), surviving rows are
+//! gathered column by column, and no per-row `Box<[Value]>` is ever
+//! materialized. A few kernels exist only row-major —
+//! [`Bindings::join_atom`], [`Bindings::semijoin_filter`] and
+//! [`reduce_relation`] — and read the boxed rows directly.
 //! [`Bindings::join_atom`] additionally probes a per-relation column index
 //! cached on the [`Relation`] itself, so the build side of a join against
 //! a database relation is constructed once per (relation, column-set) and
@@ -30,7 +34,7 @@ use crate::value::{Tuple, Value};
 use mq_store::{ColIndexCache, ColumnarRows, FrozenRows};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// When set, the public algebra API routes through the [`baseline`]
@@ -47,42 +51,6 @@ pub fn set_baseline_mode(on: bool) {
 #[inline]
 pub fn baseline_mode() -> bool {
     BASELINE_MODE.load(Ordering::Relaxed)
-}
-
-/// Process-global override of the `MQ_COLUMNAR` knob:
-/// 0 = follow the environment, 1 = forced off, 2 = forced on.
-static COLUMNAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force the columnar kernels on/off for the whole process (`None`
-/// returns control to the `MQ_COLUMNAR` environment knob). Test-matrix
-/// hook, mirroring the shared-memo override.
-pub fn set_columnar_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    COLUMNAR_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether the optimized kernels run column-major (`MQ_COLUMNAR`, default
-/// on; `0`/`false`/`off` falls back to the row-major kernels). Both
-/// layouts produce identical bindings — this only selects the loops.
-#[inline]
-pub fn columnar_enabled() -> bool {
-    match COLUMNAR_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                !matches!(
-                    std::env::var("MQ_COLUMNAR").as_deref(),
-                    Ok("0") | Ok("false") | Ok("off")
-                )
-            })
-        }
-    }
 }
 
 /// An ordinary (first-order) variable, interned by the caller.
@@ -224,13 +192,13 @@ impl AtomShape {
 /// (and threads), so probing the same side repeatedly (every head check
 /// against the same body join, every reducer step against the same
 /// guard) builds its table once — process-wide.
-/// Tuples live in **either or both** of two layouts: row-major
-/// ([`FrozenRows`] of boxed tuples — the layout `rows()` exposes) and
-/// column-major ([`ColumnarRows`] — one contiguous buffer per variable,
-/// the layout the batched kernels scan). At least one is always present;
-/// the other is materialized lazily on first demand and cached, so a
-/// columnar-born bindings only pays for boxed tuples if someone actually
-/// asks for them (and vice versa).
+/// Tuples live column-major ([`ColumnarRows`] — one contiguous buffer
+/// per variable, the layout the kernels scan). Boxed row-major tuples
+/// ([`FrozenRows`], what `rows()` exposes) are a lazily built cache:
+/// the kernels' outputs are born columnar and only pay for boxed tuples
+/// if someone asks for them. Bindings built from boxed rows
+/// ([`Bindings::from_parts`], the baseline and row-only kernels) are
+/// transposed on their first columnar use.
 #[derive(Clone)]
 pub struct Bindings {
     vars: Vec<VarId>,
@@ -361,25 +329,6 @@ impl Bindings {
         self.len
     }
 
-    /// An opaque identity of this bindings' shared tuple storage: while
-    /// both stay alive, two bindings with equal storage ids hold
-    /// identical tuples in identical order (frozen storage is immutable
-    /// and reference-counted, so equal addresses mean the *same*
-    /// buffer). Column variables are **not** covered — compare
-    /// [`Bindings::vars`] alongside. The search engines key their
-    /// operator memos on this (holding clones of the operands so the
-    /// addresses can't be recycled).
-    pub fn storage_id(&self) -> usize {
-        match self.cols.get() {
-            Some(c) => c.ptr_id(),
-            None => self
-                .rows
-                .get()
-                .expect("Bindings holds rows or columns")
-                .ptr_id(),
-        }
-    }
-
     /// Whether there are no tuples.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -414,76 +363,50 @@ impl Bindings {
             return baseline::from_atom(rel, terms);
         }
         let shape = AtomShape::of(terms);
-        if columnar_enabled() {
-            // Column-wise evaluation: select matching row ids against the
-            // relation's columnar mirror, then gather the variable columns.
-            let store = rel.columnar();
-            let mut keep: Vec<usize> = Vec::new();
-            if !shape.const_cols.is_empty() && rel.len() >= 16 {
-                // Constant-selective atom: probe the cached index on the
-                // constant columns instead of scanning.
-                let idx = rel.group_index(&shape.const_cols);
-                let identity: Vec<usize> = (0..shape.const_vals.len()).collect();
-                for i in idx.probe_cols(&shape.const_vals, &identity) {
-                    if shape
-                        .eq_pairs
-                        .iter()
-                        .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
-                    {
-                        keep.push(i);
-                    }
-                }
-            } else {
-                for i in 0..store.len() {
-                    let consts_ok = shape
-                        .const_cols
-                        .iter()
-                        .zip(shape.const_vals.iter())
-                        .all(|(&c, v)| store.col(c)[i] == *v);
-                    if consts_ok
-                        && shape
-                            .eq_pairs
-                            .iter()
-                            .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
-                    {
-                        keep.push(i);
-                    }
-                }
-            }
-            let out_cols: Vec<Vec<Value>> = shape
-                .first_pos
-                .iter()
-                .map(|&p| {
-                    let col = store.col(p);
-                    keep.iter().map(|&i| col[i]).collect()
-                })
-                .collect();
-            return Bindings::new_columnar(
-                shape.vars,
-                ColumnarRows::from_columns(keep.len(), out_cols),
-            );
-        }
-        let mut rows = Vec::new();
+        // Column-wise evaluation: select matching row ids against the
+        // relation's columnar mirror, then gather the variable columns.
+        let store = rel.columnar();
+        let mut keep: Vec<usize> = Vec::new();
         if !shape.const_cols.is_empty() && rel.len() >= 16 {
             // Constant-selective atom: probe the cached index on the
             // constant columns instead of scanning.
             let idx = rel.group_index(&shape.const_cols);
             let identity: Vec<usize> = (0..shape.const_vals.len()).collect();
-            let rel_rows = rel.rows_slice();
             for i in idx.probe_cols(&shape.const_vals, &identity) {
-                let row = &rel_rows[i];
-                if shape.eq_ok(row) {
-                    rows.push(shape.project(row));
+                if shape
+                    .eq_pairs
+                    .iter()
+                    .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
+                {
+                    keep.push(i);
                 }
             }
         } else {
-            for row in rel.rows() {
-                if shape.consts_ok(row) && shape.eq_ok(row) {
-                    rows.push(shape.project(row));
+            for i in 0..store.len() {
+                let consts_ok = shape
+                    .const_cols
+                    .iter()
+                    .zip(shape.const_vals.iter())
+                    .all(|(&c, v)| store.col(c)[i] == *v);
+                if consts_ok
+                    && shape
+                        .eq_pairs
+                        .iter()
+                        .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
+                {
+                    keep.push(i);
                 }
             }
         }
-        Bindings::new(shape.vars, rows)
+        let out_cols: Vec<Vec<Value>> = shape
+            .first_pos
+            .iter()
+            .map(|&p| {
+                let col = store.col(p);
+                keep.iter().map(|&i| col[i]).collect()
+            })
+            .collect();
+        Bindings::new_columnar(shape.vars, ColumnarRows::from_columns(keep.len(), out_cols))
     }
 
     /// Natural join on shared variables. With no shared variables this is a
@@ -538,11 +461,10 @@ impl Bindings {
     /// `build_pos` with every probe row's key at `probe_pos`, appending
     /// the probe columns in `extra`.
     ///
-    /// Columnar mode hashes all probe keys in one batched column pass,
-    /// matches against the index's stored group keys, and builds the
-    /// output **column by column** with gather loops — no per-row
-    /// `Box<[Value]>` is ever allocated. Row mode is the original
-    /// tuple-at-a-time loop.
+    /// All probe keys are hashed in one batched column pass and matched
+    /// against the index's stored group keys; the output is built
+    /// **column by column** with gather loops — no per-row
+    /// `Box<[Value]>` is ever allocated.
     fn join_gathered(
         &self,
         probe: &Bindings,
@@ -554,62 +476,45 @@ impl Bindings {
         out_vars.extend(extra.iter().map(|&i| probe.vars[i]));
 
         let idx = self.binding_index(build_pos);
-        if columnar_enabled() {
-            let bc = self.columnar();
-            let pc = probe.columnar();
-            // Matching (build row, probe row) id pairs, probe-major.
-            let mut bids: Vec<u32> = Vec::with_capacity(pc.len());
-            let mut pids: Vec<u32> = Vec::with_capacity(pc.len());
-            if let [c] = *probe_pos {
-                // Single-column key: hash and probe in one fused pass
-                // over the dense probe column.
-                for (i, v) in pc.col(c).iter().enumerate() {
-                    for bi in idx.probe(hashjoin::hash_value(v), |gkey| gkey[0] == *v) {
-                        bids.push(bi as u32);
-                        pids.push(i as u32);
-                    }
-                }
-            } else {
-                let mut hashes = Vec::new();
-                hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
-                let probe_keys: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
-                for (i, &h) in hashes.iter().enumerate() {
-                    for bi in idx.probe(h, |gkey| {
-                        gkey.iter()
-                            .zip(probe_keys.iter())
-                            .all(|(kv, col)| *kv == col[i])
-                    }) {
-                        bids.push(bi as u32);
-                        pids.push(i as u32);
-                    }
+        let bc = self.columnar();
+        let pc = probe.columnar();
+        // Matching (build row, probe row) id pairs, probe-major.
+        let mut bids: Vec<u32> = Vec::with_capacity(pc.len());
+        let mut pids: Vec<u32> = Vec::with_capacity(pc.len());
+        if let [c] = *probe_pos {
+            // Single-column key: hash and probe in one fused pass over
+            // the dense probe column.
+            for (i, v) in pc.col(c).iter().enumerate() {
+                for bi in idx.probe(hashjoin::hash_value(v), |gkey| gkey[0] == *v) {
+                    bids.push(bi as u32);
+                    pids.push(i as u32);
                 }
             }
-            let mut out_cols: Vec<Vec<Value>> = Vec::with_capacity(out_vars.len());
-            for c in 0..bc.arity() {
-                let col = bc.col(c);
-                out_cols.push(bids.iter().map(|&i| col[i as usize]).collect());
-            }
-            for &p in extra {
-                let col = pc.col(p);
-                out_cols.push(pids.iter().map(|&i| col[i as usize]).collect());
-            }
-            return Bindings::new_columnar(
-                out_vars,
-                ColumnarRows::from_columns(bids.len(), out_cols),
-            );
-        }
-        let self_rows = self.rows();
-        let mut out_rows = Vec::new();
-        for prow in probe.rows().iter() {
-            for bi in idx.probe_cols(prow, probe_pos) {
-                let brow = &self_rows[bi];
-                let mut row = Vec::with_capacity(out_vars.len());
-                row.extend_from_slice(brow);
-                row.extend(extra.iter().map(|&p| prow[p]));
-                out_rows.push(row.into_boxed_slice());
+        } else {
+            let mut hashes = Vec::new();
+            hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
+            let probe_keys: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
+            for (i, &h) in hashes.iter().enumerate() {
+                for bi in idx.probe(h, |gkey| {
+                    gkey.iter()
+                        .zip(probe_keys.iter())
+                        .all(|(kv, col)| *kv == col[i])
+                }) {
+                    bids.push(bi as u32);
+                    pids.push(i as u32);
+                }
             }
         }
-        Bindings::new(out_vars, out_rows)
+        let mut out_cols: Vec<Vec<Value>> = Vec::with_capacity(out_vars.len());
+        for c in 0..bc.arity() {
+            let col = bc.col(c);
+            out_cols.push(bids.iter().map(|&i| col[i as usize]).collect());
+        }
+        for &p in extra {
+            let col = pc.col(p);
+            out_cols.push(pids.iter().map(|&i| col[i as usize]).collect());
+        }
+        Bindings::new_columnar(out_vars, ColumnarRows::from_columns(bids.len(), out_cols))
     }
 
     /// Natural join on a **pre-planned** key set — the plan executor's
@@ -692,63 +597,45 @@ impl Bindings {
 
     /// Keep the rows of `self` whose key at `self_pos` hits (`keep_hits`)
     /// or misses (`!keep_hits`) a group of `idx` — the shared body of
-    /// semijoin and antijoin. Columnar mode batch-hashes all keys in one
-    /// column pass, probes against the index's stored group keys, and
-    /// gathers surviving rows column by column; either way a no-op
-    /// filter shares storage via `clone`.
+    /// semijoin and antijoin. All keys are batch-hashed in one column
+    /// pass and probed against the index's stored group keys; surviving
+    /// rows are gathered column by column, and a no-op filter shares
+    /// storage via `clone`.
     fn filter_by_index(&self, idx: &GroupIndex, self_pos: &[usize], keep_hits: bool) -> Self {
-        if columnar_enabled() {
-            let sc = self.columnar();
-            let mut kept: Vec<usize> = Vec::with_capacity(sc.len());
-            if let [c] = *self_pos {
-                // Single-column key (the common case): hash and probe in
-                // one fused pass over the dense key column.
-                for (i, v) in sc.col(c).iter().enumerate() {
-                    let hit = idx
-                        .find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v)
-                        .is_some();
-                    if hit == keep_hits {
-                        kept.push(i);
-                    }
-                }
-            } else {
-                let mut hashes = Vec::new();
-                hashjoin::hash_columns_into(sc, self_pos, &mut hashes);
-                let key_cols: Vec<&[Value]> = self_pos.iter().map(|&c| sc.col(c)).collect();
-                for (i, &h) in hashes.iter().enumerate() {
-                    let hit = idx
-                        .find_group(h, |gkey| {
-                            gkey.iter()
-                                .zip(key_cols.iter())
-                                .all(|(kv, col)| *kv == col[i])
-                        })
-                        .is_some();
-                    if hit == keep_hits {
-                        kept.push(i);
-                    }
+        let sc = self.columnar();
+        let mut kept: Vec<usize> = Vec::with_capacity(sc.len());
+        if let [c] = *self_pos {
+            // Single-column key (the common case): hash and probe in one
+            // fused pass over the dense key column.
+            for (i, v) in sc.col(c).iter().enumerate() {
+                let hit = idx
+                    .find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v)
+                    .is_some();
+                if hit == keep_hits {
+                    kept.push(i);
                 }
             }
-            if kept.len() == self.len() {
-                return self.clone();
+        } else {
+            let mut hashes = Vec::new();
+            hashjoin::hash_columns_into(sc, self_pos, &mut hashes);
+            let key_cols: Vec<&[Value]> = self_pos.iter().map(|&c| sc.col(c)).collect();
+            for (i, &h) in hashes.iter().enumerate() {
+                let hit = idx
+                    .find_group(h, |gkey| {
+                        gkey.iter()
+                            .zip(key_cols.iter())
+                            .all(|(kv, col)| *kv == col[i])
+                    })
+                    .is_some();
+                if hit == keep_hits {
+                    kept.push(i);
+                }
             }
-            return Bindings::new_columnar(self.vars.clone(), sc.gather(&kept));
         }
-        let self_rows = self.rows();
-        let mut kept: Vec<u32> = Vec::new();
-        for (i, r) in self_rows.iter().enumerate() {
-            let hit = idx.probe_group(r, self_pos).is_some();
-            if hit == keep_hits {
-                kept.push(i as u32);
-            }
-        }
-        if kept.len() == self_rows.len() {
+        if kept.len() == self.len() {
             return self.clone();
         }
-        let rows: Vec<Tuple> = kept
-            .into_iter()
-            .map(|i| self_rows[i as usize].clone())
-            .collect();
-        Bindings::new(self.vars.clone(), rows)
+        Bindings::new_columnar(self.vars.clone(), sc.gather(&kept))
     }
 
     /// Join with an atom: `self ⋈ eval(rel, terms)`.
@@ -827,55 +714,31 @@ impl Bindings {
             return self.clone();
         }
         let out_vars: Vec<VarId> = cols.iter().map(|&c| self.vars[c]).collect();
-        if columnar_enabled() {
-            // Hash-of-column-slice dedup: batch-hash every projected key,
-            // keep first-seen row ids, gather the kept key columns.
-            let sc = self.columnar();
-            let mut hashes = Vec::new();
-            hashjoin::hash_columns_into(sc, &cols, &mut hashes);
-            let key_cols: Vec<&[Value]> = cols.iter().map(|&c| sc.col(c)).collect();
-            let mut table = RawTable::with_capacity(self.len());
-            let mut kept: Vec<usize> = Vec::new();
-            for (i, &h) in hashes.iter().enumerate() {
-                let seen = table
-                    .find(h, |id| {
-                        let j = kept[id as usize];
-                        key_cols.iter().all(|col| col[i] == col[j])
-                    })
-                    .is_some();
-                if !seen {
-                    table.insert_new(h, kept.len() as u32);
-                    kept.push(i);
-                }
-            }
-            let out_cols: Vec<Vec<Value>> = key_cols
-                .iter()
-                .map(|col| kept.iter().map(|&i| col[i]).collect())
-                .collect();
-            return Bindings::new_columnar(
-                out_vars,
-                ColumnarRows::from_columns(kept.len(), out_cols),
-            );
-        }
-        let self_rows = self.rows();
-        let identity: Vec<usize> = (0..cols.len()).collect();
-        let mut table = RawTable::with_capacity(self_rows.len());
-        let mut rows: Vec<Tuple> = Vec::new();
-        for row in self_rows.iter() {
-            let h = hashjoin::hash_cols(row, &cols);
+        // Hash-of-column-slice dedup: batch-hash every projected key,
+        // keep first-seen row ids, gather the kept key columns.
+        let sc = self.columnar();
+        let mut hashes = Vec::new();
+        hashjoin::hash_columns_into(sc, &cols, &mut hashes);
+        let key_cols: Vec<&[Value]> = cols.iter().map(|&c| sc.col(c)).collect();
+        let mut table = RawTable::with_capacity(self.len());
+        let mut kept: Vec<usize> = Vec::new();
+        for (i, &h) in hashes.iter().enumerate() {
             let seen = table
                 .find(h, |id| {
-                    hashjoin::eq_cols(&rows[id as usize], &identity, row, &cols)
+                    let j = kept[id as usize];
+                    key_cols.iter().all(|col| col[i] == col[j])
                 })
                 .is_some();
             if !seen {
-                // The projected row is built exactly once, on first sight.
-                let id = rows.len() as u32;
-                rows.push(cols.iter().map(|&c| row[c]).collect());
-                table.insert_new(h, id);
+                table.insert_new(h, kept.len() as u32);
+                kept.push(i);
             }
         }
-        Bindings::new(out_vars, rows)
+        let out_cols: Vec<Vec<Value>> = key_cols
+            .iter()
+            .map(|col| kept.iter().map(|&i| col[i]).collect())
+            .collect();
+        Bindings::new_columnar(out_vars, ColumnarRows::from_columns(kept.len(), out_cols))
     }
 
     /// Count of distinct tuples over `vars` (`|π_vars(self)|`) without
@@ -885,33 +748,17 @@ impl Bindings {
             return baseline::count_distinct(self, vars);
         }
         let cols: Vec<usize> = vars.iter().filter_map(|&v| self.position(v)).collect();
-        if columnar_enabled() {
-            // Same hash-of-column-slice dedup as `project`, counting only.
-            let sc = self.columnar();
-            let mut hashes = Vec::new();
-            hashjoin::hash_columns_into(sc, &cols, &mut hashes);
-            let key_cols: Vec<&[Value]> = cols.iter().map(|&c| sc.col(c)).collect();
-            let mut table = RawTable::with_capacity(self.len());
-            for (i, &h) in hashes.iter().enumerate() {
-                let seen = table
-                    .find(h, |id| {
-                        let j = id as usize;
-                        key_cols.iter().all(|col| col[i] == col[j])
-                    })
-                    .is_some();
-                if !seen {
-                    table.insert_new(h, i as u32);
-                }
-            }
-            return table.len();
-        }
-        let self_rows = self.rows();
-        let mut table = RawTable::with_capacity(self_rows.len());
-        for (i, row) in self_rows.iter().enumerate() {
-            let h = hashjoin::hash_cols(row, &cols);
+        // Same hash-of-column-slice dedup as `project`, counting only.
+        let sc = self.columnar();
+        let mut hashes = Vec::new();
+        hashjoin::hash_columns_into(sc, &cols, &mut hashes);
+        let key_cols: Vec<&[Value]> = cols.iter().map(|&c| sc.col(c)).collect();
+        let mut table = RawTable::with_capacity(self.len());
+        for (i, &h) in hashes.iter().enumerate() {
             let seen = table
                 .find(h, |id| {
-                    hashjoin::eq_cols(&self_rows[id as usize], &cols, row, &cols)
+                    let j = id as usize;
+                    key_cols.iter().all(|col| col[i] == col[j])
                 })
                 .is_some();
             if !seen {
@@ -1002,51 +849,34 @@ impl Bindings {
         if probes.is_empty() {
             return self.clone();
         }
-        if columnar_enabled() {
-            let sc = self.columnar();
-            let hits_all = |i: usize| {
-                probes.iter().all(|(idx, self_pos)| {
-                    if let [c] = self_pos[..] {
-                        let v = &sc.col(c)[i];
-                        idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v)
-                            .is_some()
-                    } else {
-                        let h = hashjoin::hash_cols_at(sc, self_pos, i);
-                        idx.find_group(h, |gkey| {
-                            gkey.iter()
-                                .zip(self_pos.iter())
-                                .all(|(kv, &c)| *kv == sc.col(c)[i])
-                        })
+        let sc = self.columnar();
+        let hits_all = |i: usize| {
+            probes.iter().all(|(idx, self_pos)| {
+                if let [c] = self_pos[..] {
+                    let v = &sc.col(c)[i];
+                    idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v)
                         .is_some()
-                    }
-                })
-            };
-            let mut kept: Vec<usize> = Vec::with_capacity(sc.len());
-            for i in 0..sc.len() {
-                if hits_all(i) {
-                    kept.push(i);
+                } else {
+                    let h = hashjoin::hash_cols_at(sc, self_pos, i);
+                    idx.find_group(h, |gkey| {
+                        gkey.iter()
+                            .zip(self_pos.iter())
+                            .all(|(kv, &c)| *kv == sc.col(c)[i])
+                    })
+                    .is_some()
                 }
-            }
-            if kept.len() == self.len() {
-                return self.clone();
-            }
-            return Bindings::new_columnar(self.vars.clone(), sc.gather(&kept));
-        }
-        let self_rows = self.rows();
-        let mut kept: Vec<usize> = Vec::with_capacity(self_rows.len());
-        for (i, row) in self_rows.iter().enumerate() {
-            if probes
-                .iter()
-                .all(|(idx, self_pos)| idx.probe_group(row, self_pos).is_some())
-            {
+            })
+        };
+        let mut kept: Vec<usize> = Vec::with_capacity(sc.len());
+        for i in 0..sc.len() {
+            if hits_all(i) {
                 kept.push(i);
             }
         }
-        if kept.len() == self_rows.len() {
+        if kept.len() == self.len() {
             return self.clone();
         }
-        let rows: Vec<Tuple> = kept.into_iter().map(|i| self_rows[i].clone()).collect();
-        Bindings::new(self.vars.clone(), rows)
+        Bindings::new_columnar(self.vars.clone(), sc.gather(&kept))
     }
 
     /// Semijoin `self ⋉ other` that builds (and caches) the hash index
@@ -1083,12 +913,7 @@ impl Bindings {
             }
         }
         kept.sort_unstable();
-        if columnar_enabled() {
-            return Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept));
-        }
-        let self_rows = self.rows();
-        let rows: Vec<Tuple> = kept.into_iter().map(|i| self_rows[i].clone()).collect();
-        Bindings::new(self.vars.clone(), rows)
+        Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept))
     }
 
     /// Mark the groups of `idx` (an index over one side's key columns)
@@ -1098,44 +923,29 @@ impl Bindings {
     fn hit_groups(idx: &GroupIndex, probe: &Bindings, probe_pos: &[usize]) -> (Vec<bool>, usize) {
         let mut hit = vec![false; idx.num_groups()];
         let mut n_rows = 0usize;
-        if columnar_enabled() {
-            let pc = probe.columnar();
-            if let [c] = *probe_pos {
-                for v in pc.col(c) {
-                    let found = idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v);
-                    if let Some(g) = found {
-                        if !hit[g] {
-                            hit[g] = true;
-                            n_rows += idx.group_count(g);
-                        }
-                    }
-                }
-            } else {
-                let mut hashes = Vec::with_capacity(pc.len());
-                hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
-                let key_cols: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
-                for (i, &h) in hashes.iter().enumerate() {
-                    let found = idx.find_group(h, |gkey| {
-                        gkey.iter()
-                            .zip(key_cols.iter())
-                            .all(|(kv, col)| *kv == col[i])
-                    });
-                    if let Some(g) = found {
-                        if !hit[g] {
-                            hit[g] = true;
-                            n_rows += idx.group_count(g);
-                        }
-                    }
+        let mut mark = |found: Option<usize>| {
+            if let Some(g) = found {
+                if !hit[g] {
+                    hit[g] = true;
+                    n_rows += idx.group_count(g);
                 }
             }
+        };
+        let pc = probe.columnar();
+        if let [c] = *probe_pos {
+            for v in pc.col(c) {
+                mark(idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == *v));
+            }
         } else {
-            for row in probe.rows() {
-                if let Some((g, size)) = idx.probe_group(row, probe_pos) {
-                    if !hit[g] {
-                        hit[g] = true;
-                        n_rows += size;
-                    }
-                }
+            let mut hashes = Vec::with_capacity(pc.len());
+            hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
+            let key_cols: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
+            for (i, &h) in hashes.iter().enumerate() {
+                mark(idx.find_group(h, |gkey| {
+                    gkey.iter()
+                        .zip(key_cols.iter())
+                        .all(|(kv, col)| *kv == col[i])
+                }));
             }
         }
         (hit, n_rows)
@@ -1144,38 +954,31 @@ impl Bindings {
     /// Number of `probe` rows whose key at `probe_pos` hits a group of
     /// `idx` — the semijoin survivor count of the *probing* side.
     fn count_hits(idx: &GroupIndex, probe: &Bindings, probe_pos: &[usize]) -> usize {
-        if columnar_enabled() {
-            let pc = probe.columnar();
-            if let [c] = *probe_pos {
-                return pc
-                    .col(c)
-                    .iter()
-                    .filter(|v| {
-                        idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == **v)
-                            .is_some()
-                    })
-                    .count();
-            }
-            let mut hashes = Vec::with_capacity(pc.len());
-            hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
-            let key_cols: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
-            return hashes
+        let pc = probe.columnar();
+        if let [c] = *probe_pos {
+            return pc
+                .col(c)
                 .iter()
-                .enumerate()
-                .filter(|&(i, &h)| {
-                    idx.find_group(h, |gkey| {
-                        gkey.iter()
-                            .zip(key_cols.iter())
-                            .all(|(kv, col)| *kv == col[i])
-                    })
-                    .is_some()
+                .filter(|v| {
+                    idx.find_group(hashjoin::hash_value(v), |gkey| gkey[0] == **v)
+                        .is_some()
                 })
                 .count();
         }
-        probe
-            .rows()
+        let mut hashes = Vec::with_capacity(pc.len());
+        hashjoin::hash_columns_into(pc, probe_pos, &mut hashes);
+        let key_cols: Vec<&[Value]> = probe_pos.iter().map(|&c| pc.col(c)).collect();
+        hashes
             .iter()
-            .filter(|row| idx.probe_group(row, probe_pos).is_some())
+            .enumerate()
+            .filter(|&(i, &h)| {
+                idx.find_group(h, |gkey| {
+                    gkey.iter()
+                        .zip(key_cols.iter())
+                        .all(|(kv, col)| *kv == col[i])
+                })
+                .is_some()
+            })
             .count()
     }
 
@@ -1300,22 +1103,14 @@ impl Bindings {
     }
 
     /// Materialize the rows selected by `live`, in row order (a columnar
-    /// gather — no per-row allocation — when the columnar kernels are
-    /// on).
+    /// gather — no per-row allocation).
     pub fn retain_rows(&self, live: &BitSet) -> Bindings {
         debug_assert_eq!(live.len(), self.len());
         if live.is_full() {
             return self.clone();
         }
-        if columnar_enabled() {
-            let kept: Vec<usize> = live.iter_ones().collect();
-            return Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept));
-        }
-        let self_rows = self.rows();
-        Bindings::new(
-            self.vars.clone(),
-            live.iter_ones().map(|i| self_rows[i].clone()).collect(),
-        )
+        let kept: Vec<usize> = live.iter_ones().collect();
+        Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept))
     }
 
     /// Natural join of a list of atoms over their relations: `J(R)`.

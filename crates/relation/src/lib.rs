@@ -28,8 +28,7 @@ pub mod textio;
 pub mod value;
 
 pub use algebra::{
-    baseline_mode, columnar_enabled, distinct_vars, reduce_relation, set_baseline_mode,
-    set_columnar_override, Bindings, Term, VarId,
+    baseline_mode, distinct_vars, reduce_relation, set_baseline_mode, Bindings, Term, VarId,
 };
 pub use database::{Database, RelId};
 pub use frac::Frac;

@@ -5,13 +5,10 @@
 //!
 //! * the [`Database`] itself behind an `Arc`, **frozen** at registration
 //!   — nothing mutates it, so any number of sessions can search it
-//!   concurrently, and every relation's column-major mirror (when
-//!   `MQ_COLUMNAR` is on) and `group_index` are pre-warmed so the first
-//!   search pays neither the transposition nor the index builds;
-//! * each relation's rows additionally frozen into an
-//!   [`mq_store::ArenaRows`] — one contiguous allocation per relation
-//!   instead of one box per tuple, the storage protocol queries and
-//!   update paths read;
+//!   concurrently, and every relation's column-major mirror and
+//!   single-column `group_index`es are pre-warmed so the first search
+//!   pays neither the transposition nor the index builds. Protocol
+//!   queries (`dump`, `stats`) read the same relations' rows;
 //! * a `version` (bumped by every update) plus **per-relation
 //!   generations** ([`RelGeneration`]): the tags that key the entry's
 //!   persistent cross-search [`AtomCache`];
@@ -28,10 +25,9 @@
 //! atom-cache entries — every other relation's persist across the
 //! update.
 
-use mq_core::engine::memo::{shared_memo_enabled, AtomCache, RelGeneration, SharedMemos};
-use mq_relation::{Database, RelId, Tuple, Value};
+use mq_core::engine::memo::{AtomCache, RelGeneration, SharedMemos};
+use mq_relation::{Database, RelId, Tuple};
 use mq_store::lock::{lock_recover, read_recover, write_recover};
-use mq_store::ArenaRows;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,8 +96,8 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// An immutable snapshot of one catalog entry: the frozen database, its
-/// version and per-relation generations, the arena-frozen row storage,
-/// and the entry's persistent atom cache. Clones are O(1) (`Arc`
+/// version and per-relation generations, and the entry's persistent atom
+/// cache. Clones are O(1) (`Arc`
 /// handles); sessions pin the snapshot they were opened against.
 #[derive(Clone)]
 pub struct DbHandle {
@@ -109,73 +105,37 @@ pub struct DbHandle {
     db: Arc<Database>,
     version: u64,
     rel_gens: Arc<Vec<RelGeneration>>,
-    frozen: Arc<Vec<ArenaRows<Value>>>,
     atoms: Arc<AtomCache>,
 }
 
 impl DbHandle {
-    /// Freeze `db` into a snapshot: pre-warm every relation's
-    /// single-column `group_index` (the indexes the planner's join keys
-    /// overwhelmingly probe) and freeze each relation's rows into one
-    /// contiguous arena. `reuse` lets an update clone the untouched
-    /// relations' arenas (O(1) handle copies) and *extend* the touched
-    /// relation's arena in place when the update was a pure append.
-    /// This is O(total db) work; [`Catalog::update_with`] runs it
-    /// outside the catalog map lock so snapshots and queries are never
-    /// blocked behind it.
+    /// Freeze `db` into a snapshot: pre-warm every relation's columnar
+    /// mirror and single-column `group_index` (the indexes the planner's
+    /// join keys overwhelmingly probe). This is O(total db) work;
+    /// [`Catalog::update_with`] runs it outside the catalog map lock so
+    /// snapshots and queries are never blocked behind it.
     fn freeze(
         name: Arc<str>,
         db: Database,
         version: u64,
         rel_gens: Vec<RelGeneration>,
         atoms: Arc<AtomCache>,
-        reuse: Option<(&DbHandle, RelId)>,
     ) -> Self {
         let _span = mq_obs::trace::SpanGuard::start_always(mq_obs::trace::CATALOG_FREEZE);
         for rel in db.relations() {
             // Warm the column-major mirror first so the single-column
             // index builds below scan columns, not boxed rows — and so
             // the first search's columnar kernels find it ready.
-            if mq_relation::columnar_enabled() {
-                let _ = rel.columnar();
-            }
+            let _ = rel.columnar();
             for col in 0..rel.arity() {
                 let _ = rel.group_index(&[col]);
             }
         }
-        let frozen: Vec<ArenaRows<Value>> = db
-            .rel_ids()
-            .map(|id| {
-                let rel = db.relation(id);
-                let rows = rel.rows_slice();
-                match reuse.and_then(|(prev, touched)| {
-                    prev.frozen.get(id.index()).map(|old| (old, touched))
-                }) {
-                    // Untouched relations share the previous snapshot's
-                    // arena (rows are identical).
-                    Some((old, touched)) if id != touched => old.clone(),
-                    // An append leaves the old rows as a prefix
-                    // (insertion order is preserved, duplicates are
-                    // dropped): extend the old arena with one contiguous
-                    // copy of just the new rows.
-                    Some((old, _))
-                        if old.arity() == rel.arity()
-                            && old.len() <= rows.len()
-                            && old.rows().zip(rows).all(|(a, b)| a == &b[..]) =>
-                    {
-                        old.extended(&rows[old.len()..])
-                    }
-                    // Replacement (or a brand-new relation): re-freeze.
-                    _ => ArenaRows::from_rows(rel.arity(), rows),
-                }
-            })
-            .collect();
         DbHandle {
             name,
             db: Arc::new(db),
             version,
             rel_gens: Arc::new(rel_gens),
-            frozen: Arc::new(frozen),
             atoms,
         }
     }
@@ -205,16 +165,6 @@ impl DbHandle {
         &self.rel_gens
     }
 
-    /// The arena-frozen rows of relation `rel`.
-    pub fn frozen_rows(&self, rel: RelId) -> &ArenaRows<Value> {
-        &self.frozen[rel.index()]
-    }
-
-    /// Total tuples across the frozen relations.
-    pub fn total_tuples(&self) -> usize {
-        self.frozen.iter().map(ArenaRows::len).sum()
-    }
-
     /// The entry's persistent cross-search atom cache (shared by every
     /// snapshot of the entry, across updates).
     pub fn atom_cache(&self) -> &Arc<AtomCache> {
@@ -223,17 +173,12 @@ impl DbHandle {
 
     /// A fresh per-search memo service seeded from the entry's
     /// persistent atom cache under this snapshot's generations — what
-    /// the session layer hands to `find_rules_shared`. `None` when the
-    /// shared memo service is disabled (`MQ_SHARED_MEMO=0`): searches
-    /// then fall back to private per-worker memos and the persistent
-    /// cache sees no traffic.
-    pub fn memo_service(&self) -> Option<Arc<SharedMemos>> {
-        shared_memo_enabled().then(|| {
-            Arc::new(SharedMemos::with_persistent_atoms(
-                Arc::clone(&self.atoms),
-                Arc::clone(&self.rel_gens),
-            ))
-        })
+    /// the session layer hands to `find_rules_instrumented`.
+    pub fn memo_service(&self) -> Arc<SharedMemos> {
+        Arc::new(SharedMemos::with_persistent_atoms(
+            Arc::clone(&self.atoms),
+            Arc::clone(&self.rel_gens),
+        ))
     }
 }
 
@@ -244,8 +189,8 @@ impl fmt::Debug for DbHandle {
             "DbHandle({} v{}, {} relations, {} tuples)",
             self.name,
             self.version,
-            self.frozen.len(),
-            self.total_tuples()
+            self.db.num_relations(),
+            self.db.total_tuples()
         )
     }
 }
@@ -290,7 +235,6 @@ impl Catalog {
             1,
             vec![1; n_relations],
             Arc::new(AtomCache::new()),
-            None,
         );
         let mut entries = write_recover(&self.entries);
         if entries.contains_key(name) {
@@ -374,7 +318,6 @@ impl Catalog {
             version,
             rel_gens,
             Arc::clone(&current.atoms),
-            Some((&current, touched)),
         );
         let mut entries = write_recover(&self.entries);
         let entry = entries
@@ -494,11 +437,9 @@ mod tests {
         let h = cat.register("tele", sample_db()).unwrap();
         assert_eq!(h.name(), "tele");
         assert_eq!(h.version(), 1);
-        assert_eq!(h.total_tuples(), 3);
+        assert_eq!(h.database().total_tuples(), 3);
         let p = h.database().rel_id("p").unwrap();
         assert_eq!(h.generation(p), 1);
-        assert_eq!(h.frozen_rows(p).len(), 2);
-        assert_eq!(h.frozen_rows(p).row(0), &ints(&[1, 2])[..]);
         assert_eq!(
             cat.register("tele", sample_db()).unwrap_err(),
             CatalogError::DuplicateDb("tele".into())
@@ -520,9 +461,6 @@ mod tests {
         assert_eq!(old.version(), 1);
         assert_eq!(old.database().relation(q).len(), 1);
         assert_eq!(new.database().relation(q).len(), 2);
-        // Untouched relations share arena storage with the old snapshot.
-        assert!(ArenaRows::ptr_eq(old.frozen_rows(p), new.frozen_rows(p)));
-        assert!(!ArenaRows::ptr_eq(old.frozen_rows(q), new.frozen_rows(q)));
         // The catalog now serves the new snapshot.
         assert_eq!(cat.snapshot("tele").unwrap().version(), 2);
     }
@@ -537,7 +475,6 @@ mod tests {
         let p = h.database().rel_id("p").unwrap();
         assert_eq!(h.database().relation(p).len(), 1);
         assert!(h.database().relation(p).contains(&ints(&[7, 8])));
-        assert_eq!(h.frozen_rows(p).len(), 1);
     }
 
     #[test]
@@ -589,21 +526,25 @@ mod tests {
 
     #[test]
     fn purge_stale_drops_only_old_generations() {
-        use mq_core::engine::find_rules::find_rules_shared;
+        use mq_core::engine::find_rules::find_rules_instrumented;
         use mq_core::engine::Thresholds;
         use mq_core::instantiate::InstType;
         use mq_core::parse::parse_metaquery;
 
         let cat = Catalog::new();
         let h = cat.register("tele", sample_db()).unwrap();
-        let Some(memos) = h.memo_service() else {
-            // MQ_SHARED_MEMO=0 in this environment: the persistent cache
-            // sees no traffic, nothing to purge.
-            return;
-        };
         let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-        let _ = find_rules_shared(h.database(), &mq, InstType::Zero, Thresholds::none(), memos)
-            .unwrap();
+        let _ = find_rules_instrumented(
+            h.database(),
+            &mq,
+            InstType::Zero,
+            Thresholds::none(),
+            Some(h.memo_service()),
+            None,
+            None,
+            0,
+        )
+        .unwrap();
         let cache = Arc::clone(h.atom_cache());
         let before = cache.len();
         assert!(before > 0, "the search must have warmed the atom cache");

@@ -6,9 +6,8 @@
 //! searches instead of just across one search's workers:
 //!
 //! * [`Catalog`] / [`DbHandle`] — named, **generation-tagged** frozen
-//!   database snapshots: pre-warmed `group_index`es, arena-frozen row
-//!   storage ([`mq_store::ArenaRows`]), and a persistent cross-search
-//!   atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
+//!   database snapshots: pre-warmed columnar mirrors and `group_index`es,
+//!   and a persistent cross-search atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
 //!   `(relation generation, relation, terms)`). Updates are
 //!   copy-on-write: the entry version and only the touched relation's
 //!   generation bump, running sessions finish on their snapshot, and
@@ -16,7 +15,7 @@
 //! * [`MqService`] / [`Session`] — the session manager: admission
 //!   control (bounded concurrent searches), per-session budgets, and a
 //!   per-search memo service seeded from the catalog's atom cache
-//!   (`find_rules_shared`).
+//!   (`find_rules_instrumented`).
 //! * [`RequestTable`] — in-flight request dedup: identical concurrent
 //!   requests (same snapshot version, metaquery, type, thresholds,
 //!   budget) coalesce onto **one** running search whose result fans out

@@ -10,7 +10,7 @@
 //! mine <name> [type=0|1|2] [sup=K] [cvr=K] [cnf=K] [limit=N] :: <metaquery>
 //! append <name> <relation> <v,v,..> [<v,v,..> ...]
 //! replace <name> <relation> [<v,v,..> ...]
-//! dump <name> <relation> [limit]           rows from the frozen arena
+//! dump <name> <relation> [limit]           rows in insertion order
 //! stats <name>
 //! metrics                                  Prometheus-text registry dump
 //! health                                   SLO verdict, rules, incidents
@@ -374,9 +374,8 @@ fn cmd_update(service: &MqService, rest: &str, kind: UpdateKind) -> Reply {
     }
 }
 
-/// Serve a relation's rows straight from the snapshot's frozen arena
-/// (never touching the live `Relation`): the arena is the read surface
-/// row-dump traffic is meant to hit, one contiguous scan per reply.
+/// Serve a relation's rows, in insertion order, from the pinned
+/// snapshot's immutable database.
 fn cmd_dump(service: &MqService, rest: &str) -> Reply {
     let mut words = rest.split_whitespace();
     let (Some(name), Some(rel)) = (words.next(), words.next()) else {
@@ -400,15 +399,15 @@ fn cmd_dump(service: &MqService, rest: &str) -> Reply {
             format_args!("database `{name}` has no relation `{rel}`"),
         );
     };
-    let arena = handle.frozen_rows(rel_id);
+    let relation = db.relation(rel_id);
     let mut lines = vec![format!(
         "ok dump {name} {rel} rows={} generation={} version={}",
-        arena.len(),
+        relation.len(),
         handle.generation(rel_id),
         handle.version()
     )];
     let symbols = db.symbols();
-    for row in arena.rows().take(limit) {
+    for row in relation.rows().take(limit) {
         let cells: Vec<String> = row.iter().map(|v| v.display(symbols).to_string()).collect();
         lines.push(format!("row {}", cells.join(",")));
     }
@@ -430,7 +429,7 @@ fn cmd_stats(service: &MqService, rest: &str) -> Reply {
         "ok stats {name} version={} relations={} tuples={} atom_cache_hits={} atom_cache_misses={}",
         handle.version(),
         db.num_relations(),
-        handle.total_tuples(),
+        db.total_tuples(),
         atom.hits,
         atom.misses
     )];
@@ -440,7 +439,7 @@ fn cmd_stats(service: &MqService, rest: &str) -> Reply {
             "relation {}/{} rows={} generation={}",
             rel.name(),
             rel.arity(),
-            handle.frozen_rows(id).len(),
+            rel.len(),
             handle.generation(id)
         ));
     }
@@ -720,19 +719,55 @@ mod tests {
     }
 
     #[test]
-    fn dump_serves_rows_from_the_arena() {
+    fn dump_and_stats_follow_appends_in_insertion_order() {
         let svc = service_with_db();
         let reply = handle_line(&svc, "dump tele p");
         let lines = reply.lines();
         assert!(lines[0].starts_with("ok dump tele p rows=5 generation=1"));
         assert_eq!(lines.len(), 6);
         assert_eq!(lines[1], "row 0,1");
-        // Limit caps the row lines; updates show up (and symbols render).
+        // An append lists the old rows first, then the new ones in
+        // insertion order; the duplicate `0,1` is dropped (set semantics).
+        let _ = handle_line(&svc, "append tele p 9,9 0,1 7,7");
+        let reply = handle_line(&svc, "dump tele p");
+        let expected = [
+            "ok dump tele p rows=7 generation=2 version=2",
+            "row 0,1",
+            "row 1,2",
+            "row 2,3",
+            "row 3,4",
+            "row 4,5",
+            "row 9,9",
+            "row 7,7",
+        ];
+        assert_eq!(reply.lines(), expected);
+        // `stats` counts the same snapshot the dump read.
+        let total = svc
+            .catalog()
+            .snapshot("tele")
+            .unwrap()
+            .database()
+            .total_tuples();
+        assert_eq!(total, 12);
+        let stats = handle_line(&svc, "stats tele");
+        assert!(
+            stats.lines()[0].contains(&format!(" tuples={total} ")),
+            "got: {}",
+            stats.lines()[0]
+        );
+        assert!(stats
+            .lines()
+            .iter()
+            .any(|l| l == "relation p/2 rows=7 generation=2"));
+        // Limit caps the row lines, not the `rows=` count.
+        let reply = handle_line(&svc, "dump tele p 2");
+        assert_eq!(reply.lines(), &expected[..3]);
+        // Replacements show up (and symbols render).
         let _ = handle_line(&svc, "replace tele p 7,ann");
-        let reply = handle_line(&svc, "dump tele p 1");
+        let reply = handle_line(&svc, "dump tele p");
         let lines = reply.lines();
-        assert!(lines[0].starts_with("ok dump tele p rows=1 generation=2"));
-        assert_eq!(lines[1], "row 7,ann");
+        assert!(lines[0].starts_with("ok dump tele p rows=1 generation=3"));
+        assert_eq!(lines[1..], ["row 7,ann"]);
         assert!(first_line(&handle_line(&svc, "dump tele zz")).starts_with("err "));
         assert!(first_line(&handle_line(&svc, "dump nosuch p")).starts_with("err "));
         assert!(first_line(&handle_line(&svc, "dump tele p x")).starts_with("err "));

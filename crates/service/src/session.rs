@@ -664,14 +664,12 @@ impl MqService {
         let searched = catch_unwind(AssertUnwindSafe(|| {
             let _span = trace::SpanGuard::start_always(trace::SEARCH_RUN);
             self.search_panic.maybe_panic();
-            // `memos: None` (MQ_SHARED_MEMO=0) keeps the engine's own
-            // resolution: private per-worker memos, no persistence.
             find_rules_instrumented(
                 handle.database(),
                 mq,
                 req.ty,
                 req.thresholds,
-                memos.clone(),
+                Some(Arc::clone(&memos)),
                 req.max_wall_ms,
                 Some(Arc::clone(&profile)),
                 req_id,
@@ -690,7 +688,7 @@ impl MqService {
         self.m
             .exec_memo_hits
             .add(profile.node_memo_hits.load(Ordering::Relaxed));
-        self.log_if_slow(handle, req, req_id, wall_ns, &profile, memos.as_deref());
+        self.log_if_slow(handle, req, req_id, wall_ns, &profile, &memos);
         let searched = match searched {
             Ok(r) => r,
             Err(payload) => {
@@ -706,7 +704,7 @@ impl MqService {
                 if let Some(limit) = req.max_answers {
                     answers.truncate(limit);
                 }
-                let memo = memos.as_ref().map(|m| m.stats()).unwrap_or_default();
+                let memo = memos.stats();
                 self.m.memo_hits.add(memo.hits);
                 self.m.memo_misses.add(memo.misses);
                 Ok(CompletedSearch {
@@ -729,7 +727,7 @@ impl MqService {
         req_id: u64,
         wall_ns: u64,
         profile: &SearchProfile,
-        memos: Option<&mq_core::engine::memo::SharedMemos>,
+        memos: &mq_core::engine::memo::SharedMemos,
     ) {
         let Some(thresh_ms) = mq_obs::slow_ms() else {
             return;
@@ -743,7 +741,7 @@ impl MqService {
             .into_iter()
             .map(|(id, stat)| {
                 let label = memos
-                    .and_then(|m| m.describe_plan_node(PlanNodeId(id as u32)))
+                    .describe_plan_node(PlanNodeId(id as u32))
                     .unwrap_or_else(|| format!("node#{id}"));
                 (id, label, stat)
             })

@@ -1,7 +1,6 @@
 //! Column-major frozen row storage: one contiguous buffer per column.
 //!
-//! [`ArenaRows`](crate::ArenaRows) made row storage contiguous; a
-//! [`ColumnarRows`] turns the layout ninety degrees. All values of
+//! A [`ColumnarRows`] stores a row set column by column. All values of
 //! column `c` sit back to back in **one** buffer, so a kernel that only
 //! touches the key columns of a relation — hash-join probing, grouped
 //! index builds, distinct counting — walks a dense `&[V]` slice instead
@@ -12,8 +11,8 @@
 //! Like the other frozen stores, the column set sits behind an `Arc`:
 //! handle clones are O(1), the storage never mutates once built, and
 //! the whole value is `Send + Sync`. The relational layer keeps a
-//! `ColumnarRows<Value>` mirror beside its row-major tuples and routes
-//! the keyed kernels through it when the `MQ_COLUMNAR` knob is on.
+//! `ColumnarRows<Value>` mirror beside each relation's row-major tuples
+//! and runs its join, semijoin and projection kernels over it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -160,15 +159,6 @@ impl<V> ColumnarRows<V> {
     #[inline]
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         Arc::ptr_eq(&a.cols, &b.cols)
-    }
-
-    /// The address of the shared storage, as an opaque identity: two
-    /// *live* handles have equal ids iff they share storage (and hence
-    /// hold identical columns). Only meaningful while a handle keeps the
-    /// storage alive — a freed address may be reused.
-    #[inline]
-    pub fn ptr_id(&self) -> usize {
-        Arc::as_ptr(&self.cols) as *const Vec<V> as usize
     }
 }
 

@@ -51,15 +51,6 @@ impl<T> FrozenRows<T> {
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         Arc::ptr_eq(&a.rows, &b.rows)
     }
-
-    /// The address of the shared storage, as an opaque identity: two
-    /// *live* handles have equal ids iff they share storage (and hence
-    /// hold identical rows). Only meaningful while a handle keeps the
-    /// storage alive — a freed address may be reused.
-    #[inline]
-    pub fn ptr_id(&self) -> usize {
-        Arc::as_ptr(&self.rows) as usize
-    }
 }
 
 impl<T: Clone> FrozenRows<T> {
@@ -166,7 +157,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frozen_rows_clone_shares_storage() {
+    fn frozen_clone_shares_storage() {
         let a = FrozenRows::new(vec![1, 2, 3]);
         let b = a.clone();
         assert!(FrozenRows::ptr_eq(&a, &b));

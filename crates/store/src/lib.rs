@@ -10,10 +10,6 @@
 //!   storage with O(1) handle clones. `Send + Sync`, so values built on
 //!   it (notably `mq_relation::Bindings`) can cross worker threads and
 //!   live in cross-worker caches.
-//! * [`ArenaRows`] — the arena-backed frozen variant: every row's values
-//!   in **one** contiguous allocation, rows handed back as slices.
-//!   Freezing `n` rows costs O(1) allocations instead of one box per
-//!   row; the service catalog freezes database snapshots into it.
 //! * [`ColumnarRows`] — the column-major frozen variant: one contiguous
 //!   buffer **per column**, so keyed kernels (probing, grouped index
 //!   builds, batch hashing) walk dense column slices instead of hopping
@@ -39,14 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod columnar;
 pub mod frozen;
 pub mod fxhash;
 pub mod lock;
 pub mod memo;
 
-pub use arena::ArenaRows;
 pub use columnar::ColumnarRows;
 pub use frozen::{ColIndexCache, FrozenRows};
 pub use fxhash::{FxBuildHasher, FxHasher};

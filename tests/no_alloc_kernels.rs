@@ -2,7 +2,7 @@
 //!
 //! The pre-optimization kernels materialized one `Box<[Value]>` key per
 //! probed row (`algebra::baseline` keeps that code as the reference); the
-//! optimized kernels hash keys straight out of row storage and compare
+//! optimized kernels hash keys straight out of column storage and compare
 //! positionally, so — once the build-side index is cached — probing must
 //! allocate O(result), not O(rows). A counting global allocator pins that
 //! down: each probe phase below runs over thousands of rows and is
@@ -19,7 +19,6 @@
 //! global to the process and the test harness runs tests concurrently.
 
 use mq_relation::{ints, reduce_relation, Bindings, Relation, Term, VarId};
-use mq_store::ArenaRows;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -200,43 +199,6 @@ fn probe_phases_allocate_constant_not_per_row() {
     assert!(
         spent < BUDGET,
         "semijoin_all allocated {spent} times for {N} rows"
-    );
-
-    // ArenaRows: freezing N boxed tuples into the contiguous arena the
-    // service catalog uses must allocate O(1) (the arena and its Arc),
-    // not one box per row — the whole point of the arena variant.
-    let tuples: Vec<mq_relation::Tuple> = (0..N).map(|i| ints(&[i, i + 1])).collect();
-    let before = allocations();
-    let arena = ArenaRows::from_rows(2, &tuples);
-    let spent = allocations() - before;
-    assert_eq!(arena.len(), N as usize);
-    assert!(
-        spent < 8,
-        "arena freeze allocated {spent} times for {N} rows — per-row \
-         allocations crept back into ArenaRows::from_rows"
-    );
-
-    // Row access and iteration are slices into the arena: zero allocs.
-    let before = allocations();
-    let mut checksum = 0i64;
-    for row in arena.rows() {
-        checksum += row[0].as_int().unwrap();
-    }
-    checksum += arena.row(17)[1].as_int().unwrap();
-    let spent = allocations() - before;
-    assert_eq!(checksum, (0..N).sum::<i64>() + 18);
-    assert_eq!(spent, 0, "arena row access must not allocate");
-
-    // The copy-on-write append path: extending by k rows is O(1)
-    // allocations too (one new arena), never a re-box of the old rows.
-    let more: Vec<mq_relation::Tuple> = (0..4).map(|i| ints(&[-i, -i])).collect();
-    let before = allocations();
-    let extended = arena.extended(&more);
-    let spent = allocations() - before;
-    assert_eq!(extended.len(), N as usize + 4);
-    assert!(
-        spent < 8,
-        "arena extend allocated {spent} times — per-row copies are back"
     );
 
     // ── Disabled-instrumentation phase ──────────────────────────────

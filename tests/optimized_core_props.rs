@@ -2,8 +2,8 @@
 //! materializing reference implementation (`mq_relation::algebra::baseline`),
 //! and determinism of the parallel `findRules` driver.
 //!
-//! The optimized kernels hash keys straight out of row storage, cache
-//! per-relation and per-bindings indexes, and share row storage across
+//! The optimized kernels hash keys straight out of column storage, cache
+//! per-relation and per-bindings indexes, and share storage across
 //! clones; the baseline materializes one boxed key per row with fresh hash
 //! tables per operation. On any database they must produce identical row
 //! *sets* (row order is not part of the algebra's contract, so rows are
@@ -38,19 +38,6 @@ fn build_db(p: &[(i64, i64)], q: &[(i64, i64)], h: &[(i64, i64)]) -> Database {
 
 fn v(i: u32) -> VarId {
     VarId(i)
-}
-
-/// Serializes the tests that toggle `set_shared_memo_override`: the
-/// knob is a process-global atomic and libtest runs tests on concurrent
-/// threads, so without exclusion one test's restore could flip another
-/// test's `shared = false` arm back to shared mid-search — answers
-/// would still match, but the private-slice path would silently go
-/// untested. (The thread/split-depth overrides don't need this: every
-/// setting must give identical answers, so cross-talk can't weaken what
-/// those tests assert.)
-fn shared_memo_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Sorted row multiset projected onto `vars` — the order-insensitive,
@@ -218,9 +205,8 @@ proptest! {
 
     /// The cross-worker shared memo service must not change answers:
     /// with 4 workers hammering one global memo, `find_rules` stays
-    /// byte-identical to `find_rules_seq` — and to the private-slice
-    /// escape hatch — on random databases, for chain and width-2 cycle
-    /// shapes (single- and multi-atom λ labels).
+    /// byte-identical to `find_rules_seq` on random databases, for chain
+    /// and width-2 cycle shapes (single- and multi-atom λ labels).
     #[test]
     fn shared_memo_find_rules_matches_seq(
         p in relation_strategy(),
@@ -229,8 +215,6 @@ proptest! {
         cyclic in proptest::bool::ANY,
         ksup in 0u64..3,
     ) {
-        use metaquery::core::engine::memo::set_shared_memo_override;
-        let _guard = shared_memo_lock();
         let db = build_db(&p, &q, &h);
         let text = if cyclic {
             "R(X0,X1) <- P0(X0,X1), P1(X1,X2), P2(X2,X0)"
@@ -242,24 +226,19 @@ proptest! {
         let seq =
             metaquery::core::engine::find_rules::find_rules_seq(&db, &mq, InstType::Zero, th)
                 .unwrap();
-        for shared in [true, false] {
-            rayon::set_thread_override(Some(4));
-            set_shared_memo_override(Some(shared));
-            let par = find_rules(&db, &mq, InstType::Zero, th).unwrap();
-            rayon::set_thread_override(None);
-            set_shared_memo_override(None);
-            prop_assert_eq!(&par, &seq, "MQ_SHARED_MEMO={} diverged", shared);
-        }
+        rayon::set_thread_override(Some(4));
+        let par = find_rules(&db, &mq, InstType::Zero, th).unwrap();
+        rayon::set_thread_override(None);
+        prop_assert_eq!(par, seq);
     }
 
-    /// The columnar kernels must be a pure layout change: `find_rules`
-    /// answers are byte-identical under `MQ_COLUMNAR={1,0}` and under
-    /// the baseline (boxed-key) core, all matching the naive reference —
-    /// on chain, triangle and type-2 (padded-instantiation) shapes, the
-    /// last exercising the per-atom body assembly whose padding
-    /// variables live outside every decomposition vertex.
+    /// The columnar kernels and the baseline (boxed-key) core give
+    /// byte-identical `find_rules` answers, both matching the naive
+    /// reference — on chain, triangle and type-2 (padded-instantiation)
+    /// shapes, the last exercising the per-atom body assembly whose
+    /// padding variables live outside every decomposition vertex.
     #[test]
-    fn columnar_row_major_and_baseline_agree(
+    fn columnar_and_baseline_agree(
         p in relation_strategy(),
         q in relation_strategy(),
         h in relation_strategy(),
@@ -267,9 +246,7 @@ proptest! {
         padded in proptest::bool::ANY,
         ksup in 0u64..3,
     ) {
-        use mq_relation::{set_baseline_mode, set_columnar_override};
-        // Serialized with the other process-global mode toggles.
-        let _guard = shared_memo_lock();
+        use mq_relation::set_baseline_mode;
         let db = build_db(&p, &q, &h);
         let text = match shape {
             0 => "R(X,Z) <- P(X,Y), Q(Y,Z)",
@@ -280,19 +257,11 @@ proptest! {
         let mq = parse_metaquery(text).unwrap();
         let th = Thresholds::all(Frac::new(ksup, 4), Frac::ZERO, Frac::ZERO);
         let reference = naive_find_all(&db, &mq, ty, th).unwrap();
-        for (core, columnar) in [
-            ("columnar", Some(true)),
-            ("row-major", Some(false)),
-            ("baseline", None),
-        ] {
-            match columnar {
-                Some(c) => set_columnar_override(Some(c)),
-                None => set_baseline_mode(true),
-            }
+        for baseline in [false, true] {
+            set_baseline_mode(baseline);
             let got = find_rules(&db, &mq, ty, th).unwrap();
-            set_columnar_override(None);
             set_baseline_mode(false);
-            prop_assert_eq!(&got, &reference, "{} core diverged on {}", core, text);
+            prop_assert_eq!(&got, &reference, "baseline={} diverged on {}", baseline, text);
         }
     }
 
@@ -326,19 +295,17 @@ proptest! {
 }
 
 /// The scheduler must be deterministic across every thread-count ×
-/// split-depth × memo-sharing combination: byte-identical `find_rules`
-/// output for `MQ_THREADS ∈ {1, 2, 4}` × `MQ_SPLIT_DEPTH ∈ {1, 2}` ×
-/// `MQ_SHARED_MEMO ∈ {0, 1}` (set via the process-global overrides —
-/// env mutation is unsound under concurrent reads), on shapes whose
+/// split-depth combination: byte-identical `find_rules` output for
+/// `MQ_THREADS ∈ {1, 2, 4}` × `MQ_SPLIT_DEPTH ∈ {1, 2}` (set via the
+/// process-global overrides — env mutation is unsound under concurrent
+/// reads), on shapes whose
 /// enumeration actually spans multiple patterns and a shared predicate
 /// variable.
 #[test]
 fn find_rules_deterministic_across_threads_and_split_depths() {
-    use metaquery::core::engine::memo::set_shared_memo_override;
     use metaquery::core::engine::parallel::set_split_depth_override;
     use mq_relation::ints;
 
-    let _guard = shared_memo_lock();
     let mut db = Database::new();
     let rels = [("p", 2), ("q", 2), ("r", 2)];
     let mut x = 0i64;
@@ -364,22 +331,16 @@ fn find_rules_deterministic_across_threads_and_split_depths() {
                     .unwrap();
             for threads in [1usize, 2, 4] {
                 for depth in [1usize, 2] {
-                    for shared in [false, true] {
-                        rayon::set_thread_override(Some(threads));
-                        set_split_depth_override(Some(depth));
-                        set_shared_memo_override(Some(shared));
-                        let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
-                        rayon::set_thread_override(None);
-                        set_split_depth_override(None);
-                        set_shared_memo_override(None);
-                        assert_eq!(
-                            got, reference,
-                            "output must be byte-identical for {text} at \
-                             MQ_THREADS={threads}, MQ_SPLIT_DEPTH={depth}, \
-                             MQ_SHARED_MEMO={}",
-                            shared as u8
-                        );
-                    }
+                    rayon::set_thread_override(Some(threads));
+                    set_split_depth_override(Some(depth));
+                    let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
+                    rayon::set_thread_override(None);
+                    set_split_depth_override(None);
+                    assert_eq!(
+                        got, reference,
+                        "output must be byte-identical for {text} at \
+                         MQ_THREADS={threads}, MQ_SPLIT_DEPTH={depth}"
+                    );
                 }
             }
         }

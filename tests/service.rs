@@ -7,24 +7,11 @@
 //! copy-on-write updates (new sessions see the new snapshot, pinned
 //! sessions stay on theirs; the generation-keyed atom cache never leaks
 //! post-update bindings into an old snapshot or vice versa).
-//!
-//! Tests that assert cache *hit counts* force the shared memo service on
-//! via the process-global override and therefore serialize on
-//! [`override_lock`] (the suite runs multithreaded); result-equality
-//! tests run under whatever `MQ_SHARED_MEMO` the environment selected —
-//! CI runs this binary at both settings.
 
 use metaquery::core::engine::find_rules::find_rules_seq;
-use metaquery::core::engine::memo::set_shared_memo_override;
 use metaquery::prelude::*;
 use metaquery::service::{MetaqueryRequest, MqService, ServiceConfig, SessionBudget};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
-
-/// Serializes tests that flip the process-global shared-memo override.
-fn override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Barrier};
 
 /// A deterministic pseudo-random database (no RNG dependency).
 fn stress_db(rels: &[(&str, usize)], rows: usize, dom: i64) -> Database {
@@ -214,70 +201,62 @@ fn generation_bump_never_serves_stale_answers() {
 /// the touched relation's entries (untouched relations keep hitting).
 #[test]
 fn second_session_hits_cross_search_atom_cache() {
-    let _guard = override_lock();
-    set_shared_memo_override(Some(true));
-    let result = std::panic::catch_unwind(|| {
-        let db = stress_db(&[("p", 2), ("q", 2)], 18, 5);
-        let svc = MqService::new();
-        svc.register("tele", db.clone()).unwrap();
-        let expected = seq_reference(&db, SHAPES[0], Thresholds::none());
+    let db = stress_db(&[("p", 2), ("q", 2)], 18, 5);
+    let svc = MqService::new();
+    svc.register("tele", db.clone()).unwrap();
+    let expected = seq_reference(&db, SHAPES[0], Thresholds::none());
 
-        // Session 1: cold — populates the persistent cache. (No
-        // assertion on cold.hits == 0: under a multi-worker scheduler
-        // two workers racing on one atom key can legitimately record a
-        // persistent hit within the first search.)
-        let first = svc.session("tele").unwrap();
-        let out1 = first
-            .query(SHAPES[0], InstType::Zero, Thresholds::none())
-            .unwrap();
-        assert_eq!(*out1.answers, expected);
-        let cold = svc.atom_cache_stats("tele").unwrap();
-        assert!(cold.misses > 0, "first search must populate the atom cache");
+    // Session 1: cold — populates the persistent cache. (No
+    // assertion on cold.hits == 0: under a multi-worker scheduler
+    // two workers racing on one atom key can legitimately record a
+    // persistent hit within the first search.)
+    let first = svc.session("tele").unwrap();
+    let out1 = first
+        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+        .unwrap();
+    assert_eq!(*out1.answers, expected);
+    let cold = svc.atom_cache_stats("tele").unwrap();
+    assert!(cold.misses > 0, "first search must populate the atom cache");
 
-        // Session 2 (fresh memo service): the same metaquery's atoms are
-        // answered from the persistent cache.
-        let second = svc.session("tele").unwrap();
-        let out2 = second
-            .query(SHAPES[0], InstType::Zero, Thresholds::none())
-            .unwrap();
-        assert_eq!(*out2.answers, expected, "warm answers must be identical");
-        let warm = svc.atom_cache_stats("tele").unwrap();
-        assert!(
-            warm.hits > cold.hits,
-            "second session must get cross-search atom-cache hits, got {warm:?} after {cold:?}"
-        );
-        assert_eq!(
-            warm.misses, cold.misses,
-            "an unchanged db must add no atom-cache misses"
-        );
+    // Session 2 (fresh memo service): the same metaquery's atoms are
+    // answered from the persistent cache.
+    let second = svc.session("tele").unwrap();
+    let out2 = second
+        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+        .unwrap();
+    assert_eq!(*out2.answers, expected, "warm answers must be identical");
+    let warm = svc.atom_cache_stats("tele").unwrap();
+    assert!(
+        warm.hits > cold.hits,
+        "second session must get cross-search atom-cache hits, got {warm:?} after {cold:?}"
+    );
+    assert_eq!(
+        warm.misses, cold.misses,
+        "an unchanged db must add no atom-cache misses"
+    );
 
-        // Update q: its generation bumps, p's does not. The next search
-        // recomputes only q's atoms.
-        svc.append_rows("tele", "q", vec![mq_relation::ints(&[3, 3])])
-            .unwrap();
-        let new_db = (**svc.catalog().snapshot("tele").unwrap().database()).clone();
-        let third = svc.session("tele").unwrap();
-        let out3 = third
-            .query(SHAPES[0], InstType::Zero, Thresholds::none())
-            .unwrap();
-        assert_eq!(
-            *out3.answers,
-            seq_reference(&new_db, SHAPES[0], Thresholds::none())
-        );
-        let after_update = svc.atom_cache_stats("tele").unwrap();
-        assert!(
-            after_update.hits > warm.hits,
-            "untouched relation's atoms must keep hitting across the update"
-        );
-        assert!(
-            after_update.misses > warm.misses,
-            "the touched relation's atoms must cold-start"
-        );
-    });
-    set_shared_memo_override(None);
-    if let Err(e) = result {
-        std::panic::resume_unwind(e);
-    }
+    // Update q: its generation bumps, p's does not. The next search
+    // recomputes only q's atoms.
+    svc.append_rows("tele", "q", vec![mq_relation::ints(&[3, 3])])
+        .unwrap();
+    let new_db = (**svc.catalog().snapshot("tele").unwrap().database()).clone();
+    let third = svc.session("tele").unwrap();
+    let out3 = third
+        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+        .unwrap();
+    assert_eq!(
+        *out3.answers,
+        seq_reference(&new_db, SHAPES[0], Thresholds::none())
+    );
+    let after_update = svc.atom_cache_stats("tele").unwrap();
+    assert!(
+        after_update.hits > warm.hits,
+        "untouched relation's atoms must keep hitting across the update"
+    );
+    assert!(
+        after_update.misses > warm.misses,
+        "the touched relation's atoms must cold-start"
+    );
 }
 
 /// Budgeted sessions truncate the sorted answer list deterministically,

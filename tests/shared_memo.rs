@@ -5,18 +5,15 @@
 //! into one global memo. These tests hammer a single search's memo from
 //! a forced 4-worker pool at both split depths and assert the contract
 //! the service must keep: `find_rules` output is **byte-identical** to
-//! the sequential engine for every `MQ_SHARED_MEMO` × `MQ_SPLIT_DEPTH` ×
-//! `MQ_THREADS` combination.
+//! the sequential engine for every `MQ_SPLIT_DEPTH` × `MQ_THREADS`
+//! combination.
 //!
-//! Overrides (`set_thread_override`, `set_split_depth_override`,
-//! `set_shared_memo_override`) are process-global atomics; both settings
-//! of every knob produce identical *answers*, but the counter test below
-//! additionally asserts which memo configuration actually ran, so every
-//! test in this binary that touches an override serializes on
+//! Overrides (`set_thread_override`, `set_split_depth_override`) are
+//! process-global atomics, so every test in this binary serializes on
 //! [`override_lock`].
 
-use metaquery::core::engine::find_rules::{find_rules, find_rules_seq, find_rules_shared};
-use metaquery::core::engine::memo::{set_shared_memo_override, shared_memo_enabled, SharedMemos};
+use metaquery::core::engine::find_rules::{find_rules, find_rules_instrumented, find_rules_seq};
+use metaquery::core::engine::memo::SharedMemos;
 use metaquery::core::engine::parallel::set_split_depth_override;
 use metaquery::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -71,7 +68,6 @@ fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
             for depth in [1usize, 2] {
                 rayon::set_thread_override(Some(4));
                 set_split_depth_override(Some(depth));
-                set_shared_memo_override(Some(true));
                 // Several rounds: the first warms the memo inside one
                 // call; later calls re-create the service and re-race
                 // the publication paths from a cold start.
@@ -85,28 +81,8 @@ fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
                 }
                 rayon::set_thread_override(None);
                 set_split_depth_override(None);
-                set_shared_memo_override(None);
             }
         }
-    }
-}
-
-/// The escape hatch must behave exactly like the shared path: private
-/// per-worker memo slices and the global memo give identical answers.
-#[test]
-fn shared_memo_escape_hatch_is_byte_identical() {
-    let _guard = override_lock();
-    let db = stress_db(&[("p", 2), ("q", 2)], 18, 5);
-    let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-    let th = Thresholds::all(Frac::new(1, 8), Frac::ZERO, Frac::ZERO);
-    let reference = find_rules_seq(&db, &mq, InstType::Zero, th).unwrap();
-    for shared in [false, true] {
-        rayon::set_thread_override(Some(4));
-        set_shared_memo_override(Some(shared));
-        let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
-        rayon::set_thread_override(None);
-        set_shared_memo_override(None);
-        assert_eq!(got, reference, "MQ_SHARED_MEMO={shared} diverged");
     }
 }
 
@@ -119,18 +95,18 @@ fn shared_memo_counters_record_hits() {
     let _guard = override_lock();
     let db = stress_db(&[("p", 2), ("q", 2)], 16, 4);
     let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-    set_shared_memo_override(Some(true));
-    assert!(shared_memo_enabled());
     let memos = Arc::new(SharedMemos::new());
-    let got = find_rules_shared(
+    let got = find_rules_instrumented(
         &db,
         &mq,
         InstType::Zero,
         Thresholds::none(),
-        Arc::clone(&memos),
+        Some(Arc::clone(&memos)),
+        None,
+        None,
+        0,
     )
     .unwrap();
-    set_shared_memo_override(None);
     let reference = find_rules(&db, &mq, InstType::Zero, Thresholds::none()).unwrap();
     assert_eq!(got, reference, "externally-owned memo service diverged");
     let stats = memos.stats();
