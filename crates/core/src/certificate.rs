@@ -222,10 +222,10 @@ fn pick_distinct(joint: &Bindings, key_vars: &[VarId], needed: u64) -> Option<Wi
     }
     let mut seen: HashSet<Tuple> = HashSet::new();
     let mut rows = Vec::new();
-    for row in joint.rows() {
+    for row in joint.to_rows() {
         let key: Tuple = positions.iter().map(|&p| row[p]).collect();
         if seen.insert(key) {
-            rows.push(row.clone());
+            rows.push(row);
             if rows.len() as u64 == needed {
                 return Some(Witnesses {
                     vars: joint.vars().to_vec(),

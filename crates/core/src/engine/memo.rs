@@ -5,8 +5,8 @@
 //! memo slice (atom cache, plan cache, plan-node results): `Bindings`
 //! rows lived behind `Rc` and could not cross threads, so each worker
 //! re-derived — and re-joined — intermediates its siblings had already
-//! computed. With the frozen row store (`mq_store::FrozenRows`) making
-//! `Bindings` `Send + Sync`, this module hosts **one** global memo per
+//! computed. With frozen, `Arc`-shared storage (`mq_store::ColumnarRows`)
+//! making `Bindings` `Send + Sync`, this module hosts **one** global memo per
 //! search that all workers read and publish into:
 //!
 //! * `atoms`   — `(relation, terms) → Arc<Bindings>`;

@@ -83,7 +83,8 @@ impl FullReducer {
     /// Runs the whole semijoin program on shared row-liveness bitsets and
     /// materializes each atom's surviving rows once at the end, so a full
     /// reduction allocates O(atoms) result vectors instead of one new
-    /// relation per semijoin step.
+    /// relation per semijoin step. (A step whose source already lost
+    /// rows gathers the source's live rows to index them.)
     pub fn run(&self, atoms: &mut [Bindings]) {
         let steps: Vec<SemijoinStep> = self.steps().copied().collect();
         run_steps_filtered(&steps, atoms);

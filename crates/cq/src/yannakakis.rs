@@ -85,11 +85,11 @@ pub fn acyclic_count(db: &Database, cq: &Cq) -> Option<u128> {
                 .map(|&v| atoms[node].position(v).unwrap())
                 .collect();
             let mut sums: HashMap<Box<[Value]>, u128> = HashMap::new();
-            for (i, row) in atoms[child].rows().iter().enumerate() {
+            for (i, row) in atoms[child].to_rows().iter().enumerate() {
                 let key: Box<[Value]> = child_pos.iter().map(|&p| row[p]).collect();
                 *sums.entry(key).or_insert(0) += weights[child][i];
             }
-            for (i, row) in atoms[node].rows().iter().enumerate() {
+            for (i, row) in atoms[node].to_rows().iter().enumerate() {
                 let key: Box<[Value]> = node_pos.iter().map(|&p| row[p]).collect();
                 let s = sums.get(&key).copied().unwrap_or(0);
                 weights[node][i] = weights[node][i].saturating_mul(s);

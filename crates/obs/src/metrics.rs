@@ -328,7 +328,7 @@ impl Registry {
         let entries = self.entries();
         let e = entries
             .iter()
-            .find(|e| e.name == name && e.label.map(|(k, v)| (k, v)) == label)?;
+            .find(|e| e.name == name && e.label == label)?;
         match &e.slot {
             Slot::Counter(c) => Some(c.get()),
             Slot::Gauge(g) => Some(g.get()),

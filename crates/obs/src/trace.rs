@@ -220,8 +220,7 @@ impl ThreadRing {
     }
 }
 
-const RING_INIT: OnceLock<&'static ThreadRing> = OnceLock::new();
-static RINGS: [OnceLock<&'static ThreadRing>; RING_SLOTS] = [RING_INIT; RING_SLOTS];
+static RINGS: [OnceLock<&'static ThreadRing>; RING_SLOTS] = [const { OnceLock::new() }; RING_SLOTS];
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {

@@ -9,18 +9,15 @@
 //!
 //! ## Kernels
 //!
-//! The join/semijoin/projection kernels run **column-major**: keys are
-//! batch-hashed straight out of [`ColumnarRows`] column slices and
-//! compared positionally ([`crate::hashjoin`]), surviving rows are
-//! gathered column by column, and no per-row `Box<[Value]>` is ever
-//! materialized. A few kernels exist only row-major —
-//! [`Bindings::join_atom`], [`Bindings::semijoin_filter`] and
-//! [`reduce_relation`] — and read the boxed rows directly.
-//! [`Bindings::join_atom`] additionally probes a per-relation column index
-//! cached on the [`Relation`] itself, so the build side of a join against
-//! a database relation is constructed once per (relation, column-set) and
-//! shared across the thousands of instantiations a metaquery engine
-//! evaluates.
+//! A [`Bindings`] stores its tuples column-major ([`ColumnarRows`]) and
+//! every kernel runs over the columns: keys are batch-hashed straight
+//! out of column slices and compared positionally ([`crate::hashjoin`]),
+//! surviving rows are gathered column by column, and no per-row
+//! `Box<[Value]>` is ever materialized. [`Bindings::join_atom`]
+//! additionally probes a per-relation column index cached on the
+//! [`Relation`] itself, so the build side of a join against a database
+//! relation is constructed once per (relation, column-set) and shared
+//! across the thousands of instantiations a metaquery engine evaluates.
 //!
 //! The pre-optimization kernels (the naive port: one boxed key per row,
 //! hash tables rebuilt per operation) are kept in [`baseline`] both as the
@@ -31,11 +28,11 @@
 use crate::hashjoin::{self, BitSet, GroupIndex, RawTable};
 use crate::relation::Relation;
 use crate::value::{Tuple, Value};
-use mq_store::{ColIndexCache, ColumnarRows, FrozenRows};
+use mq_store::{ColIndexCache, ColumnarRows};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// When set, the public algebra API routes through the [`baseline`]
 /// kernels (used by `bench_report` to measure the optimization in-tree).
@@ -156,25 +153,18 @@ impl AtomShape {
         }
     }
 
-    /// Whether `row` satisfies the repeated-variable equalities.
+    /// Whether row `i` of the relation's columns satisfies the constant
+    /// filters and the repeated-variable equalities.
     #[inline]
-    fn eq_ok(&self, row: &[Value]) -> bool {
-        self.eq_pairs.iter().all(|&(a, b)| row[a] == row[b])
-    }
-
-    /// Whether `row` satisfies the constant filters.
-    #[inline]
-    fn consts_ok(&self, row: &[Value]) -> bool {
+    fn matches(&self, store: &ColumnarRows<Value>, i: usize) -> bool {
         self.const_cols
             .iter()
             .zip(self.const_vals.iter())
-            .all(|(&c, v)| row[c] == *v)
-    }
-
-    /// Project `row` onto the distinct variables.
-    #[inline]
-    fn project(&self, row: &[Value]) -> Tuple {
-        self.first_pos.iter().map(|&p| row[p]).collect()
+            .all(|(&c, v)| store.col(c)[i] == *v)
+            && self
+                .eq_pairs
+                .iter()
+                .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
     }
 }
 
@@ -183,28 +173,22 @@ impl AtomShape {
 /// Invariant: rows are pairwise distinct (natural join of sets is a set;
 /// [`Bindings::project`] re-deduplicates).
 ///
-/// Row storage is frozen and shared ([`mq_store::FrozenRows`]), so
-/// cloning a `Bindings` — which the engines do constantly to snapshot
-/// reducer state — is O(1) rather than a deep copy of every tuple, and
-/// the whole value is `Send + Sync`: bindings cross worker threads and
-/// live in the cross-worker shared memo service. Hash indexes built by
-/// joins/semijoins are cached per column set and shared across clones
-/// (and threads), so probing the same side repeatedly (every head check
-/// against the same body join, every reducer step against the same
-/// guard) builds its table once — process-wide.
-/// Tuples live column-major ([`ColumnarRows`] — one contiguous buffer
-/// per variable, the layout the kernels scan). Boxed row-major tuples
-/// ([`FrozenRows`], what `rows()` exposes) are a lazily built cache:
-/// the kernels' outputs are born columnar and only pay for boxed tuples
-/// if someone asks for them. Bindings built from boxed rows
-/// ([`Bindings::from_parts`], the baseline and row-only kernels) are
-/// transposed on their first columnar use.
+/// Tuples live column-major in one [`ColumnarRows`] (one contiguous
+/// buffer per variable, the layout every kernel scans). The storage is
+/// frozen and shared, so cloning a `Bindings` — which the engines do
+/// constantly to snapshot reducer state — is O(1) rather than a deep
+/// copy of every tuple, and the whole value is `Send + Sync`: bindings
+/// cross worker threads and live in the cross-worker shared memo
+/// service. Hash indexes built by joins/semijoins are cached per column
+/// set and shared across clones (and threads), so probing the same side
+/// repeatedly (every head check against the same body join, every
+/// reducer step against the same guard) builds its table once —
+/// process-wide. Row-major tuples exist only on demand
+/// ([`Bindings::to_rows`] allocates them).
 #[derive(Clone)]
 pub struct Bindings {
     vars: Vec<VarId>,
-    len: usize,
-    rows: OnceLock<FrozenRows<Tuple>>,
-    cols: OnceLock<ColumnarRows<Value>>,
+    cols: ColumnarRows<Value>,
     /// Lazily built group indexes per key-column set
     /// ([`mq_store::ColIndexCache`]: hashed lookup, thread-safe). Shared
     /// by clones (which share the storage, keeping the indexes valid);
@@ -215,70 +199,31 @@ pub struct Bindings {
 impl PartialEq for Bindings {
     /// Equality of contents; cached indexes are ignored.
     fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars
-            && self.len == other.len
-            && if let (Some(a), Some(b)) = (self.cols.get(), other.cols.get()) {
-                a == b
-            } else {
-                self.rows() == other.rows()
-            }
+        self.vars == other.vars && self.cols == other.cols
     }
 }
 
 impl Eq for Bindings {}
 
 impl Bindings {
-    fn new(vars: Vec<VarId>, rows: Vec<Tuple>) -> Self {
-        let len = rows.len();
-        Bindings {
-            vars,
-            len,
-            rows: OnceLock::from(FrozenRows::new(rows)),
-            cols: OnceLock::new(),
-            indexes: Arc::new(ColIndexCache::new()),
-        }
-    }
-
-    fn new_columnar(vars: Vec<VarId>, cols: ColumnarRows<Value>) -> Self {
+    fn new(vars: Vec<VarId>, cols: ColumnarRows<Value>) -> Self {
         debug_assert_eq!(cols.arity(), vars.len());
-        let len = cols.len();
         Bindings {
             vars,
-            len,
-            rows: OnceLock::new(),
-            cols: OnceLock::from(cols),
+            cols,
             indexes: Arc::new(ColIndexCache::new()),
         }
     }
 
-    /// The row-major storage, materializing it from the columns on first
-    /// demand.
-    fn rows_store(&self) -> &FrozenRows<Tuple> {
-        self.rows.get_or_init(|| {
-            let cols = self.cols.get().expect("Bindings holds rows or columns");
-            FrozenRows::new(cols.to_rows())
-        })
-    }
-
-    /// The column-major storage, materializing it from the rows on first
-    /// demand. O(1) when this bindings was born columnar.
+    /// The column-major storage.
     pub fn columnar(&self) -> &ColumnarRows<Value> {
-        self.cols.get_or_init(|| {
-            let rows = self.rows.get().expect("Bindings holds rows or columns");
-            ColumnarRows::from_rows(self.vars.len(), rows.as_slice())
-        })
+        &self.cols
     }
 
     /// Get (or build once and cache) the group index over `cols`.
-    ///
-    /// Built column-wise (batched key hashing) whenever the columnar
-    /// storage is already materialized — both builds produce identical
-    /// indexes, so callers never observe the difference.
     fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
-        self.indexes.get_or_build(cols, || match self.cols.get() {
-            Some(store) => GroupIndex::build_columnar(store, cols),
-            None => GroupIndex::build(self.rows_store(), cols),
-        })
+        self.indexes
+            .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
     }
 
     /// The cached group index over `cols`, if one exists. Never builds —
@@ -293,12 +238,13 @@ impl Bindings {
     ///
     /// This is the identity of natural join: `unit ⋈ B = B`.
     pub fn unit() -> Self {
-        Bindings::new(Vec::new(), vec![Vec::new().into_boxed_slice()])
+        Bindings::new(Vec::new(), ColumnarRows::from_columns(1, Vec::new()))
     }
 
     /// Empty bindings (no rows) over the given variables.
     pub fn empty(vars: Vec<VarId>) -> Self {
-        Bindings::new(vars, Vec::new())
+        let cols = ColumnarRows::empty(vars.len());
+        Bindings::new(vars, cols)
     }
 
     /// Build from parts. Rows must be distinct and match `vars.len()`.
@@ -309,7 +255,8 @@ impl Bindings {
             rows.len(),
             "Bindings rows must be distinct"
         );
-        Bindings::new(vars, rows)
+        let cols = ColumnarRows::from_rows(vars.len(), &rows);
+        Bindings::new(vars, cols)
     }
 
     /// Column variables, in order.
@@ -317,21 +264,21 @@ impl Bindings {
         &self.vars
     }
 
-    /// Rows, each aligned with [`Bindings::vars`] (materialized from the
-    /// columnar storage on first demand if this bindings was born
-    /// column-major).
-    pub fn rows(&self) -> &[Tuple] {
-        self.rows_store().as_slice()
+    /// The rows as boxed tuples, each aligned with [`Bindings::vars`].
+    /// Allocates one tuple per row: for oracles, certificates, display
+    /// and tests, not for kernels.
+    pub fn to_rows(&self) -> Vec<Tuple> {
+        self.cols.to_rows()
     }
 
     /// Number of tuples (`|J(R)|` when this is the join of atom set `R`).
     pub fn len(&self) -> usize {
-        self.len
+        self.cols.len()
     }
 
     /// Whether there are no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cols.is_empty()
     }
 
     /// Position of `v` among the columns.
@@ -366,38 +313,19 @@ impl Bindings {
         // Column-wise evaluation: select matching row ids against the
         // relation's columnar mirror, then gather the variable columns.
         let store = rel.columnar();
-        let mut keep: Vec<usize> = Vec::new();
-        if !shape.const_cols.is_empty() && rel.len() >= 16 {
+        let keep: Vec<usize> = if !shape.const_cols.is_empty() && rel.len() >= 16 {
             // Constant-selective atom: probe the cached index on the
             // constant columns instead of scanning.
             let idx = rel.group_index(&shape.const_cols);
             let identity: Vec<usize> = (0..shape.const_vals.len()).collect();
-            for i in idx.probe_cols(&shape.const_vals, &identity) {
-                if shape
-                    .eq_pairs
-                    .iter()
-                    .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
-                {
-                    keep.push(i);
-                }
-            }
+            idx.probe_cols(&shape.const_vals, &identity)
+                .filter(|&i| shape.matches(&store, i))
+                .collect()
         } else {
-            for i in 0..store.len() {
-                let consts_ok = shape
-                    .const_cols
-                    .iter()
-                    .zip(shape.const_vals.iter())
-                    .all(|(&c, v)| store.col(c)[i] == *v);
-                if consts_ok
-                    && shape
-                        .eq_pairs
-                        .iter()
-                        .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
-                {
-                    keep.push(i);
-                }
-            }
-        }
+            (0..store.len())
+                .filter(|&i| shape.matches(&store, i))
+                .collect()
+        };
         let out_cols: Vec<Vec<Value>> = shape
             .first_pos
             .iter()
@@ -406,7 +334,7 @@ impl Bindings {
                 keep.iter().map(|&i| col[i]).collect()
             })
             .collect();
-        Bindings::new_columnar(shape.vars, ColumnarRows::from_columns(keep.len(), out_cols))
+        Bindings::new(shape.vars, ColumnarRows::from_columns(keep.len(), out_cols))
     }
 
     /// Natural join on shared variables. With no shared variables this is a
@@ -514,7 +442,7 @@ impl Bindings {
             let col = pc.col(p);
             out_cols.push(pids.iter().map(|&i| col[i as usize]).collect());
         }
-        Bindings::new_columnar(out_vars, ColumnarRows::from_columns(bids.len(), out_cols))
+        Bindings::new(out_vars, ColumnarRows::from_columns(bids.len(), out_cols))
     }
 
     /// Natural join on a **pre-planned** key set — the plan executor's
@@ -597,12 +525,22 @@ impl Bindings {
 
     /// Keep the rows of `self` whose key at `self_pos` hits (`keep_hits`)
     /// or misses (`!keep_hits`) a group of `idx` — the shared body of
-    /// semijoin and antijoin. All keys are batch-hashed in one column
-    /// pass and probed against the index's stored group keys; surviving
-    /// rows are gathered column by column, and a no-op filter shares
-    /// storage via `clone`.
+    /// semijoin and antijoin. Surviving rows are gathered column by
+    /// column, and a no-op filter shares storage via `clone`.
     fn filter_by_index(&self, idx: &GroupIndex, self_pos: &[usize], keep_hits: bool) -> Self {
-        let sc = self.columnar();
+        let kept = self.rows_by_index(idx, self_pos, keep_hits);
+        if kept.len() == self.len() {
+            return self.clone();
+        }
+        Bindings::new(self.vars.clone(), self.cols.gather(&kept))
+    }
+
+    /// Ids of the rows of `self` whose key at `self_pos` hits
+    /// (`keep_hits`) or misses (`!keep_hits`) a group of `idx`, in row
+    /// order. All keys are batch-hashed in one column pass and probed
+    /// against the index's stored group keys.
+    fn rows_by_index(&self, idx: &GroupIndex, self_pos: &[usize], keep_hits: bool) -> Vec<usize> {
+        let sc = &self.cols;
         let mut kept: Vec<usize> = Vec::with_capacity(sc.len());
         if let [c] = *self_pos {
             // Single-column key (the common case): hash and probe in one
@@ -632,10 +570,7 @@ impl Bindings {
                 }
             }
         }
-        if kept.len() == self.len() {
-            return self.clone();
-        }
-        Bindings::new_columnar(self.vars.clone(), sc.gather(&kept))
+        kept
     }
 
     /// Join with an atom: `self ⋈ eval(rel, terms)`.
@@ -682,21 +617,38 @@ impl Bindings {
         let mut out_vars = self.vars.clone();
         out_vars.extend(extra_vars.iter().copied());
 
+        // Probe the relation's cached index with every row's key, hashed
+        // in one batch; keep (self row, relation row) id pairs whose
+        // relation row fits the atom's shape, self-major.
         let idx = rel.group_index(&rel_cols);
-        let rel_rows = rel.rows_slice();
-        let mut out_rows = Vec::new();
-        for srow in self.rows().iter() {
-            for ri in idx.probe_cols(srow, &self_pos) {
-                let rrow = &rel_rows[ri];
-                if shape.consts_ok(rrow) && shape.eq_ok(rrow) {
-                    let mut row = Vec::with_capacity(out_vars.len());
-                    row.extend_from_slice(srow);
-                    row.extend(extra_pos.iter().map(|&p| rrow[p]));
-                    out_rows.push(row.into_boxed_slice());
-                }
+        let store = rel.columnar();
+        let sc = &self.cols;
+        let mut hashes = Vec::new();
+        hashjoin::hash_columns_into(sc, &self_pos, &mut hashes);
+        let key_cols: Vec<&[Value]> = self_pos.iter().map(|&c| sc.col(c)).collect();
+        let mut sids: Vec<usize> = Vec::with_capacity(sc.len());
+        let mut rids: Vec<usize> = Vec::with_capacity(sc.len());
+        for (i, &h) in hashes.iter().enumerate() {
+            let group = idx.probe(h, |gkey| {
+                gkey.iter()
+                    .zip(key_cols.iter())
+                    .all(|(kv, col)| *kv == col[i])
+            });
+            for ri in group.filter(|&ri| shape.matches(&store, ri)) {
+                sids.push(i);
+                rids.push(ri);
             }
         }
-        Bindings::new(out_vars, out_rows)
+        let mut out_cols: Vec<Vec<Value>> = Vec::with_capacity(out_vars.len());
+        for c in 0..sc.arity() {
+            let col = sc.col(c);
+            out_cols.push(sids.iter().map(|&i| col[i]).collect());
+        }
+        for &p in &extra_pos {
+            let col = store.col(p);
+            out_cols.push(rids.iter().map(|&i| col[i]).collect());
+        }
+        Bindings::new(out_vars, ColumnarRows::from_columns(sids.len(), out_cols))
     }
 
     /// Projection `π_vars(self)` with duplicate elimination.
@@ -738,7 +690,7 @@ impl Bindings {
             .iter()
             .map(|col| kept.iter().map(|&i| col[i]).collect())
             .collect();
-        Bindings::new_columnar(out_vars, ColumnarRows::from_columns(kept.len(), out_cols))
+        Bindings::new(out_vars, ColumnarRows::from_columns(kept.len(), out_cols))
     }
 
     /// Count of distinct tuples over `vars` (`|π_vars(self)|`) without
@@ -876,7 +828,7 @@ impl Bindings {
         if kept.len() == self.len() {
             return self.clone();
         }
-        Bindings::new_columnar(self.vars.clone(), sc.gather(&kept))
+        Bindings::new(self.vars.clone(), sc.gather(&kept))
     }
 
     /// Semijoin `self ⋉ other` that builds (and caches) the hash index
@@ -913,7 +865,7 @@ impl Bindings {
             }
         }
         kept.sort_unstable();
-        Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept))
+        Bindings::new(self.vars.clone(), self.columnar().gather(&kept))
     }
 
     /// Mark the groups of `idx` (an index over one side's key columns)
@@ -1058,8 +1010,9 @@ impl Bindings {
 
     /// In-place semijoin on liveness masks: kill the rows of `self` (in
     /// `live`) whose shared-variable projection appears in no live row of
-    /// `other`. Nothing is materialized — full reducers run entire
-    /// semijoin programs on bitsets and materialize once at the end.
+    /// `other`. `self` is never materialized — full reducers run entire
+    /// semijoin programs on bitsets and materialize once at the end; a
+    /// partially live `other` is gathered and indexed for the probe.
     pub fn semijoin_filter(&self, live: &mut BitSet, other: &Bindings, other_live: &BitSet) {
         debug_assert_eq!(live.len(), self.len());
         debug_assert_eq!(other_live.len(), other.len());
@@ -1070,35 +1023,12 @@ impl Bindings {
             }
             return;
         }
-        let self_rows = self.rows();
-        let other_rows = other.rows();
-        // Distinct-key membership table over *live* rows of `other`.
-        let mut keys = RawTable::with_capacity(other_live.count_ones());
-        for i in other_live.iter_ones() {
-            let row = &other_rows[i];
-            let h = hashjoin::hash_cols(row, &other_pos);
-            let seen = keys
-                .find(h, |id| {
-                    hashjoin::eq_cols(&other_rows[id as usize], &other_pos, row, &other_pos)
-                })
-                .is_some();
-            if !seen {
-                keys.insert_new(h, i as u32);
-            }
-        }
-        for (i, r) in self_rows.iter().enumerate() {
-            if !live.get(i) {
-                continue;
-            }
-            let h = hashjoin::hash_cols(r, &self_pos);
-            let hit = keys
-                .find(h, |id| {
-                    hashjoin::eq_cols(&other_rows[id as usize], &other_pos, r, &self_pos)
-                })
-                .is_some();
-            if !hit {
-                live.clear(i);
-            }
+        // Index the live source rows (a full mask reuses `other`'s own
+        // cached index) and kill the target rows whose key misses it.
+        let source = other.retain_rows(other_live);
+        let idx = source.binding_index(&other_pos);
+        for i in self.rows_by_index(&idx, &self_pos, false) {
+            live.clear(i);
         }
     }
 
@@ -1110,7 +1040,7 @@ impl Bindings {
             return self.clone();
         }
         let kept: Vec<usize> = live.iter_ones().collect();
-        Bindings::new_columnar(self.vars.clone(), self.columnar().gather(&kept))
+        Bindings::new(self.vars.clone(), self.columnar().gather(&kept))
     }
 
     /// Natural join of a list of atoms over their relations: `J(R)`.
@@ -1130,27 +1060,24 @@ impl Bindings {
     }
 
     /// Sort rows lexicographically (for deterministic display/tests).
-    pub fn sorted(mut self) -> Bindings {
-        let _ = self.rows_store();
-        let mut frozen = self.rows.take().expect("just materialized");
-        frozen.make_mut().sort();
-        let len = frozen.len();
-        // Row order changed: the columnar mirror and cached indexes are
-        // stale; drop both (the mirror rebuilds lazily on demand).
-        Bindings {
-            vars: self.vars,
-            len,
-            rows: OnceLock::from(frozen),
-            cols: OnceLock::new(),
-            indexes: Arc::new(ColIndexCache::new()),
-        }
+    pub fn sorted(self) -> Bindings {
+        let sc = &self.cols;
+        let mut order: Vec<usize> = (0..sc.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            (0..sc.arity())
+                .map(|c| sc.col(c)[a].cmp(&sc.col(c)[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        // Row order changed, so the cached indexes do not carry over.
+        Bindings::new(self.vars, sc.gather(&order))
     }
 }
 
 impl fmt::Debug for Bindings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Bindings over {:?}:", self.vars)?;
-        for row in self.rows().iter() {
+        for row in self.to_rows() {
             writeln!(f, "  {row:?}")?;
         }
         Ok(())
@@ -1218,7 +1145,7 @@ pub mod baseline {
         let mut out_vars = build.vars.clone();
         out_vars.extend(extra.iter().map(|&i| probe.vars[i]));
 
-        let build_rows = build.rows();
+        let build_rows = build.to_rows();
         let mut table: HashMap<Box<[Value]>, Vec<usize>> = HashMap::new();
         for (i, row) in build_rows.iter().enumerate() {
             let key: Box<[Value]> = build_pos.iter().map(|&p| row[p]).collect();
@@ -1226,7 +1153,7 @@ pub mod baseline {
         }
 
         let mut out_rows = Vec::new();
-        for prow in probe.rows().iter() {
+        for prow in probe.to_rows() {
             let key: Box<[Value]> = probe_pos.iter().map(|&p| prow[p]).collect();
             if let Some(matches) = table.get(&key) {
                 for &bi in matches {
@@ -1238,7 +1165,7 @@ pub mod baseline {
                 }
             }
         }
-        Bindings::new(out_vars, out_rows)
+        Bindings::from_parts(out_vars, out_rows)
     }
 
     /// Baseline natural join with smaller-side build.
@@ -1256,20 +1183,20 @@ pub mod baseline {
         let out_vars: Vec<VarId> = cols.iter().map(|&c| b.vars[c]).collect();
         let mut seen: HashSet<Box<[Value]>> = HashSet::with_capacity(b.len());
         let mut rows = Vec::new();
-        for row in b.rows().iter() {
+        for row in b.to_rows() {
             let proj: Box<[Value]> = cols.iter().map(|&c| row[c]).collect();
             if seen.insert(proj.clone()) {
                 rows.push(proj);
             }
         }
-        Bindings::new(out_vars, rows)
+        Bindings::from_parts(out_vars, rows)
     }
 
     /// Baseline distinct count.
     pub fn count_distinct(b: &Bindings, vars: &[VarId]) -> usize {
         let cols: Vec<usize> = vars.iter().filter_map(|&v| b.position(v)).collect();
         let mut seen: HashSet<Box<[Value]>> = HashSet::with_capacity(b.len());
-        for row in b.rows().iter() {
+        for row in b.to_rows() {
             let proj: Box<[Value]> = cols.iter().map(|&c| row[c]).collect();
             seen.insert(proj);
         }
@@ -1294,41 +1221,19 @@ pub mod baseline {
         let self_pos: Vec<usize> = shared.iter().map(|&v| a.position(v).unwrap()).collect();
         let other_pos: Vec<usize> = shared.iter().map(|&v| other.position(v).unwrap()).collect();
         let keys: HashSet<Box<[Value]>> = other
-            .rows()
+            .to_rows()
             .iter()
             .map(|r| other_pos.iter().map(|&p| r[p]).collect())
             .collect();
         let rows: Vec<Tuple> = a
-            .rows()
-            .iter()
+            .to_rows()
+            .into_iter()
             .filter(|r| {
                 let key: Box<[Value]> = self_pos.iter().map(|&p| r[p]).collect();
                 keys.contains(&key)
             })
-            .cloned()
             .collect();
-        Bindings::new(a.vars.clone(), rows)
-    }
-
-    /// Baseline `reduce_relation`: materialize the atom, semijoin it, then
-    /// re-scan the relation through a set of projected keys (two passes,
-    /// one boxed key per row).
-    pub fn reduce_relation(rel: &Relation, terms: &[Term], guard: &Bindings) -> Relation {
-        let atom = from_atom(rel, terms);
-        let kept = semijoin(&atom, guard);
-        let shape = AtomShape::of(terms);
-        let keys: HashSet<&Tuple> = kept.rows().iter().collect();
-        let mut out = Relation::new(rel.name(), rel.arity());
-        for row in rel.rows() {
-            if !shape.consts_ok(row) || !shape.eq_ok(row) {
-                continue;
-            }
-            let key: Tuple = shape.project(row);
-            if keys.contains(&key) {
-                out.insert(row.clone());
-            }
-        }
-        out
+        Bindings::from_parts(a.vars.clone(), rows)
     }
 
     /// Baseline antijoin.
@@ -1349,67 +1254,20 @@ pub mod baseline {
         let self_pos: Vec<usize> = shared.iter().map(|&v| a.position(v).unwrap()).collect();
         let other_pos: Vec<usize> = shared.iter().map(|&v| other.position(v).unwrap()).collect();
         let keys: HashSet<Box<[Value]>> = other
-            .rows()
+            .to_rows()
             .iter()
             .map(|r| other_pos.iter().map(|&p| r[p]).collect())
             .collect();
         let rows: Vec<Tuple> = a
-            .rows()
-            .iter()
+            .to_rows()
+            .into_iter()
             .filter(|r| {
                 let key: Box<[Value]> = self_pos.iter().map(|&p| r[p]).collect();
                 !keys.contains(&key)
             })
-            .cloned()
             .collect();
-        Bindings::new(a.vars.clone(), rows)
+        Bindings::from_parts(a.vars.clone(), rows)
     }
-}
-
-/// Reduce `rel` with respect to a guard: keep rows matching `terms` whose
-/// variable projection appears in `guard` — the semijoin step
-/// `r := r ⋉ guard` of Definition 4.4, returning the reduced relation.
-///
-/// Single pass, like `FullReducer::run`: each relation row is checked
-/// positionally against the atom shape and probed against the guard's
-/// cached key index straight out of row storage — no intermediate
-/// `Bindings`, no per-row key materialization, no re-scan.
-pub fn reduce_relation(rel: &Relation, terms: &[Term], guard: &Bindings) -> Relation {
-    if baseline_mode() {
-        return baseline::reduce_relation(rel, terms, guard);
-    }
-    let shape = AtomShape::of(terms);
-    // Shared variables: pair each guard column with the relation column
-    // holding that variable's first occurrence.
-    let mut rel_cols = Vec::new();
-    let mut guard_cols = Vec::new();
-    for (vi, v) in shape.vars.iter().enumerate() {
-        if let Some(p) = guard.position(*v) {
-            rel_cols.push(shape.first_pos[vi]);
-            guard_cols.push(p);
-        }
-    }
-    let mut out = Relation::new(rel.name(), rel.arity());
-    if guard_cols.is_empty() {
-        // No shared variables: semijoin semantics keep every matching row
-        // iff the guard is non-empty.
-        if guard.is_empty() {
-            return out;
-        }
-        for row in rel.rows() {
-            if shape.consts_ok(row) && shape.eq_ok(row) {
-                out.insert(row.clone());
-            }
-        }
-        return out;
-    }
-    let idx = guard.binding_index(&guard_cols);
-    for row in rel.rows() {
-        if shape.consts_ok(row) && shape.eq_ok(row) && idx.probe_group(row, &rel_cols).is_some() {
-            out.insert(row.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1428,7 +1286,7 @@ mod tests {
 
     #[test]
     fn bindings_are_send_and_sync() {
-        // The frozen row store + thread-safe index cache make Bindings
+        // The frozen column store + thread-safe index cache make Bindings
         // shareable across worker threads — the shared memo service and
         // the parallel scheduler both rely on this bound.
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1456,7 +1314,7 @@ mod tests {
         let e = rel_e();
         let b = Bindings::from_atom(&e, &[Term::Const(Value::Int(2)), Term::Var(v(1))]);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.rows()[0][0], Value::Int(3));
+        assert_eq!(b.to_rows()[0][0], Value::Int(3));
     }
 
     #[test]
@@ -1466,10 +1324,10 @@ mod tests {
         let r = Relation::from_rows("p", 2, rows);
         let b = Bindings::from_atom(&r, &[Term::Const(Value::Int(2)), Term::Var(v(1))]);
         assert_eq!(b.len(), 10);
-        assert!(b.rows().iter().all(|row| row.len() == 1));
+        assert!(b.to_rows().iter().all(|row| row.len() == 1));
         // Agrees with the baseline scan.
         let base = baseline::from_atom(&r, &[Term::Const(Value::Int(2)), Term::Var(v(1))]);
-        assert_eq!(b.clone().sorted().rows(), base.sorted().rows());
+        assert_eq!(b.clone().sorted().to_rows(), base.sorted().to_rows());
     }
 
     #[test]
@@ -1493,8 +1351,8 @@ mod tests {
         assert_eq!(ab.len(), ba.len());
         let all = [v(0), v(1), v(2)];
         assert_eq!(
-            ab.project(&all).sorted().rows(),
-            ba.project(&all).sorted().rows()
+            ab.project(&all).sorted().to_rows(),
+            ba.project(&all).sorted().to_rows()
         );
     }
 
@@ -1513,8 +1371,8 @@ mod tests {
         let j = Bindings::unit().join(&a);
         assert_eq!(j.len(), a.len());
         assert_eq!(
-            j.project(&[v(0), v(1)]).sorted().rows(),
-            a.clone().sorted().rows()
+            j.project(&[v(0), v(1)]).sorted().to_rows(),
+            a.clone().sorted().to_rows()
         );
     }
 
@@ -1560,8 +1418,9 @@ mod tests {
         let anti = xy.antijoin(&yz);
         assert_eq!(semi.len() + anti.len(), xy.len());
         // disjoint
-        for row in anti.rows() {
-            assert!(!semi.rows().contains(row));
+        let semi_rows = semi.to_rows();
+        for row in anti.to_rows() {
+            assert!(!semi_rows.contains(&row));
         }
     }
 
@@ -1594,8 +1453,8 @@ mod tests {
         let slow = xy.join(&Bindings::from_atom(&e, &terms));
         let all = [v(0), v(1), v(2)];
         assert_eq!(
-            fast.project(&all).sorted().rows(),
-            slow.project(&all).sorted().rows()
+            fast.project(&all).sorted().to_rows(),
+            slow.project(&all).sorted().to_rows()
         );
     }
 
@@ -1619,9 +1478,34 @@ mod tests {
         let slow = xy.join(&Bindings::from_atom(&r, &terms));
         let all = [v(0), v(1)];
         assert_eq!(
-            fast.project(&all).sorted().rows(),
-            slow.project(&all).sorted().rows()
+            fast.project(&all).sorted().to_rows(),
+            slow.project(&all).sorted().to_rows()
         );
+    }
+
+    #[test]
+    fn join_atom_keeps_self_major_row_order() {
+        // Output rows follow `self`'s row order, then each key's relation
+        // rows in relation order; `self`'s columns come first.
+        let q = Relation::from_rows(
+            "q",
+            2,
+            vec![
+                ints(&[1, 10]),
+                ints(&[2, 20]),
+                ints(&[1, 11]),
+                ints(&[2, 21]),
+                ints(&[1, 12]),
+            ],
+        );
+        let x = Bindings::from_parts(vec![v(0)], vec![ints(&[2]), ints(&[1])]);
+        let j = x.join_atom(&q, &[Term::Var(v(0)), Term::Var(v(1))]);
+        assert_eq!(j.vars(), &[v(0), v(1)]);
+        let want: Vec<Tuple> = [[2, 20], [2, 21], [1, 10], [1, 11], [1, 12]]
+            .iter()
+            .map(|r| ints(r))
+            .collect();
+        assert_eq!(j.to_rows(), want);
     }
 
     #[test]
@@ -1633,7 +1517,10 @@ mod tests {
         let other_live = BitSet::all_ones(yz.len());
         xy.semijoin_filter(&mut live, &yz, &other_live);
         let filtered = xy.retain_rows(&live);
-        assert_eq!(filtered.sorted().rows(), xy.semijoin(&yz).sorted().rows());
+        assert_eq!(
+            filtered.sorted().to_rows(),
+            xy.semijoin(&yz).sorted().to_rows()
+        );
     }
 
     #[test]
@@ -1647,55 +1534,67 @@ mod tests {
         other_live.clear_all();
         xy.semijoin_filter(&mut live, &yz, &other_live);
         assert_eq!(live.count_ones(), 0);
-    }
 
-    #[test]
-    fn reduce_relation_matches_semijoin() {
-        let e = rel_e();
-        let yz = Bindings::from_atom(&e, &[Term::Var(v(1)), Term::Var(v(2))]);
-        let reduced = reduce_relation(&e, &[Term::Var(v(0)), Term::Var(v(1))], &yz);
-        assert_eq!(reduced.len(), 2);
-        assert!(reduced.contains(&ints(&[1, 2])));
-        assert!(reduced.contains(&ints(&[2, 3])));
-        assert!(!reduced.contains(&ints(&[3, 4])));
-    }
-
-    #[test]
-    fn reduce_relation_matches_baseline_with_shape_filters() {
-        // Constants + repeated variables + a guard sharing one variable.
-        let r = Relation::from_rows(
-            "p",
-            3,
+        // Partial mask: the source holds key X = 2 twice. Killing one of
+        // those rows kills no target row; killing both kills exactly the
+        // target row X = 2. The probe must see the live source rows, not
+        // the source's full cached index.
+        let target = Bindings::from_parts(vec![v(0)], vec![ints(&[1]), ints(&[2]), ints(&[3])]);
+        let source = Bindings::from_parts(
+            vec![v(0), v(1)],
             vec![
-                ints(&[1, 1, 5]),
-                ints(&[1, 2, 5]),
-                ints(&[2, 2, 5]),
-                ints(&[3, 3, 5]),
-                ints(&[2, 2, 6]),
+                ints(&[1, 10]),
+                ints(&[2, 20]),
+                ints(&[3, 30]),
+                ints(&[2, 21]),
             ],
         );
-        // p(X, X, 5)
-        let terms = [Term::Var(v(0)), Term::Var(v(0)), Term::Const(Value::Int(5))];
-        let guard = Bindings::from_parts(vec![v(0), v(9)], vec![ints(&[1, 7]), ints(&[2, 8])]);
-        let fast = reduce_relation(&r, &terms, &guard);
-        let slow = baseline::reduce_relation(&r, &terms, &guard);
-        assert_eq!(fast.len(), slow.len());
-        for row in slow.rows() {
-            assert!(fast.contains(row));
-        }
-        assert_eq!(fast.len(), 2); // (1,1,5) and (2,2,5)
+        // Warm the source's full index, as a prior full-mask step would.
+        assert_eq!(target.semijoin(&source).len(), 3);
+        let mut source_live = BitSet::all_ones(source.len());
+        source_live.clear(1); // (2, 20)
+        let mut live = BitSet::all_ones(target.len());
+        target.semijoin_filter(&mut live, &source, &source_live);
+        assert!(live.is_full(), "(2, 21) still carries key 2");
+        source_live.clear(3); // (2, 21)
+        target.semijoin_filter(&mut live, &source, &source_live);
+        assert_eq!(live.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(
+            target.retain_rows(&live).to_rows(),
+            vec![ints(&[1]), ints(&[3])]
+        );
     }
 
     #[test]
-    fn reduce_relation_disjoint_guard() {
-        let e = rel_e();
-        let terms = [Term::Var(v(0)), Term::Var(v(1))];
-        // Guard over unrelated variables: non-empty keeps everything...
-        let nonempty = Bindings::from_parts(vec![v(7)], vec![ints(&[1])]);
-        assert_eq!(reduce_relation(&e, &terms, &nonempty).len(), e.len());
-        // ...empty keeps nothing.
-        let empty = Bindings::empty(vec![v(7)]);
-        assert_eq!(reduce_relation(&e, &terms, &empty).len(), 0);
+    fn sorted_orders_rows_lexicographically() {
+        let mut syms = crate::symbol::SymbolTable::new();
+        let (a, b) = (Value::Sym(syms.intern("a")), Value::Sym(syms.intern("b")));
+        let (i1, i2) = (Value::Int(1), Value::Int(2));
+        let rows: Vec<Tuple> = vec![
+            vec![b, i1].into(),
+            vec![i2, a].into(),
+            vec![i1, b].into(),
+            vec![a, i2].into(),
+            vec![i2, i1].into(),
+            vec![i1, a].into(),
+            vec![a, i1].into(),
+        ];
+        let s = Bindings::from_parts(vec![v(0), v(1)], rows).sorted();
+        assert_eq!(s.vars(), &[v(0), v(1)]);
+        // Ints order before symbols; ties on column 0 fall to column 1.
+        let want: Vec<Tuple> = vec![
+            vec![i1, a].into(),
+            vec![i1, b].into(),
+            vec![i2, i1].into(),
+            vec![i2, a].into(),
+            vec![a, i1].into(),
+            vec![a, i2].into(),
+            vec![b, i1].into(),
+        ];
+        assert_eq!(s.to_rows(), want);
+        // The columns hold the same order as the rows.
+        assert_eq!(s.columnar().col(0), &[i1, i1, i2, i2, a, a, b]);
+        assert_eq!(s.columnar().col(1), &[a, b, i1, a, i1, i2, i1]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The naive port of the algebra materialized a fresh `Box<[Value]>` hash
 //! key for **every row of every operation** — the dominant allocation in
 //! the `findRules` hot path. This module replaces those keys with
-//! *hash-of-column-slice probing*: keys are hashed directly out of the row
-//! storage ([`hash_cols`]) and compared positionally, so building or
-//! probing a table allocates nothing per row.
+//! *hash-of-column-slice probing*: keys are hashed directly out of the
+//! column storage ([`hash_columns_into`]) and compared positionally, so
+//! building or probing a table allocates nothing per row.
 //!
 //! Three building blocks:
 //!
@@ -21,7 +21,7 @@
 //!   filtering (used by full reducers to avoid materializing a new
 //!   relation per semijoin step).
 
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
 // The hasher now lives in the storage layer (`mq-store`) so row stores,
@@ -105,19 +105,6 @@ pub fn hash_cols_at(store: &ColumnarRows<Value>, cols: &[usize], i: usize) -> u6
         store.col(c)[i].hash(&mut h);
     }
     h.finish()
-}
-
-/// Positional equality of two projections: `a[acols] == b[bcols]`.
-#[inline]
-pub fn eq_cols(a: &[Value], acols: &[usize], b: &[Value], bcols: &[usize]) -> bool {
-    debug_assert_eq!(acols.len(), bcols.len());
-    if let ([ca], [cb]) = (acols, bcols) {
-        return a[*ca] == b[*cb];
-    }
-    acols
-        .iter()
-        .zip(bcols.iter())
-        .all(|(&ca, &cb)| a[ca] == b[cb])
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -207,56 +194,11 @@ pub struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Group `rows` by their values at `cols`.
-    pub fn build(rows: &[Tuple], cols: &[usize]) -> Self {
-        let n = rows.len();
-        let k = cols.len();
-        let mut table = RawTable::with_capacity(n);
-        let mut heads: Vec<u32> = Vec::with_capacity(n);
-        let mut counts: Vec<u32> = Vec::with_capacity(n);
-        let mut tails: Vec<u32> = Vec::with_capacity(n);
-        let mut next = vec![EMPTY; n];
-        let mut keys: Vec<Value> = Vec::with_capacity(n * k);
-        for (i, row) in rows.iter().enumerate() {
-            let h = hash_cols(row, cols);
-            match table.find(h, |g| {
-                let g = g as usize;
-                keys[g * k..(g + 1) * k]
-                    .iter()
-                    .zip(cols.iter())
-                    .all(|(kv, &c)| *kv == row[c])
-            }) {
-                Some(g) => {
-                    let g = g as usize;
-                    next[tails[g] as usize] = i as u32;
-                    tails[g] = i as u32;
-                    counts[g] += 1;
-                }
-                None => {
-                    let g = heads.len() as u32;
-                    heads.push(i as u32);
-                    counts.push(1);
-                    tails.push(i as u32);
-                    keys.extend(cols.iter().map(|&c| row[c]));
-                    table.insert_new(h, g);
-                }
-            }
-        }
-        GroupIndex {
-            cols: cols.into(),
-            table,
-            heads,
-            counts,
-            next,
-            keys,
-        }
-    }
-
-    /// Group the rows of column-major storage by their values at `cols`,
-    /// producing an index identical to [`GroupIndex::build`] over the
-    /// equivalent row-major tuples. Key hashes are computed for the whole
-    /// batch in one column-wise pass ([`hash_columns_into`]) and key
-    /// comparisons read dense column slices.
+    /// Group the rows of column-major storage by their values at `cols`.
+    /// Groups are numbered in first-seen order and each group's rows are
+    /// kept in row order. Key hashes are computed for the whole batch in
+    /// one column-wise pass ([`hash_columns_into`]) and key comparisons
+    /// read dense column slices.
     pub fn build_columnar(store: &ColumnarRows<Value>, cols: &[usize]) -> Self {
         let n = store.len();
         let k = cols.len();
@@ -409,19 +351,6 @@ impl GroupIndex {
                 .zip(key_cols.iter())
                 .all(|(kv, &c)| *kv == key_row[c])
         })
-    }
-
-    /// Probe like [`GroupIndex::probe_cols`] but return the matching
-    /// group's `(group_id, size)` instead of iterating its rows.
-    #[inline]
-    pub fn probe_group(&self, key_row: &[Value], key_cols: &[usize]) -> Option<(usize, usize)> {
-        let h = hash_cols(key_row, key_cols);
-        self.find_group(h, |gkey| {
-            gkey.iter()
-                .zip(key_cols.iter())
-                .all(|(kv, &c)| *kv == key_row[c])
-        })
-        .map(|g| (g, self.counts[g] as usize))
     }
 
     /// Probe with an already-projected key (values in
@@ -584,7 +513,7 @@ mod tests {
             ints(&[1, 30]),
             ints(&[1, 40]),
         ];
-        let idx = GroupIndex::build(&rows, &[0]);
+        let idx = GroupIndex::build_columnar(&ColumnarRows::from_rows(2, &rows), &[0]);
         assert_eq!(idx.num_groups(), 2);
         let key = ints(&[1]);
         let got: Vec<usize> = idx.probe_cols(&key, &[0]).collect();
@@ -597,7 +526,7 @@ mod tests {
     fn group_index_probe_foreign_layout() {
         // Probe with the key at different positions of a wider row.
         let rows = vec![ints(&[1, 2]), ints(&[3, 4])];
-        let idx = GroupIndex::build(&rows, &[1]);
+        let idx = GroupIndex::build_columnar(&ColumnarRows::from_rows(2, &rows), &[1]);
         let probe_row = ints(&[9, 9, 4]);
         let got: Vec<usize> = idx.probe_cols(&probe_row, &[2]).collect();
         assert_eq!(got, vec![1]);
@@ -605,9 +534,9 @@ mod tests {
 
     #[test]
     fn group_index_is_self_contained() {
-        let rows = vec![ints(&[1, 10]), ints(&[2, 20]), ints(&[1, 30])];
-        let idx = GroupIndex::build(&rows, &[0, 1]);
-        drop(rows); // probes never touch the original storage
+        let store = ColumnarRows::from_rows(2, &[ints(&[1, 10]), ints(&[2, 20]), ints(&[1, 30])]);
+        let idx = GroupIndex::build_columnar(&store, &[0, 1]);
+        drop(store); // probes never touch the original storage
         assert_eq!(idx.probe_group_key(&ints(&[1, 30])), Some((2, 1)));
         assert_eq!(idx.probe_group_key(&ints(&[1, 99])), None);
         assert_eq!(idx.group_key(0), &*ints(&[1, 10]));
@@ -624,30 +553,6 @@ mod tests {
             hash_columns_into(&store, cols, &mut batch);
             let one_shot: Vec<u64> = rows.iter().map(|r| hash_cols(r, cols)).collect();
             assert_eq!(batch, one_shot, "cols {cols:?}");
-        }
-    }
-
-    #[test]
-    fn build_columnar_matches_row_build() {
-        let rows = vec![
-            ints(&[1, 10]),
-            ints(&[2, 20]),
-            ints(&[1, 30]),
-            ints(&[1, 10]),
-        ];
-        let store = ColumnarRows::from_rows(2, &rows);
-        for cols in [&[0usize][..], &[1], &[0, 1]] {
-            let by_rows = GroupIndex::build(&rows, cols);
-            let by_cols = GroupIndex::build_columnar(&store, cols);
-            assert_eq!(by_rows.num_groups(), by_cols.num_groups(), "cols {cols:?}");
-            for g in 0..by_rows.num_groups() {
-                assert_eq!(by_rows.group_key(g), by_cols.group_key(g));
-                assert_eq!(by_rows.group_count(g), by_cols.group_count(g));
-                assert_eq!(
-                    by_rows.group_rows(g).collect::<Vec<_>>(),
-                    by_cols.group_rows(g).collect::<Vec<_>>()
-                );
-            }
         }
     }
 

@@ -150,11 +150,6 @@ impl Relation {
         self.rows.iter()
     }
 
-    /// All tuples as a slice, in insertion order (for index probing).
-    pub fn rows_slice(&self) -> &[Tuple] {
-        &self.rows
-    }
-
     /// Access the i-th row.
     pub fn row(&self, i: usize) -> &Tuple {
         &self.rows[i]
@@ -176,17 +171,7 @@ impl Relation {
         {
             return Arc::clone(idx);
         }
-        // Build via the column-major mirror when one is already cached
-        // (batched key hashing); otherwise straight off the rows.
-        let mirror = self
-            .columnar
-            .read()
-            .expect("columnar lock poisoned")
-            .clone();
-        let built = Arc::new(match mirror {
-            Some(store) => GroupIndex::build_columnar(&store, cols),
-            None => GroupIndex::build(&self.rows, cols),
-        });
+        let built = Arc::new(GroupIndex::build_columnar(&self.columnar(), cols));
         let mut cache = self
             .group_indexes
             .write()

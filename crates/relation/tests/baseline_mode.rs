@@ -16,7 +16,7 @@ fn baseline_mode_round_trip() {
     assert!(baseline_mode());
     let slow = Bindings::from_atom(&e, &terms);
     set_baseline_mode(false);
-    assert_eq!(fast.sorted().rows(), slow.sorted().rows());
+    assert_eq!(fast.sorted().to_rows(), slow.sorted().to_rows());
 
     // Joins and semijoins agree across the switch too.
     let a = Bindings::from_atom(&e, &terms);
@@ -32,6 +32,6 @@ fn baseline_mode_round_trip() {
         fast_join.project(&all).sorted(),
         slow_join.project(&all).sorted(),
     );
-    assert_eq!(fj.rows(), sj.rows());
-    assert_eq!(fast_semi.rows(), slow_semi.rows());
+    assert_eq!(fj.to_rows(), sj.to_rows());
+    assert_eq!(fast_semi.to_rows(), slow_semi.to_rows());
 }

@@ -8,11 +8,12 @@
 //! keys in one pass, compare a key column value-by-value) compile to
 //! tight, vectorization-friendly loops.
 //!
-//! Like the other frozen stores, the column set sits behind an `Arc`:
-//! handle clones are O(1), the storage never mutates once built, and
-//! the whole value is `Send + Sync`. The relational layer keeps a
-//! `ColumnarRows<Value>` mirror beside each relation's row-major tuples
-//! and runs its join, semijoin and projection kernels over it.
+//! The column set sits behind an `Arc`: handle clones are O(1), the
+//! storage never mutates once built, and the whole value is
+//! `Send + Sync`. The relational layer keeps a `ColumnarRows<Value>`
+//! mirror beside each relation's row-major tuples, stores every
+//! variable relation (`Bindings`) in one, and runs its join, semijoin
+//! and projection kernels over them.
 
 use std::fmt;
 use std::sync::Arc;

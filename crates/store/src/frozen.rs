@@ -1,98 +1,16 @@
-//! Frozen row storage and its per-column-set index cache.
+//! A per-column-set index cache over one frozen row store.
 //!
-//! A [`FrozenRows`] is an immutable tuple store behind an `Arc`: handle
-//! clones are O(1) pointer copies, the storage itself never mutates once
-//! frozen (the one escape hatch, [`FrozenRows::make_mut`], is
-//! copy-on-write and requires exclusive access to the handle), and the
-//! whole value is `Send + Sync`. This is what lets relation values cross
-//! worker threads: the engines snapshot intermediate results constantly,
-//! and with frozen storage a snapshot is a pointer, shareable with any
-//! thread.
-//!
-//! A [`ColIndexCache`] rides next to a frozen store: derived indexes
-//! (hash-join build sides, grouped by a column subset) are built at most
-//! once per column set and shared by every clone of the store — across
-//! threads — behind a single `RwLock`. Lookup is **hashed** (an
-//! `FxHasher` map keyed by the column set), not a linear scan, so stores
-//! probed on many distinct column sets pay O(1) per probe rather than
-//! O(cached entries).
+//! A [`ColIndexCache`] rides next to a frozen store (such as
+//! [`crate::ColumnarRows`]): derived indexes (hash-join build sides,
+//! grouped by a column subset) are built at most once per column set and
+//! shared by every clone of the store — across threads — behind a single
+//! `RwLock`. Lookup is **hashed** (an `FxHasher` map keyed by the column
+//! set), not a linear scan, so stores probed on many distinct column sets
+//! pay O(1) per probe rather than O(cached entries).
 
 use crate::fxhash::FxBuildHasher;
 use std::collections::HashMap;
-use std::fmt;
-use std::ops::Deref;
 use std::sync::{Arc, RwLock};
-
-/// Immutable, atomically shared row storage with O(1) handle clones.
-///
-/// Dereferences to `[T]`; equality compares contents with a same-storage
-/// pointer shortcut (two handles to one frozen store are trivially
-/// equal).
-pub struct FrozenRows<T> {
-    rows: Arc<Vec<T>>,
-}
-
-impl<T> FrozenRows<T> {
-    /// Freeze `rows` into shared storage.
-    pub fn new(rows: Vec<T>) -> Self {
-        FrozenRows {
-            rows: Arc::new(rows),
-        }
-    }
-
-    /// The rows as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.rows
-    }
-
-    /// Whether two handles share the same frozen storage.
-    #[inline]
-    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.rows, &b.rows)
-    }
-}
-
-impl<T: Clone> FrozenRows<T> {
-    /// Copy-on-write mutable access: returns the unique storage, cloning
-    /// it first if other handles share it. Callers that reorder rows must
-    /// drop any derived per-row-id state (indexes) themselves.
-    pub fn make_mut(&mut self) -> &mut Vec<T> {
-        Arc::make_mut(&mut self.rows)
-    }
-}
-
-impl<T> Clone for FrozenRows<T> {
-    #[inline]
-    fn clone(&self) -> Self {
-        FrozenRows {
-            rows: Arc::clone(&self.rows),
-        }
-    }
-}
-
-impl<T> Deref for FrozenRows<T> {
-    type Target = [T];
-
-    #[inline]
-    fn deref(&self) -> &[T] {
-        &self.rows
-    }
-}
-
-impl<T: PartialEq> PartialEq for FrozenRows<T> {
-    fn eq(&self, other: &Self) -> bool {
-        Self::ptr_eq(self, other) || *self.rows == *other.rows
-    }
-}
-
-impl<T: Eq> Eq for FrozenRows<T> {}
-
-impl<T: fmt::Debug> fmt::Debug for FrozenRows<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.rows.fmt(f)
-    }
-}
 
 /// A thread-safe cache of derived indexes over one frozen row store,
 /// keyed by the column set the index was built on.
@@ -155,30 +73,6 @@ impl<I> Default for ColIndexCache<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frozen_clone_shares_storage() {
-        let a = FrozenRows::new(vec![1, 2, 3]);
-        let b = a.clone();
-        assert!(FrozenRows::ptr_eq(&a, &b));
-        assert_eq!(a.as_slice(), &[1, 2, 3]);
-        assert_eq!(a, b);
-        // Content equality without shared storage.
-        let c = FrozenRows::new(vec![1, 2, 3]);
-        assert!(!FrozenRows::ptr_eq(&a, &c));
-        assert_eq!(a, c);
-        assert_ne!(a, FrozenRows::new(vec![1, 2]));
-    }
-
-    #[test]
-    fn make_mut_is_copy_on_write() {
-        let mut a = FrozenRows::new(vec![3, 1, 2]);
-        let b = a.clone();
-        a.make_mut().sort();
-        assert_eq!(a.as_slice(), &[1, 2, 3]);
-        assert_eq!(b.as_slice(), &[3, 1, 2], "shared handle is untouched");
-        assert!(!FrozenRows::ptr_eq(&a, &b));
-    }
 
     #[test]
     fn index_cache_builds_once_per_column_set() {

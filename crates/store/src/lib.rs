@@ -6,14 +6,12 @@
 //! what lets it sit **below** `mq-relation` in the workspace while still
 //! serving the whole stack:
 //!
-//! * [`FrozenRows`] — immutable, atomically reference-counted row
-//!   storage with O(1) handle clones. `Send + Sync`, so values built on
-//!   it (notably `mq_relation::Bindings`) can cross worker threads and
-//!   live in cross-worker caches.
-//! * [`ColumnarRows`] — the column-major frozen variant: one contiguous
+//! * [`ColumnarRows`] — immutable, atomically reference-counted
+//!   column-major row storage with O(1) handle clones: one contiguous
 //!   buffer **per column**, so keyed kernels (probing, grouped index
-//!   builds, batch hashing) walk dense column slices instead of hopping
-//!   through per-row boxes.
+//!   builds, batch hashing) walk dense column slices. `Send + Sync`, so
+//!   values built on it (notably `mq_relation::Bindings`) can cross
+//!   worker threads and live in cross-worker caches.
 //! * [`ColIndexCache`] — a thread-safe, *hashed* per-column-set cache of
 //!   derived indexes over one frozen row store (the replacement for the
 //!   old linear-scan `Rc<RefCell<Vec<…>>>` cache in `mq_relation`).
@@ -42,7 +40,7 @@ pub mod lock;
 pub mod memo;
 
 pub use columnar::ColumnarRows;
-pub use frozen::{ColIndexCache, FrozenRows};
+pub use frozen::ColIndexCache;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use lock::{lock_recover, read_recover, unpoison, wait_recover, write_recover};
 pub use memo::{MemoStats, ShardedMemo};

@@ -18,7 +18,7 @@
 //! All phases live in one `#[test]` because the allocation counter is
 //! global to the process and the test harness runs tests concurrently.
 
-use mq_relation::{ints, reduce_relation, Bindings, Relation, Term, VarId};
+use mq_relation::{ints, Bindings, Tuple, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -124,32 +124,16 @@ fn probe_phases_allocate_constant_not_per_row() {
         "semijoin_count allocated {spent} times for {N} rows"
     );
 
-    // reduce_relation: single positional pass; with a guard matching no
-    // row the only allocations are the empty output relation's.
-    let rel = Relation::from_rows("e", 2, (0..N).map(|i| ints(&[i, i + 1])).collect());
-    let terms = [Term::Var(v(0)), Term::Var(v(1))];
-    let guard = Bindings::from_parts(vec![v(1)], (0..N).map(|i| ints(&[-i - 1])).collect());
-    let primed = reduce_relation(&rel, &terms, &guard);
-    assert!(primed.is_empty());
-    let before = allocations();
-    let reduced = reduce_relation(&rel, &terms, &guard);
-    let spent = allocations() - before;
-    assert!(reduced.is_empty());
-    assert!(
-        spent < BUDGET,
-        "reduce_relation probe allocated {spent} times for {N} rows — \
-         the double-pass/boxed-key path regressed"
-    );
-
     // ── Columnar phases ─────────────────────────────────────────────
-    // Transposing N boxed rows into the column-major mirror is O(arity)
-    // allocations (one contiguous buffer per column plus the shared
-    // header), never one per row.
-    let fresh = Bindings::from_parts(vec![v(0), v(1)], (0..N).map(|i| ints(&[i, -i])).collect());
+    // Building bindings from N boxed rows transposes them into column
+    // storage: O(arity) allocations (one contiguous buffer per column
+    // plus the shared headers), never one per row.
+    let rows: Vec<Tuple> = (0..N).map(|i| ints(&[i, -i])).collect();
+    let vars = vec![v(0), v(1)];
     let before = allocations();
-    let cols = fresh.columnar();
+    let fresh = Bindings::from_parts(vars, rows);
     let spent = allocations() - before;
-    assert_eq!(cols.len(), N as usize);
+    assert_eq!(fresh.columnar().len(), N as usize);
     assert!(
         spent < 16,
         "columnar transposition allocated {spent} times for {N} rows"

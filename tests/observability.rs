@@ -89,7 +89,7 @@ fn registry_snapshots_are_torn_free_under_concurrent_writers() {
                         "hist count overshot the writers' total: {c} > {cap}"
                     );
                     (last_total, last_count) = (t, c);
-                    if rounds % 64 == 0 {
+                    if rounds.is_multiple_of(64) {
                         parse_prometheus(&registry.render_prometheus())
                             .expect("mid-hammer rendering must stay parseable");
                     }

@@ -43,7 +43,7 @@ fn v(i: u32) -> VarId {
 /// Sorted row multiset projected onto `vars` — the order-insensitive,
 /// column-order-insensitive comparison key for join results.
 fn canon(b: &Bindings, vars: &[VarId]) -> Vec<Box<[mq_relation::Value]>> {
-    b.project(vars).sorted().rows().to_vec()
+    b.project(vars).sorted().to_rows()
 }
 
 proptest! {
@@ -94,10 +94,10 @@ proptest! {
         prop_assert_eq!(a.semijoin_count(&b), semi.len());
         let semi = semi.sorted();
         let semi_base = baseline::semijoin(&a, &b).sorted();
-        prop_assert_eq!(semi.rows(), semi_base.rows());
+        prop_assert_eq!(semi.to_rows(), semi_base.to_rows());
         let anti = a.antijoin(&b).sorted();
         let anti_base = baseline::antijoin(&a, &b).sorted();
-        prop_assert_eq!(anti.rows(), anti_base.rows());
+        prop_assert_eq!(anti.to_rows(), anti_base.to_rows());
     }
 
     /// Optimized project/count_distinct ≡ baseline.
@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(a.count_distinct(&vars), baseline::count_distinct(&a, &vars));
         let fast = fast.sorted();
         let slow = baseline::project(&a, &vars).sorted();
-        prop_assert_eq!(fast.rows(), slow.rows());
+        prop_assert_eq!(fast.to_rows(), slow.to_rows());
     }
 
     /// The bitset-based full reducer fully reduces and matches a
@@ -147,7 +147,7 @@ proptest! {
         }
         for (f, s) in fast.iter().zip(slow.iter()) {
             let (f, s) = (f.clone().sorted(), s.clone().sorted());
-            prop_assert_eq!(f.rows(), s.rows());
+            prop_assert_eq!(f.to_rows(), s.to_rows());
         }
         prop_assert!(is_fully_reduced(&fast));
     }

@@ -197,8 +197,8 @@ fn example_4_11_acy_construction() {
         let direct = metaquery::cq::join_atoms(&db, &cq.atoms);
         let all_vars = cq.vars();
         assert_eq!(
-            derived.project(&all_vars).sorted().rows(),
-            direct.project(&all_vars).sorted().rows()
+            derived.project(&all_vars).sorted().to_rows(),
+            direct.project(&all_vars).sorted().to_rows()
         );
     }
 }

@@ -135,8 +135,8 @@ proptest! {
         let p1 = ab_c.project(&vars).sorted();
         let p2 = a_bc.project(&vars).sorted();
         let p3 = ba_c.project(&vars).sorted();
-        prop_assert_eq!(p1.rows(), p2.rows());
-        prop_assert_eq!(p1.rows(), p3.rows());
+        prop_assert_eq!(p1.to_rows(), p2.to_rows());
+        prop_assert_eq!(p1.to_rows(), p3.to_rows());
     }
 
     /// Semijoin is a filter: |r ⋉ s| ≤ |r| and (r ⋉ s) ⋉ s = r ⋉ s.
@@ -151,7 +151,7 @@ proptest! {
         let filtered = a.semijoin(&b);
         prop_assert!(filtered.len() <= a.len());
         let twice = filtered.semijoin(&b);
-        prop_assert_eq!(filtered.rows(), twice.rows());
+        prop_assert_eq!(filtered.to_rows(), twice.to_rows());
     }
 
     /// GYO acyclicity is invariant under edge order permutations.
