@@ -40,16 +40,19 @@
 //! `MQ_BENCH_NET_FAULTS` (an `MQ_FAULTS`-syntax plan injected for the
 //! run) and `MQ_BENCH_MAX_NET_P99_MS` (latency guard, default 10000).
 //!
-//! Three observability workloads round out the report: `node_profile`
+//! Four observability workloads round out the report: `node_profile`
 //! runs one detailed-profile search and writes the top plan nodes by
 //! self wall time (id, rendered label, execs, memo hits, row traffic);
-//! `trace_overhead` times the same fig4 search with tracing forced off
-//! and on in paired batches (median-of-differences estimator), failing
-//! if the slowdown exceeds `MQ_BENCH_MAX_TRACE_OVERHEAD_PCT` (default
-//! 5%); and `scrape_overhead` runs a small TCP load with the flight-
-//! recorder scraper off vs at the default 1 s cadence, failing if the
-//! p99 regression exceeds `MQ_BENCH_MAX_SCRAPE_OVERHEAD_PCT` (default
-//! 5%).
+//! `head_count_phase` runs detailed-profile searches of the largest fig4
+//! chain on one thread and reports the `findHeads` head-count op's time,
+//! calls and key probes per search and its share of the search;
+//! `trace_overhead` times that fig4 search with tracing forced off and
+//! on in paired batches of at least 50 ms (median-of-differences
+//! estimator), failing if the slowdown exceeds
+//! `MQ_BENCH_MAX_TRACE_OVERHEAD_PCT` (default 5%); and `scrape_overhead`
+//! runs a small TCP load with the flight-recorder scraper off vs at the
+//! default 1 s cadence, failing if the p99 regression exceeds
+//! `MQ_BENCH_MAX_SCRAPE_OVERHEAD_PCT` (default 5%).
 //!
 //! Besides the per-run `BENCH_findrules.json`, every run appends one
 //! compact record to `BENCH_history.jsonl` (`MQ_BENCH_HISTORY`
@@ -539,9 +542,94 @@ fn bench_node_profile() -> Option<NodeProfileReport> {
     })
 }
 
+/// Results of the `head_count_phase` workload.
+struct HeadCountReport {
+    workload: &'static str,
+    searches: usize,
+    /// Median search wall time, ns.
+    search_ns: u64,
+    /// Median head-count op time per search, ns.
+    phase_ns: u64,
+    /// Head-count op calls per search.
+    calls: u64,
+    /// Keys probed per search.
+    rows: u64,
+    /// Head-count time over search wall time, summed over the searches.
+    share: f64,
+}
+
+/// The `findHeads` head-count op pinned to a layer: detailed-profile
+/// searches of the largest fig4 chain, each on a fresh memo service and
+/// on one thread (so the phase and the search share one clock), report
+/// the op's wall time, calls and key probes per search and its share of
+/// the search wall time.
+fn bench_head_count_phase() -> Option<HeadCountReport> {
+    const NAME: &str = "head_count_phase";
+    const WORKLOAD: &str = "fig4_findrules_chain_d450";
+    if let Some(only) = bench_only() {
+        if !NAME.contains(&only) {
+            eprintln!("{NAME}: skipped (MQ_BENCH_ONLY={only})");
+            return None;
+        }
+    }
+    let w = chain_workload(3, 450, 150, 2);
+    let th = mid_thresholds();
+    let searches = samples().max(9);
+    let mut walls = Vec::with_capacity(searches);
+    let mut phases = Vec::with_capacity(searches);
+    let (mut calls, mut rows) = (0, 0);
+    rayon::set_thread_override(Some(1));
+    for _ in 0..searches {
+        let profile = Arc::new(mq_obs::SearchProfile::detailed());
+        let (_, wall_s) = time(|| {
+            find_rules_instrumented(
+                &w.db,
+                &w.mq,
+                InstType::Zero,
+                th,
+                None,
+                None,
+                Some(Arc::clone(&profile)),
+                0,
+            )
+            .unwrap()
+            .len()
+        });
+        let phase = profile.head_counts();
+        walls.push((wall_s * 1e9) as u64);
+        phases.push(phase.wall_ns);
+        calls = phase.calls;
+        rows = phase.rows;
+    }
+    rayon::set_thread_override(None);
+    assert!(calls > 0, "{NAME}: {WORKLOAD} ran no head-count op");
+    let share = phases.iter().sum::<u64>() as f64 / walls.iter().sum::<u64>().max(1) as f64;
+    walls.sort_unstable();
+    phases.sort_unstable();
+    let (search_ns, phase_ns) = (walls[searches / 2], phases[searches / 2]);
+    eprintln!(
+        "{NAME}: {WORKLOAD} — head counts {:.3} ms of a {:.3} ms search ({:.1}%), \
+         {calls} calls, {rows} keys probed per search",
+        phase_ns as f64 / 1e6,
+        search_ns as f64 / 1e6,
+        share * 100.0
+    );
+    Some(HeadCountReport {
+        workload: WORKLOAD,
+        searches,
+        search_ns,
+        phase_ns,
+        calls,
+        rows,
+        share,
+    })
+}
+
 /// Results of the `trace_overhead` workload.
 struct TraceOverheadReport {
     workload: &'static str,
+    pairs: usize,
+    reps: usize,
     untraced_s: f64,
     traced_s: f64,
     overhead_pct: f64,
@@ -566,28 +654,33 @@ fn bench_trace_overhead() -> Option<TraceOverheadReport> {
     }
     let w = chain_workload(3, 450, 150, 2);
     let th = mid_thresholds();
-    let n = samples();
     // A single search is ~1ms — far too close to scheduler jitter for a
-    // percentage guard. Each timed sample batches REPS searches and the
-    // off/on sides run back-to-back as *pairs* (so slow drift —
-    // thermal, cache, competing load — hits both sides of a pair
-    // equally). The estimator is the median of per-pair differences
-    // over the median untraced batch: unlike per-side minima, a single
-    // noisy batch perturbs at most one pair, and the median of the
-    // remaining differences still reflects the true per-search cost.
-    // The guard stays one-sided — a negative difference (tracing
-    // "faster", i.e. pure noise) can only pass.
-    const REPS: usize = 50;
+    // percentage guard. Each timed sample batches REPS searches, with
+    // REPS sized so one batch lasts at least BATCH_S, and the off/on
+    // sides run back-to-back as *pairs* (so slow drift — thermal,
+    // cache, competing load — hits both sides of a pair equally). The
+    // estimator is the median of per-pair differences over the median
+    // untraced batch, over at least MIN_PAIRS pairs: unlike per-side
+    // minima, a single noisy batch perturbs at most one pair, and the
+    // median of the remaining differences still reflects the true
+    // per-search cost. The guard stays one-sided — a negative
+    // difference (tracing "faster", i.e. pure noise) can only pass.
+    const BATCH_S: f64 = 0.05;
+    const MIN_PAIRS: usize = 15;
     let run = || find_rules(&w.db, &w.mq, InstType::Zero, th).unwrap().len();
+    // Warm caches off the clock so neither side pays them, then size
+    // the batch from the median of a few untraced searches.
+    mq_obs::set_trace_override(Some(false));
+    let (one_s, _) = median_secs(9, run);
+    let reps = ((BATCH_S / one_s.max(1e-9)).ceil() as usize).max(1);
     let batch = || {
         let mut answers = 0;
-        for _ in 0..REPS {
+        for _ in 0..reps {
             answers = run();
         }
         answers
     };
-    batch(); // warm caches off the clock so neither side pays them
-    let pairs = n.max(5);
+    let pairs = samples().max(MIN_PAIRS);
     let mut offs = Vec::with_capacity(pairs);
     let mut diffs = Vec::with_capacity(pairs);
     let (mut a_off, mut a_on) = (0, 0);
@@ -598,8 +691,8 @@ fn bench_trace_overhead() -> Option<TraceOverheadReport> {
         mq_obs::set_trace_override(Some(true));
         let (a, s_on) = time(batch);
         a_on = a;
-        offs.push(s_off / REPS as f64);
-        diffs.push((s_on - s_off) / REPS as f64);
+        offs.push(s_off / reps as f64);
+        diffs.push((s_on - s_off) / reps as f64);
     }
     mq_obs::set_trace_override(None);
     assert_eq!(a_off, a_on, "{NAME}: tracing changed the answers");
@@ -620,10 +713,12 @@ fn bench_trace_overhead() -> Option<TraceOverheadReport> {
     );
     eprintln!(
         "{NAME}: untraced {untraced_s:.5}s  traced {traced_s:.5}s  ({overhead_pct:+.2}%, \
-         limit {max_pct}%)"
+         limit {max_pct}%; {pairs} pairs of {reps}-search batches)"
     );
     Some(TraceOverheadReport {
         workload: WORKLOAD,
+        pairs,
+        reps,
         untraced_s,
         traced_s,
         overhead_pct,
@@ -815,6 +910,7 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 fn append_history(
     rows: &[Row],
     net_load: &Option<NetLoadReport>,
+    head_counts: &Option<HeadCountReport>,
     trace_overhead: &Option<TraceOverheadReport>,
     scrape_overhead: &Option<ScrapeOverheadReport>,
 ) {
@@ -855,6 +951,9 @@ fn append_history(
             n.load.p99_ms,
             n.load.throughput_rps()
         ));
+    }
+    if let Some(h) = head_counts {
+        record.push_str(&format!(", \"head_count_share\": {:.4}", h.share));
     }
     if let Some(t) = trace_overhead {
         record.push_str(&format!(", \"trace_overhead_pct\": {:.3}", t.overhead_pct));
@@ -1013,6 +1112,9 @@ fn main() {
     // Per-plan-node attribution of one detailed-profile search.
     let node_profile = bench_node_profile();
 
+    // The findHeads head-count op's share of a fig4 chain search.
+    let head_counts = bench_head_count_phase();
+
     // The instrumentation-cost guard (traced vs untraced medians).
     let trace_overhead = bench_trace_overhead();
 
@@ -1024,6 +1126,7 @@ fn main() {
             || service.is_some()
             || net_load.is_some()
             || node_profile.is_some()
+            || head_counts.is_some()
             || trace_overhead.is_some()
             || scrape_overhead.is_some(),
         "MQ_BENCH_ONLY matched no workload — nothing to report"
@@ -1190,11 +1293,19 @@ fn main() {
             p.workload, p.answers, p.wall_s
         ));
     }
+    if let Some(h) = &head_counts {
+        json.push_str(&format!(
+            "  \"head_count_phase\": {{\"workload\": \"{}\", \"searches\": {}, \
+             \"search_ns\": {}, \"head_count_ns\": {}, \"calls\": {}, \"rows_probed\": {}, \
+             \"share\": {:.4}}},\n",
+            h.workload, h.searches, h.search_ns, h.phase_ns, h.calls, h.rows, h.share
+        ));
+    }
     if let Some(t) = &trace_overhead {
         json.push_str(&format!(
-            "  \"trace_overhead\": {{\"workload\": \"{}\", \"untraced_s\": {:.6}, \
-             \"traced_s\": {:.6}, \"overhead_pct\": {:.3}}},\n",
-            t.workload, t.untraced_s, t.traced_s, t.overhead_pct
+            "  \"trace_overhead\": {{\"workload\": \"{}\", \"pairs\": {}, \"reps\": {}, \
+             \"untraced_s\": {:.6}, \"traced_s\": {:.6}, \"overhead_pct\": {:.3}}},\n",
+            t.workload, t.pairs, t.reps, t.untraced_s, t.traced_s, t.overhead_pct
         ));
     }
     if let Some(s) = &scrape_overhead {
@@ -1246,7 +1357,13 @@ fn main() {
     // A filtered run measures one workload in isolation; recording it
     // would poison the trajectory with rows that compare nothing.
     if bench_only().is_none() {
-        append_history(&rows, &net_load, &trace_overhead, &scrape_overhead);
+        append_history(
+            &rows,
+            &net_load,
+            &head_counts,
+            &trace_overhead,
+            &scrape_overhead,
+        );
     }
     if let Some(s) = fig4_median_speedup {
         println!("fig4 findRules median speedup vs baseline core: {s:.2}x");

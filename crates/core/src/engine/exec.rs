@@ -21,6 +21,11 @@
 //! Sound because every memo value is a deterministic function of its
 //! key and publication is first-writer-wins.
 //!
+//! Count-only work runs here too: [`Executor::exec_count`] interprets
+//! [`CountPlan`]s (support counts), and [`Executor::exec_head_counts`]
+//! is `findHeads`' head-count op — cover and confidence of one head in
+//! one call, against a per-body aggregate owned by the caller.
+//!
 //! In baseline mode ([`mq_relation::baseline_mode`]) the executor
 //! reproduces the pre-optimization engine faithfully: atoms re-evaluated
 //! at every use, node joins folded in raw λ order, no plans, no memos.
@@ -29,8 +34,8 @@ use crate::engine::memo::{PlanKey, SharedMemos};
 use crate::plan::{
     build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanNodeId, PlanOp,
 };
-use mq_obs::profile::{NodeStat, SearchProfile};
-use mq_relation::{Bindings, Database, VarId};
+use mq_obs::profile::{NodeStat, PhaseStat, SearchProfile};
+use mq_relation::{Bindings, BodyCounts, Database, HeadCounts, VarId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -54,6 +59,8 @@ pub(crate) struct Executor<'a> {
     memo_hits: u64,
     /// Worker-local per-node detail, indexed by plan-node id.
     nodes: Vec<NodeStat>,
+    /// Worker-local head-count phase (detailed profiles only).
+    head_counts: PhaseStat,
 }
 
 impl<'a> Executor<'a> {
@@ -75,6 +82,7 @@ impl<'a> Executor<'a> {
             execs: 0,
             memo_hits: 0,
             nodes: Vec::new(),
+            head_counts: PhaseStat::default(),
         }
     }
 
@@ -253,13 +261,36 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a count-only plan over the given input slots — the
-    /// cover/confidence semijoin counts and the Yannakakis support
-    /// counts run through here, so every index computation is IR-driven.
+    /// `enoughSupport` semijoin counts, the Yannakakis support counts and
+    /// baseline mode's cover/confidence semijoins run through here.
     pub(crate) fn exec_count(&self, plan: &CountPlan, inputs: &[&Bindings]) -> usize {
         match &plan.op {
             CountOp::SemijoinCount { left, right } => inputs[*left].semijoin_count(inputs[*right]),
             CountOp::CountDistinct { input, vars } => inputs[*input].count_distinct(vars),
         }
+    }
+
+    /// The `findHeads` head-count op: `(|h ⋉ b|, |b ⋉ h|)` for head `h`
+    /// against the body join behind `body`, which carries the count-only
+    /// aggregates of `b` for the whole `findHeads` call (see
+    /// [`mq_relation::body_counts`]). Under a detailed profile the op's
+    /// wall time, calls and key probes accumulate worker-locally;
+    /// otherwise the cost is this one branch.
+    pub(crate) fn exec_head_counts(
+        &mut self,
+        h: &Bindings,
+        body: &mut BodyCounts<'_>,
+    ) -> HeadCounts {
+        if !self.detailed {
+            return body.counts(h);
+        }
+        let t0 = mq_obs::trace::now_ns();
+        let out = body.counts(h);
+        let phase = &mut self.head_counts;
+        phase.wall_ns += mq_obs::trace::now_ns().saturating_sub(t0);
+        phase.calls += 1;
+        phase.rows += out.probes as u64;
+        out
     }
 }
 
@@ -276,5 +307,6 @@ impl Drop for Executor<'_> {
             .node_memo_hits
             .fetch_add(self.memo_hits, Ordering::Relaxed);
         profile.merge_nodes(&self.nodes);
+        profile.merge_head_counts(&self.head_counts);
     }
 }

@@ -14,8 +14,14 @@
 //!    evaluates `sup(σb(body)) > k_sup` exactly and cheaply.
 //! 3. **findHeads** — the body join `b = J(σb(body(MQ)))` is assembled
 //!    from the reduced relations; every head instantiation `σh` that
-//!    agrees with `σb` is checked with two semijoins:
-//!    `cvr = |h ⋉ b| / |h|` and `cnf = |b ⋉ h| / |b|`.
+//!    agrees with `σb` is checked with two semijoin counts,
+//!    `cvr = |h ⋉ b| / |h|` and `cnf = |b ⋉ h| / |b|`, answered by one
+//!    head-count op ([`mq_relation::BodyCounts`]): per `findHeads` call,
+//!    `b` gets a count-only aggregate (distinct key → multiplicity) at
+//!    most once per shared key, sorted by variable, and each head's
+//!    cached index probes it group by group — or, when `b` has fewer
+//!    rows than the head has keys, `b`'s rows stream once against the
+//!    head's index. `b` itself is never indexed.
 //!
 //! The decomposition is computed once: by Proposition 4.9, applying any
 //! instantiation `σ` to the `λ` labels preserves a width-`c`
@@ -29,7 +35,8 @@
 //!   and λ-atom statistics to a hash-consed [`crate::plan::PlanOp`] DAG;
 //! * **Executor** ([`super::exec`]) — interprets plan nodes against
 //!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
-//!   result memo); the count-only cvr/cnf/sup paths run through it too;
+//!   result memo); the count-only cvr/cnf/sup paths (the head-count op
+//!   and the `CountPlan`s) run through it too;
 //! * **Scheduler** ([`super::parallel`]) — splits the search over
 //!   instantiation prefixes up to `MQ_SPLIT_DEPTH` and drains the task
 //!   deque with work-stealing workers, merging results in enumeration
@@ -49,7 +56,7 @@ use crate::instantiate::{
 };
 use crate::plan::{AtomKey, CountPlan};
 use mq_cq::hypertree::{hypertree_width_of_sets, Hypertree};
-use mq_relation::{Bindings, Database, Frac, RelId, Term, VarId};
+use mq_relation::{Bindings, BodyCounts, Database, Frac, RelId, Term, VarId};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -309,8 +316,9 @@ pub(crate) struct Setup<'a> {
     /// Body patterns in the order `find_bodies` first assigns them —
     /// the scheduler's split axis.
     pub(crate) enum_order: Vec<usize>,
-    /// The count-only plan behind both cover and confidence:
-    /// `|inputs[0] ⋉ inputs[1]|` (cvr feeds `[h, b]`, cnf `[b, h]`).
+    /// The count-only plan `|inputs[0] ⋉ inputs[1]|` behind
+    /// `enoughSupport` (`[atom, s[home]]`) and baseline mode's
+    /// cover/confidence semijoins (cvr feeds `[h, b]`, cnf `[b, h]`).
     semijoin_count_plan: CountPlan,
     /// The cross-worker shared memo service (atoms, plans, node
     /// results), created once per search — or supplied by the serving
@@ -1061,9 +1069,12 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     }
 
     /// The paper's `findHeads(σb)`: enumerate head instantiations agreeing
-    /// with the body instantiation and test cover/confidence by semijoin.
+    /// with the body instantiation and count cover/confidence for each
+    /// against `b`. The count op's per-key aggregates of `b` live in
+    /// `counts`, built at most once per shared key and dropped on return.
     fn find_heads(&mut self, b: &Bindings, sup: Frac) -> ControlFlow<()> {
         let setup = self.setup;
+        let counts = &mut BodyCounts::new(b);
         if !setup.head_is_pattern {
             let name = match &setup.mq.head.pred {
                 Pred::Rel(n) => n,
@@ -1071,7 +1082,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             };
             let rel = setup.db.rel_id(name).expect("checked in setup");
             let terms: Vec<Term> = setup.mq.head.args.iter().map(|&v| Term::Var(v)).collect();
-            return self.check_head(b, sup, None, rel, terms);
+            return self.check_head(counts, sup, None, rel, terms);
         }
         // Head pattern has global index 0.
         let pv = setup.pattern_pv[0];
@@ -1100,7 +1111,10 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                     rel,
                     slots: slots.clone(),
                 };
-                if self.check_head(b, sup, Some(map), rel, terms).is_break() {
+                if self
+                    .check_head(counts, sup, Some(map), rel, terms)
+                    .is_break()
+                {
                     return ControlFlow::Break(());
                 }
             }
@@ -1110,7 +1124,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
 
     fn check_head(
         &mut self,
-        b: &Bindings,
+        counts: &mut BodyCounts<'_>,
         sup: Frac,
         head_map: Option<PatternMap>,
         head_rel: RelId,
@@ -1120,24 +1134,30 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             return ControlFlow::Break(());
         }
         let h = self.eval_atom(head_rel, head_terms);
+        let b = counts.body();
+        // cvr = |h ⋉ b| / |h| and cnf = |b ⋉ h| / |b| (equivalently
+        // b ⋉ h': every h-row whose key occurs in b is itself in h', so
+        // the key sets agree) — pure counts, no rows materialized. One
+        // head-count op answers both, probing `b`'s per-key aggregate with
+        // `h`'s cached index. Baseline mode keeps the two oracle
+        // semijoins, confidence only once cover passes.
+        let both = (!mq_relation::baseline_mode()).then(|| self.exec.exec_head_counts(&h, counts));
         let count_plan = &self.setup.semijoin_count_plan;
-        // cvr = |h ⋉ b| / |h| — a pure count, no rows materialized.
-        let cvr = Frac::ratio_or_zero(
-            self.exec.exec_count(count_plan, &[&h, b]) as u64,
-            h.len() as u64,
+        let h_hits = both.map_or_else(
+            || self.exec.exec_count(count_plan, &[&h, b]),
+            |c| c.head_hits,
         );
+        let cvr = Frac::ratio_or_zero(h_hits as u64, h.len() as u64);
         if let Some(k) = self.setup.thresholds.cvr {
             if cvr <= k {
                 return ControlFlow::Continue(());
             }
         }
-        // cnf = |b ⋉ h| / |b| (equivalently b ⋉ h': every h-row whose key
-        // occurs in b is itself in h', so the key sets agree). Probing `h`
-        // reuses its cached index across every body instantiation.
-        let cnf = Frac::ratio_or_zero(
-            self.exec.exec_count(count_plan, &[b, &h]) as u64,
-            b.len() as u64,
+        let b_hits = both.map_or_else(
+            || self.exec.exec_count(count_plan, &[b, &h]),
+            |c| c.body_hits,
         );
+        let cnf = Frac::ratio_or_zero(b_hits as u64, b.len() as u64);
         if let Some(k) = self.setup.thresholds.cnf {
             if cnf <= k {
                 return ControlFlow::Continue(());

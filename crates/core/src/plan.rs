@@ -17,10 +17,13 @@
 //! `u32` lookup instead of re-hashing the whole prefix, and prefixes are
 //! still shared across decomposition vertices whose λ labels overlap.
 //!
-//! Count-only evaluations (the cover/confidence semijoin counts and the
+//! Count-only evaluations (the `enoughSupport` semijoin counts and the
 //! Yannakakis support counts) are tiny [`CountPlan`]s over input slots,
-//! interpreted by the same executor, so every index computation runs
-//! through the IR.
+//! interpreted by the same executor. The cover/confidence pair of
+//! `findHeads` is the executor's head-count op instead: it counts many
+//! heads against one body join through a per-body aggregate
+//! ([`mq_relation::BodyCounts`]) whose state outlives a single count,
+//! which an input-slot plan cannot carry.
 
 use mq_relation::{RelId, Term, VarId};
 use std::cmp::Ordering;
@@ -343,9 +346,16 @@ pub fn build_node_plan_ordered(
 /// A count-only terminal: the index computations of `findRules` never
 /// materialize rows, so their plans are a single counting op over input
 /// slots resolved at execution time (slot 0 = first input, etc.).
+///
+/// Cover and confidence are not a `CountOp` in the optimized engine:
+/// `findHeads` answers both with the executor's head-count op
+/// (`Executor::exec_head_counts`), which probes one count-only aggregate
+/// of the body join per shared key ([`mq_relation::BodyCounts`]).
+/// Baseline mode still counts them as two [`CountOp::SemijoinCount`]s.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CountOp {
-    /// `|inputs[left] ⋉ inputs[right]|` — the cover/confidence checks.
+    /// `|inputs[left] ⋉ inputs[right]|` — `enoughSupport`'s atom counts
+    /// (and baseline mode's cover/confidence checks).
     SemijoinCount {
         /// Slot of the counted (left) side.
         left: usize,

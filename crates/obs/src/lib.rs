@@ -66,7 +66,7 @@ pub use history::{
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, SampleValue, SeriesSample,
 };
-pub use profile::{NodeStat, SearchProfile};
+pub use profile::{NodeStat, PhaseStat, SearchProfile};
 pub use trace::{
     next_request_id, set_slow_ms_override, set_trace_override, slow_ms, trace_enabled, SpanEvent,
     SpanName,

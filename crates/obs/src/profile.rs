@@ -14,6 +14,12 @@
 //!   worker ([`SearchProfile::merge_nodes`]), so the hot loop touches no
 //!   shared cache line.
 //!
+//! Detailed profiles also keep one engine phase outside the plan DAG:
+//! the `findHeads` head-count op (cover and confidence numerators of
+//! every head against the body join), as wall time, calls and key
+//! probes in a [`PhaseStat`] merged once per worker
+//! ([`SearchProfile::merge_head_counts`]).
+//!
 //! Wall time per node is **self time**: the clock runs only around a
 //! node's own kernel (scan/probe/build), not its children's recursion,
 //! so a plan's node times sum to the executor's total instead of
@@ -47,6 +53,17 @@ impl NodeStat {
     }
 }
 
+/// Accumulated cost of one engine phase that no plan node owns.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseStat {
+    /// Wall time in nanoseconds.
+    pub wall_ns: u64,
+    /// Times the phase's op ran.
+    pub calls: u64,
+    /// Rows (or keys) the op probed.
+    pub rows: u64,
+}
+
 /// Profile for one search: always-on totals plus (optionally) per-node
 /// detail keyed by plan-node id.
 #[derive(Debug, Default)]
@@ -62,6 +79,10 @@ pub struct SearchProfile {
     /// hand out small sequential ids). Merged under a mutex once per
     /// worker, not per node.
     nodes: Mutex<Vec<NodeStat>>,
+    /// The `findHeads` head-count phase (detailed profiles only).
+    head_count_ns: AtomicU64,
+    head_count_calls: AtomicU64,
+    head_count_rows: AtomicU64,
 }
 
 impl SearchProfile {
@@ -103,6 +124,29 @@ impl SearchProfile {
             if stat != &NodeStat::default() {
                 nodes[id].absorb(stat);
             }
+        }
+    }
+
+    /// Merge one worker's locally accumulated head-count phase; ignored
+    /// unless detailed.
+    pub fn merge_head_counts(&self, local: &PhaseStat) {
+        if !self.detailed {
+            return;
+        }
+        self.head_count_ns
+            .fetch_add(local.wall_ns, Ordering::Relaxed);
+        self.head_count_calls
+            .fetch_add(local.calls, Ordering::Relaxed);
+        self.head_count_rows
+            .fetch_add(local.rows, Ordering::Relaxed);
+    }
+
+    /// The merged head-count phase (all zero unless detailed).
+    pub fn head_counts(&self) -> PhaseStat {
+        PhaseStat {
+            wall_ns: self.head_count_ns.load(Ordering::Relaxed),
+            calls: self.head_count_calls.load(Ordering::Relaxed),
+            rows: self.head_count_rows.load(Ordering::Relaxed),
         }
     }
 
@@ -170,6 +214,29 @@ mod tests {
             ..NodeStat::default()
         }]);
         assert!(p.nodes_snapshot().is_empty());
+    }
+
+    #[test]
+    fn head_count_phase_merges_only_when_detailed() {
+        let local = PhaseStat {
+            wall_ns: 40,
+            calls: 2,
+            rows: 7,
+        };
+        let p = SearchProfile::detailed();
+        p.merge_head_counts(&local);
+        p.merge_head_counts(&local);
+        assert_eq!(
+            p.head_counts(),
+            PhaseStat {
+                wall_ns: 80,
+                calls: 4,
+                rows: 14,
+            }
+        );
+        let off = SearchProfile::new();
+        off.merge_head_counts(&local);
+        assert_eq!(off.head_counts(), PhaseStat::default());
     }
 
     #[test]

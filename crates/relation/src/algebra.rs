@@ -181,8 +181,8 @@ impl AtomShape {
 /// cross worker threads and live in the cross-worker shared memo
 /// service. Hash indexes built by joins/semijoins are cached per column
 /// set and shared across clones (and threads), so probing the same side
-/// repeatedly (every head check against the same body join, every
-/// reducer step against the same guard) builds its table once —
+/// repeatedly (every reducer step against the same guard, every body
+/// probing the same memoized head atom) builds its table once —
 /// process-wide. Row-major tuples exist only on demand
 /// ([`Bindings::to_rows`] allocates them).
 #[derive(Clone)]
@@ -221,7 +221,7 @@ impl Bindings {
     }
 
     /// Get (or build once and cache) the group index over `cols`.
-    fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
+    pub(crate) fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
         self.indexes
             .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
     }
@@ -229,7 +229,8 @@ impl Bindings {
     /// The cached group index over `cols`, if one exists. Never builds —
     /// the cost-only probe-direction choices ([`Bindings::semijoin_count`])
     /// peek here to avoid indexing an operand that will never be probed
-    /// again.
+    /// again. (`findHeads`' cover/confidence counts go further and never
+    /// index the body join at all: see [`crate::body_counts`].)
     fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
         self.indexes.get(cols)
     }
@@ -955,17 +956,20 @@ impl Bindings {
         }
     }
 
-    /// `|self ⋉ other|` without materializing the surviving rows — the
-    /// cover/confidence checks of `findRules` only need cardinalities, so
-    /// this is pure index probing.
+    /// `|self ⋉ other|` without materializing the surviving rows — pure
+    /// index probing. `findRules` counts `enoughSupport` (an atom
+    /// against its reduced home vertex) with it; the cover/confidence
+    /// pair of `findHeads` runs through [`crate::BodyCounts`] instead,
+    /// which answers both directions from one count-only aggregate of
+    /// the body join.
     ///
     /// The probe direction follows the cached-index state so a count
     /// never builds an index that won't pay for itself: with both sides
     /// cached it is group-vs-group probing; with only `other`'s cached,
     /// `self`'s rows probe it directly; with only `self`'s cached, a
     /// *small* `other` marks hit groups row-by-row while a large one is
-    /// worth indexing (the build is cached, and the engine re-counts
-    /// the same large operand against many small ones).
+    /// worth indexing (the build is cached, so re-counting the same
+    /// large operand against many small ones pays it once).
     pub fn semijoin_count(&self, other: &Bindings) -> usize {
         if baseline_mode() {
             return baseline::semijoin(self, other).len();

@@ -13,12 +13,15 @@
 //! * [`relation`] / [`database`] — set-semantics relations and databases;
 //! * [`algebra`] — `Bindings`, a relation over
 //!   variables, with join/semijoin/projection kernels;
+//! * [`body_counts`] — the `findHeads` count op: cover and confidence
+//!   numerators of many heads against one body join;
 //! * [`frac`] — exact rational arithmetic for index values and thresholds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algebra;
+pub mod body_counts;
 pub mod database;
 pub mod frac;
 pub mod hashjoin;
@@ -28,6 +31,7 @@ pub mod textio;
 pub mod value;
 
 pub use algebra::{baseline_mode, distinct_vars, set_baseline_mode, Bindings, Term, VarId};
+pub use body_counts::{BodyCounts, HeadCounts};
 pub use database::{Database, RelId};
 pub use frac::Frac;
 pub use hashjoin::BitSet;

@@ -10,15 +10,18 @@
 //! additionally pin the column-major layout's costs: transposition is
 //! O(arity) allocations, batched multi-column hashing reuses one
 //! scratch buffer, and the fused/reverse semijoins return
-//! storage-sharing clones when nothing is filtered. A final phase pins
-//! the observability contract: with tracing forced off, `span!` sites
-//! and metric-handle updates allocate nothing at all, and a zero scrape
-//! cadence keeps the flight recorder's scraper thread unspawned.
+//! storage-sharing clones when nothing is filtered. The head-count phase
+//! pins `findHeads`' count op: counting K heads against one body of N
+//! rows allocates a bounded number of times, independent of N and K. A
+//! final phase pins the observability contract: with tracing forced
+//! off, `span!` sites and metric-handle updates allocate nothing at all,
+//! and a zero scrape cadence keeps the flight recorder's scraper thread
+//! unspawned.
 //!
 //! All phases live in one `#[test]` because the allocation counter is
 //! global to the process and the test harness runs tests concurrently.
 
-use mq_relation::{ints, Bindings, Tuple, VarId};
+use mq_relation::{ints, Bindings, BodyCounts, Tuple, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -183,6 +186,61 @@ fn probe_phases_allocate_constant_not_per_row() {
     assert!(
         spent < BUDGET,
         "semijoin_all allocated {spent} times for {N} rows"
+    );
+
+    // ── Head-count phase ────────────────────────────────────────────
+    // `findHeads` counts every head against one body with one
+    // `BodyCounts`: one count-only aggregate per shared key (`[V0,V1]`
+    // and `[V1,V0]` heads share it) plus scratch reused across heads.
+    // With the heads' cached indexes primed, a sweep's allocations are a
+    // constant — the same for 4 heads over N/4 rows as for 64 heads over
+    // N rows. Half the heads have at most N/2 keys (they probe the
+    // aggregate); the rest have 2N keys (the body streams against them).
+    let head_sweep = |n: i64, k: usize| -> usize {
+        let body = Bindings::from_parts(
+            vec![v(0), v(1), v(2)],
+            (0..n).map(|i| ints(&[i % (n / 2), i, -i])).collect(),
+        );
+        let heads: Vec<Bindings> = (0..k)
+            .map(|j| {
+                let vars = if j % 4 < 2 {
+                    vec![v(0), v(1)]
+                } else {
+                    vec![v(1), v(0)]
+                };
+                let len = if j % 2 == 0 { n / 2 } else { 2 * n };
+                Bindings::from_parts(vars, (0..len).map(|i| ints(&[i, i])).collect())
+            })
+            .collect();
+        let expect: Vec<(usize, usize)> = heads
+            .iter()
+            .map(|h| (h.semijoin_count(&body), body.semijoin_count(h)))
+            .collect();
+        let mut prime = BodyCounts::new(&body);
+        for h in &heads {
+            prime.counts(h);
+        }
+        let mut got: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let before = allocations();
+        let mut counts = BodyCounts::new(&body);
+        for h in &heads {
+            let c = counts.counts(h);
+            got.push((c.head_hits, c.body_hits));
+        }
+        drop(counts);
+        let spent = allocations() - before;
+        assert_eq!(got, expect, "head counts at N={n}, K={k}");
+        spent
+    };
+    let small = head_sweep(N / 4, 4);
+    let large = head_sweep(N, 64);
+    assert!(
+        large < 32,
+        "counting 64 heads against {N} body rows allocated {large} times"
+    );
+    assert_eq!(
+        small, large,
+        "head-count allocations grew with the body rows or the head count"
     );
 
     // ── Disabled-instrumentation phase ──────────────────────────────

@@ -12,7 +12,7 @@
 use metaquery::cq::{is_fully_reduced, FullReducer, JoinTree};
 use metaquery::prelude::*;
 use mq_relation::algebra::baseline;
-use mq_relation::{ints, Bindings, Term, VarId};
+use mq_relation::{ints, Bindings, BodyCounts, Term, VarId};
 use proptest::prelude::*;
 
 fn relation_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -98,6 +98,50 @@ proptest! {
         let anti = a.antijoin(&b).sorted();
         let anti_base = baseline::antijoin(&a, &b).sorted();
         prop_assert_eq!(anti.to_rows(), anti_base.to_rows());
+    }
+
+    /// The findHeads head-count op ≡ the two oracle semijoins,
+    /// `(|h ⋉ b|, |b ⋉ h|)`, for every head of one `findHeads` call
+    /// counted against one `BodyCounts`: `[X,Z]` and `[Z,X]` heads (one
+    /// shared aggregate), a head padded with a variable absent from `b`
+    /// (the type-2 shape), a repeated-variable head, and heads sharing
+    /// no variable with `b` — against the body join in its natural and
+    /// a permuted column order, and against an empty body.
+    #[test]
+    fn head_counts_match_baseline_semijoins(
+        p in relation_strategy(),
+        q in relation_strategy(),
+        h in relation_strategy(),
+        permuted in proptest::bool::ANY,
+    ) {
+        let db = build_db(&p, &q, &h);
+        let (x, y, z, pad, other) = (v(0), v(1), v(2), v(8), v(9));
+        let body = Bindings::from_atom(db.rel("p"), &[Term::Var(x), Term::Var(y)])
+            .join(&Bindings::from_atom(db.rel("q"), &[Term::Var(y), Term::Var(z)]));
+        let body = if permuted { body.project(&[y, z, x]) } else { body };
+        let head = |a: VarId, b: VarId| Bindings::from_atom(db.rel("h"), &[Term::Var(a), Term::Var(b)]);
+        let heads = [
+            head(x, z),
+            head(z, x),
+            head(x, pad),
+            head(y, y),
+            head(pad, other),
+            Bindings::empty(vec![pad, other]),
+        ];
+        for b in [body.clone(), Bindings::empty(body.vars().to_vec())] {
+            let mut counts = BodyCounts::new(&b);
+            for hd in &heads {
+                let got = counts.counts(hd);
+                prop_assert_eq!(
+                    (got.head_hits, got.body_hits),
+                    (baseline::semijoin(hd, &b).len(), baseline::semijoin(&b, hd).len()),
+                    "head over {:?} against body over {:?} ({} rows)",
+                    hd.vars(),
+                    b.vars(),
+                    b.len()
+                );
+            }
+        }
     }
 
     /// Optimized project/count_distinct ≡ baseline.
@@ -291,6 +335,44 @@ proptest! {
         let planned = find_rules(&db, &mq, InstType::Zero, th).unwrap();
         let reference = naive_find_all(&db, &mq, InstType::Zero, th).unwrap();
         prop_assert_eq!(planned, reference);
+    }
+}
+
+/// Both sides of the head-count op's size rule give the oracle's
+/// counts: a head with no more key groups than the body has rows probes
+/// the body's aggregate group by group (one probe per head group), and a
+/// head with more groups than the body has rows streams the body's rows
+/// against the head's index (one probe per body row).
+#[test]
+fn head_counts_take_both_directions() {
+    let (x, y) = (v(0), v(1));
+    let rows = |pairs: &[(i64, i64)]| pairs.iter().map(|&(a, b)| ints(&[a, b])).collect();
+    // 6 body rows over 3 keys of X; the head has 3 keys of X.
+    let body = Bindings::from_parts(
+        vec![x, y],
+        rows(&[(1, 0), (1, 1), (2, 0), (3, 0), (3, 1), (3, 2)]),
+    );
+    let small_head = Bindings::from_parts(vec![v(5), x], rows(&[(0, 1), (1, 1), (0, 3), (0, 9)]));
+    // One body row; the head has 4 keys of X.
+    let small_body = Bindings::from_parts(vec![x, y], rows(&[(3, 7)]));
+    let big_head =
+        Bindings::from_parts(vec![x], [1, 3, 4, 5].iter().map(|&a| ints(&[a])).collect());
+    for (b, hd, probes) in [(&body, &small_head, 3), (&small_body, &big_head, 1)] {
+        let got = BodyCounts::new(b).counts(hd);
+        assert_eq!(
+            (got.head_hits, got.body_hits),
+            (
+                baseline::semijoin(hd, b).len(),
+                baseline::semijoin(b, hd).len()
+            )
+        );
+        assert_eq!(
+            got.probes,
+            probes,
+            "head over {:?}, body of {} rows",
+            hd.vars(),
+            b.len()
+        );
     }
 }
 
