@@ -44,8 +44,9 @@
 //! runs one detailed-profile search and writes the top plan nodes by
 //! self wall time (id, rendered label, execs, memo hits, row traffic);
 //! `head_count_phase` runs detailed-profile searches of the largest fig4
-//! chain on one thread and reports the `findHeads` head-count op's time,
-//! calls and key probes per search and its share of the search;
+//! chain on one thread and reports the `findHeads` head-count op's time
+//! (head-table build plus per-body counting), calls (bodies counted) and
+//! body rows streamed per search and its share of the search;
 //! `trace_overhead` times that fig4 search with tracing forced off and
 //! on in paired batches of at least 50 ms (median-of-differences
 //! estimator), failing if the slowdown exceeds
@@ -552,7 +553,7 @@ struct HeadCountReport {
     phase_ns: u64,
     /// Head-count op calls per search.
     calls: u64,
-    /// Keys probed per search.
+    /// Body rows streamed per search.
     rows: u64,
     /// Head-count time over search wall time, summed over the searches.
     share: f64,
@@ -561,7 +562,8 @@ struct HeadCountReport {
 /// The `findHeads` head-count op pinned to a layer: detailed-profile
 /// searches of the largest fig4 chain, each on a fresh memo service and
 /// on one thread (so the phase and the search share one clock), report
-/// the op's wall time, calls and key probes per search and its share of
+/// the op's wall time (head-table build plus per-body counting), calls
+/// (bodies counted) and body rows streamed per search and its share of
 /// the search wall time.
 fn bench_head_count_phase() -> Option<HeadCountReport> {
     const NAME: &str = "head_count_phase";
@@ -609,7 +611,7 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
     let (search_ns, phase_ns) = (walls[searches / 2], phases[searches / 2]);
     eprintln!(
         "{NAME}: {WORKLOAD} — head counts {:.3} ms of a {:.3} ms search ({:.1}%), \
-         {calls} calls, {rows} keys probed per search",
+         {calls} calls, {rows} body rows streamed per search",
         phase_ns as f64 / 1e6,
         search_ns as f64 / 1e6,
         share * 100.0
@@ -1296,7 +1298,7 @@ fn main() {
     if let Some(h) = &head_counts {
         json.push_str(&format!(
             "  \"head_count_phase\": {{\"workload\": \"{}\", \"searches\": {}, \
-             \"search_ns\": {}, \"head_count_ns\": {}, \"calls\": {}, \"rows_probed\": {}, \
+             \"search_ns\": {}, \"head_count_ns\": {}, \"calls\": {}, \"rows_streamed\": {}, \
              \"share\": {:.4}}},\n",
             h.workload, h.searches, h.search_ns, h.phase_ns, h.calls, h.rows, h.share
         ));

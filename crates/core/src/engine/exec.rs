@@ -23,8 +23,9 @@
 //!
 //! Count-only work runs here too: [`Executor::exec_count`] interprets
 //! [`CountPlan`]s (support counts), and [`Executor::exec_head_counts`]
-//! is `findHeads`' head-count op — cover and confidence of one head in
-//! one call, against a per-body aggregate owned by the caller.
+//! is `findHeads`' head-count op — cover and confidence of every head in
+//! one pass over a body join, against the search's [`HeadTable`]
+//! ([`Executor::build_head_table`]).
 //!
 //! In baseline mode ([`mq_relation::baseline_mode`]) the executor
 //! reproduces the pre-optimization engine faithfully: atoms re-evaluated
@@ -35,7 +36,7 @@ use crate::plan::{
     build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanNodeId, PlanOp,
 };
 use mq_obs::profile::{NodeStat, PhaseStat, SearchProfile};
-use mq_relation::{Bindings, BodyCounts, Database, HeadCounts, VarId};
+use mq_relation::{Bindings, Database, HeadScratch, HeadTable, VarId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -270,27 +271,46 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The `findHeads` head-count op: `(|h ⋉ b|, |b ⋉ h|)` for head `h`
-    /// against the body join behind `body`, which carries the count-only
-    /// aggregates of `b` for the whole `findHeads` call (see
-    /// [`mq_relation::body_counts`]). Under a detailed profile the op's
-    /// wall time, calls and key probes accumulate worker-locally;
-    /// otherwise the cost is this one branch.
+    /// Evaluate every head atom (memoized) and merge them, in order,
+    /// into one [`HeadTable`] keyed by the variables they share with
+    /// `body_vars`. Under a detailed profile the build's wall time joins
+    /// the head-count phase.
+    pub(crate) fn build_head_table(
+        &mut self,
+        heads: impl Iterator<Item = AtomKey>,
+        body_vars: &[VarId],
+    ) -> HeadTable {
+        let t0 = self.clock();
+        let atoms: Vec<Arc<Bindings>> = heads.map(|key| self.eval_atom(key)).collect();
+        let refs: Vec<&Bindings> = atoms.iter().map(|a| &**a).collect();
+        let table = HeadTable::build(&refs, body_vars);
+        if self.detailed {
+            self.head_counts.wall_ns += self.clock().saturating_sub(t0);
+        }
+        table
+    }
+
+    /// The `findHeads` head-count op: stream the body join `b` once
+    /// against `table`, leaving `(|h ⋉ b|, |b ⋉ h|)` for every head in
+    /// `scratch` (see [`mq_relation::head_table`]). Under a detailed
+    /// profile the op's wall time, calls (bodies) and body rows streamed
+    /// accumulate worker-locally; otherwise the cost is this one branch.
     pub(crate) fn exec_head_counts(
         &mut self,
-        h: &Bindings,
-        body: &mut BodyCounts<'_>,
-    ) -> HeadCounts {
+        table: &HeadTable,
+        b: &Bindings,
+        scratch: &mut HeadScratch,
+    ) {
         if !self.detailed {
-            return body.counts(h);
+            table.count(b, scratch);
+            return;
         }
         let t0 = mq_obs::trace::now_ns();
-        let out = body.counts(h);
+        let streamed = table.count(b, scratch);
         let phase = &mut self.head_counts;
         phase.wall_ns += mq_obs::trace::now_ns().saturating_sub(t0);
         phase.calls += 1;
-        phase.rows += out.probes as u64;
-        out
+        phase.rows += streamed as u64;
     }
 }
 

@@ -15,13 +15,14 @@
 //! 3. **findHeads** — the body join `b = J(σb(body(MQ)))` is assembled
 //!    from the reduced relations; every head instantiation `σh` that
 //!    agrees with `σb` is checked with two semijoin counts,
-//!    `cvr = |h ⋉ b| / |h|` and `cnf = |b ⋉ h| / |b|`, answered by one
-//!    head-count op ([`mq_relation::BodyCounts`]): per `findHeads` call,
-//!    `b` gets a count-only aggregate (distinct key → multiplicity) at
-//!    most once per shared key, sorted by variable, and each head's
-//!    cached index probes it group by group — or, when `b` has fewer
-//!    rows than the head has keys, `b`'s rows stream once against the
-//!    head's index. `b` itself is never indexed.
+//!    `cvr = |h ⋉ b| / |h|` and `cnf = |b ⋉ h| / |b|`. The heads are the
+//!    same atoms for every body, so the first `findHeads` of a search
+//!    merges all of them into one [`mq_relation::HeadTable`] (distinct
+//!    shared key, sorted by variable → the heads holding it and their
+//!    rows with it), shared by every worker. Each body then costs one
+//!    head-count op: `b`'s rows stream once against the table behind a
+//!    key filter, yielding cover and confidence for every head at once.
+//!    `b` itself is never indexed or aggregated.
 //!
 //! The decomposition is computed once: by Proposition 4.9, applying any
 //! instantiation `σ` to the `λ` labels preserves a width-`c`
@@ -56,11 +57,11 @@ use crate::instantiate::{
 };
 use crate::plan::{AtomKey, CountPlan};
 use mq_cq::hypertree::{hypertree_width_of_sets, Hypertree};
-use mq_relation::{Bindings, BodyCounts, Database, Frac, RelId, Term, VarId};
+use mq_relation::{Bindings, Database, Frac, HeadScratch, HeadTable, RelId, Term, VarId};
 use std::collections::{BTreeSet, HashMap};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Find all type-`ty` instantiations whose indices clear `thresholds`,
@@ -308,6 +309,9 @@ pub(crate) struct Setup<'a> {
     neg_pattern: Vec<Option<usize>>,
     /// Per global pattern: candidate relation -> slot maps.
     pub(crate) candidates: Vec<HashMap<RelId, Vec<Vec<Option<usize>>>>>,
+    /// Per global pattern: its candidate relations, sorted (the
+    /// enumeration order).
+    cand_rels: Vec<Vec<RelId>>,
     /// Per global pattern: pre-allocated fresh padding variables, one per
     /// relation position (type-2); index j pads position j.
     fresh_slots: Vec<Vec<VarId>>,
@@ -316,6 +320,17 @@ pub(crate) struct Setup<'a> {
     /// Body patterns in the order `find_bodies` first assigns them —
     /// the scheduler's split axis.
     pub(crate) enum_order: Vec<usize>,
+    /// Every head instantiation, in `findHeads` enumeration order:
+    /// relations sorted, then slot maps in candidate order (the fixed
+    /// head is one entry).
+    heads: Vec<HeadCandidate>,
+    /// Every variable a body join can bind: the body schemes' arguments
+    /// and the body patterns' padding. A head's key is its variables
+    /// found here.
+    body_vars: Vec<VarId>,
+    /// All heads merged into one count table, built by the first
+    /// `findHeads` of the search and shared by every worker.
+    head_table: OnceLock<HeadTable>,
     /// The count-only plan `|inputs[0] ⋉ inputs[1]|` behind
     /// `enoughSupport` (`[atom, s[home]]`) and baseline mode's
     /// cover/confidence semijoins (cvr feeds `[h, b]`, cnf `[b, h]`).
@@ -405,6 +420,14 @@ impl<'a> Setup<'a> {
             .iter()
             .map(|s| pattern_candidates(db, s, ty))
             .collect();
+        let cand_rels: Vec<Vec<RelId>> = candidates
+            .iter()
+            .map(|c| {
+                let mut rels: Vec<RelId> = c.keys().copied().collect();
+                rels.sort();
+                rels
+            })
+            .collect();
         let pattern_pv: Vec<PredVarId> = schemes
             .iter()
             .map(|s| match s.pred {
@@ -419,6 +442,45 @@ impl<'a> Setup<'a> {
             .iter()
             .map(|_| (0..max_arity).map(|_| pool.fresh()).collect())
             .collect();
+
+        let heads: Vec<HeadCandidate> = if head_is_pattern {
+            let args = &mq.head.args;
+            cand_rels[0]
+                .iter()
+                .flat_map(|&rel| candidates[0][&rel].iter().map(move |slots| (rel, slots)))
+                .map(|(rel, slots)| HeadCandidate {
+                    rel,
+                    terms: slots
+                        .iter()
+                        .enumerate()
+                        .map(|(j, slot)| match slot {
+                            Some(i) => Term::Var(args[*i]),
+                            None => Term::Var(fresh_slots[0][j]),
+                        })
+                        .collect(),
+                    slots: slots.clone(),
+                })
+                .collect()
+        } else {
+            let Pred::Rel(name) = &mq.head.pred else {
+                unreachable!("a fixed head names its relation")
+            };
+            vec![HeadCandidate {
+                rel: db.rel_id(name).expect("checked by `validate`"),
+                terms: mq.head.args.iter().map(|&v| Term::Var(v)).collect(),
+                slots: (0..mq.head.args.len()).map(Some).collect(),
+            }]
+        };
+        let mut body_vars: Vec<VarId> = mq
+            .body
+            .iter()
+            .flat_map(|l| l.args.iter().copied())
+            .collect();
+        for pidx in body_pattern.iter().flatten() {
+            body_vars.extend_from_slice(&fresh_slots[*pidx]);
+        }
+        body_vars.sort_unstable();
+        body_vars.dedup();
 
         // The order `find_bodies` first assigns body patterns: postorder
         // vertices, each vertex's λ patterns in label order, first
@@ -455,9 +517,13 @@ impl<'a> Setup<'a> {
             body_pattern,
             neg_pattern,
             candidates,
+            cand_rels,
             fresh_slots,
             pattern_pv,
             enum_order,
+            heads,
+            body_vars,
+            head_table: OnceLock::new(),
             semijoin_count_plan: CountPlan::semijoin_count(0, 1),
             shared_memos: match external_memos {
                 Some(memos) if !mq_relation::baseline_mode() => memos,
@@ -474,7 +540,39 @@ impl<'a> Setup<'a> {
 /// relation, slot map.
 pub(crate) type PrefixAssign = (usize, RelId, Vec<Option<usize>>);
 
+/// One head instantiation: relation, slot map, instantiated terms.
+struct HeadCandidate {
+    rel: RelId,
+    slots: Vec<Option<usize>>,
+    terms: Vec<Term>,
+}
+
 impl Setup<'_> {
+    /// The relations pattern `pidx` may take, in enumeration order: all
+    /// its candidates, or just `locked` (if a candidate) when another
+    /// pattern already pinned its predicate variable.
+    fn rels(&self, pidx: usize, locked: Option<RelId>) -> &[RelId] {
+        let rels = &self.cand_rels[pidx];
+        match locked.map(|r| rels.binary_search(&r)) {
+            None => rels,
+            Some(Ok(i)) => &rels[i..=i],
+            Some(Err(_)) => &[],
+        }
+    }
+
+    /// The heads `findHeads` checks when the head's predicate variable
+    /// is pinned to `locked` (all of them when `None`): a run of
+    /// [`Setup::heads`], which is sorted by relation.
+    fn head_range(&self, locked: Option<RelId>) -> Range<usize> {
+        match locked {
+            None => 0..self.heads.len(),
+            Some(r) => {
+                self.heads.partition_point(|h| h.rel < r)
+                    ..self.heads.partition_point(|h| h.rel <= r)
+            }
+        }
+    }
+
     /// The deterministic partition of the search space used by the
     /// scheduler: every combination of candidate assignments for the
     /// first `depth` patterns in [`Setup::enum_order`], generated in
@@ -507,16 +605,7 @@ impl Setup<'_> {
         }
         let pidx = pats[k];
         let pv = self.pattern_pv[pidx];
-        let rels: Vec<RelId> = match locked.get(&pv).map(|&(r, _)| r) {
-            Some(r) if self.candidates[pidx].contains_key(&r) => vec![r],
-            Some(_) => Vec::new(),
-            None => {
-                let mut rels: Vec<RelId> = self.candidates[pidx].keys().copied().collect();
-                rels.sort();
-                rels
-            }
-        };
-        for rel in rels {
+        for &rel in self.rels(pidx, locked.get(&pv).map(|&(r, _)| r)) {
             locked
                 .entry(pv)
                 .and_modify(|e| e.1 += 1)
@@ -550,6 +639,9 @@ pub(crate) struct Engine<'a, 'b, F> {
     pv_rel: HashMap<PredVarId, (RelId, usize)>,
     /// Per postorder position: the reduced node relation `r[i]`.
     r: Vec<Option<Bindings>>,
+    /// The head-count op's buffers, reused across bodies; holds the
+    /// last body's counts per head.
+    head_scratch: HeadScratch,
     /// Deadline poll counter: the clock is read every 64th poll (and
     /// never when the setup has no deadline).
     ticks: u32,
@@ -570,6 +662,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             assign: vec![None; n_patterns],
             pv_rel: HashMap::new(),
             r: vec![None; n_pos],
+            head_scratch: HeadScratch::new(),
             ticks: 0,
         }
     }
@@ -701,18 +794,19 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         if self.over_deadline() {
             return ControlFlow::Break(());
         }
-        if i == self.setup.post.len() {
+        let setup = self.setup;
+        if i == setup.post.len() {
             return self.second_half_and_heads();
         }
-        let node = self.setup.post[i];
+        let node = setup.post[i];
         // Patterns of λ(p_ν(i)) not yet instantiated.
-        let lambda = self.setup.ht.nodes[node].lambda.clone();
+        let lambda = &setup.ht.nodes[node].lambda;
         let to_assign: Vec<usize> = lambda
             .iter()
-            .filter_map(|&bi| self.setup.body_pattern[bi])
+            .filter_map(|&bi| setup.body_pattern[bi])
             .filter(|&pidx| self.assign[pidx].is_none())
             .collect();
-        self.enum_node(i, node, &lambda, &to_assign, 0)
+        self.enum_node(i, node, lambda, &to_assign, 0)
     }
 
     /// Enumerate assignments for the node's unassigned patterns, then
@@ -754,26 +848,20 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             return flow;
         }
 
+        let setup = self.setup;
         let pidx = to_assign[depth];
-        let pv = self.setup.pattern_pv[pidx];
+        let pv = setup.pattern_pv[pidx];
         let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
-        let rels: Vec<RelId> = match locked {
-            Some(r) if self.setup.candidates[pidx].contains_key(&r) => vec![r],
-            Some(_) => Vec::new(),
-            None => {
-                let mut rels: Vec<RelId> = self.setup.candidates[pidx].keys().copied().collect();
-                rels.sort();
-                rels
-            }
-        };
-        for rel in rels {
+        for &rel in setup.rels(pidx, locked) {
             self.pv_rel
                 .entry(pv)
                 .and_modify(|e| e.1 += 1)
                 .or_insert((rel, 1));
-            let slot_sets = self.setup.candidates[pidx][&rel].clone();
-            for slots in slot_sets {
-                self.assign[pidx] = Some(PatternMap { rel, slots });
+            for slots in &setup.candidates[pidx][&rel] {
+                self.assign[pidx] = Some(PatternMap {
+                    rel,
+                    slots: slots.clone(),
+                });
                 let flow = self.enum_node(i, node, lambda, to_assign, depth + 1);
                 self.assign[pidx] = None;
                 if flow.is_break() {
@@ -1023,23 +1111,16 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             Some(pidx) => {
                 let pv = setup.pattern_pv[pidx];
                 let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
-                let rels: Vec<RelId> = match locked {
-                    Some(r) if setup.candidates[pidx].contains_key(&r) => vec![r],
-                    Some(_) => Vec::new(),
-                    None => {
-                        let mut rels: Vec<RelId> = setup.candidates[pidx].keys().copied().collect();
-                        rels.sort();
-                        rels
-                    }
-                };
-                for rel in rels {
+                for &rel in setup.rels(pidx, locked) {
                     self.pv_rel
                         .entry(pv)
                         .and_modify(|e| e.1 += 1)
                         .or_insert((rel, 1));
-                    let slot_sets = setup.candidates[pidx][&rel].clone();
-                    for slots in slot_sets {
-                        self.assign[pidx] = Some(PatternMap { rel, slots });
+                    for slots in &setup.candidates[pidx][&rel] {
+                        self.assign[pidx] = Some(PatternMap {
+                            rel,
+                            slots: slots.clone(),
+                        });
                         let (nrel, terms) = self.neg_atom_terms(ni);
                         let jn = self.eval_atom(nrel, terms);
                         let filtered = b.antijoin(&jn);
@@ -1068,117 +1149,103 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         mq_relation::distinct_vars(&terms)
     }
 
-    /// The paper's `findHeads(σb)`: enumerate head instantiations agreeing
-    /// with the body instantiation and count cover/confidence for each
-    /// against `b`. The count op's per-key aggregates of `b` live in
-    /// `counts`, built at most once per shared key and dropped on return.
+    /// The paper's `findHeads(σb)`: check every head instantiation
+    /// agreeing with the body instantiation against `b`, in enumeration
+    /// order. One head-count op streams `b` once against the search's
+    /// head table (built by the first call, shared by every worker) and
+    /// yields cover and confidence for every head at once. Baseline mode
+    /// keeps the two oracle semijoins per head, confidence only once
+    /// cover passes.
     fn find_heads(&mut self, b: &Bindings, sup: Frac) -> ControlFlow<()> {
         let setup = self.setup;
-        let counts = &mut BodyCounts::new(b);
-        if !setup.head_is_pattern {
-            let name = match &setup.mq.head.pred {
-                Pred::Rel(n) => n,
-                Pred::Var(_) => unreachable!(),
-            };
-            let rel = setup.db.rel_id(name).expect("checked in setup");
-            let terms: Vec<Term> = setup.mq.head.args.iter().map(|&v| Term::Var(v)).collect();
-            return self.check_head(counts, sup, None, rel, terms);
-        }
-        // Head pattern has global index 0.
-        let pv = setup.pattern_pv[0];
-        let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
-        let rels: Vec<RelId> = match locked {
-            Some(r) if setup.candidates[0].contains_key(&r) => vec![r],
-            Some(_) => Vec::new(),
-            None => {
-                let mut rels: Vec<RelId> = setup.candidates[0].keys().copied().collect();
-                rels.sort();
-                rels
-            }
+        let locked = if setup.head_is_pattern {
+            self.pv_rel.get(&setup.pattern_pv[0]).map(|&(r, _)| r)
+        } else {
+            None
         };
-        for rel in rels {
-            let slot_sets = setup.candidates[0][&rel].clone();
-            for slots in slot_sets {
-                let terms: Vec<Term> = slots
-                    .iter()
-                    .enumerate()
-                    .map(|(j, slot)| match slot {
-                        Some(i) => Term::Var(setup.mq.head.args[*i]),
-                        None => Term::Var(setup.fresh_slots[0][j]),
-                    })
-                    .collect();
-                let map = PatternMap {
-                    rel,
-                    slots: slots.clone(),
-                };
-                if self
-                    .check_head(counts, sup, Some(map), rel, terms)
-                    .is_break()
-                {
+        let heads = setup.head_range(locked);
+        if heads.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        if mq_relation::baseline_mode() {
+            let plan = &setup.semijoin_count_plan;
+            for i in heads {
+                if self.over_deadline() {
                     return ControlFlow::Break(());
                 }
+                let head = &setup.heads[i];
+                let h = self.eval_atom(head.rel, head.terms.clone());
+                let h_hits = self.exec.exec_count(plan, &[&h, b]);
+                self.check_head(b, sup, i, h.len(), h_hits, |exec| {
+                    exec.exec_count(plan, &[b, &h])
+                })?;
             }
+            return ControlFlow::Continue(());
+        }
+        let table = setup.head_table.get_or_init(|| {
+            let keys = setup.heads.iter().map(|h| (h.rel, h.terms.clone()));
+            self.exec.build_head_table(keys, &setup.body_vars)
+        });
+        self.exec.exec_head_counts(table, b, &mut self.head_scratch);
+        for i in heads {
+            if self.over_deadline() {
+                return ControlFlow::Break(());
+            }
+            let counts = self.head_scratch.counts()[i];
+            self.check_head(b, sup, i, table.head_len(i), counts.head_hits, |_| {
+                counts.body_hits
+            })?;
         }
         ControlFlow::Continue(())
     }
 
+    /// Apply the thresholds to head `i` and report it when it passes.
+    /// `cvr = |h ⋉ b| / |h|` from `h_hits`; `cnf = |b ⋉ h| / |b|` from
+    /// `b_hits`, asked only once cover passes (equivalently `b ⋉ h'`:
+    /// every h-row whose key occurs in b is itself in h', so the key sets
+    /// agree).
     fn check_head(
         &mut self,
-        counts: &mut BodyCounts<'_>,
+        b: &Bindings,
         sup: Frac,
-        head_map: Option<PatternMap>,
-        head_rel: RelId,
-        head_terms: Vec<Term>,
+        i: usize,
+        h_len: usize,
+        h_hits: usize,
+        b_hits: impl FnOnce(&Executor<'a>) -> usize,
     ) -> ControlFlow<()> {
-        if self.over_deadline() {
-            return ControlFlow::Break(());
-        }
-        let h = self.eval_atom(head_rel, head_terms);
-        let b = counts.body();
-        // cvr = |h ⋉ b| / |h| and cnf = |b ⋉ h| / |b| (equivalently
-        // b ⋉ h': every h-row whose key occurs in b is itself in h', so
-        // the key sets agree) — pure counts, no rows materialized. One
-        // head-count op answers both, probing `b`'s per-key aggregate with
-        // `h`'s cached index. Baseline mode keeps the two oracle
-        // semijoins, confidence only once cover passes.
-        let both = (!mq_relation::baseline_mode()).then(|| self.exec.exec_head_counts(&h, counts));
-        let count_plan = &self.setup.semijoin_count_plan;
-        let h_hits = both.map_or_else(
-            || self.exec.exec_count(count_plan, &[&h, b]),
-            |c| c.head_hits,
-        );
-        let cvr = Frac::ratio_or_zero(h_hits as u64, h.len() as u64);
-        if let Some(k) = self.setup.thresholds.cvr {
+        let setup = self.setup;
+        let cvr = Frac::ratio_or_zero(h_hits as u64, h_len as u64);
+        if let Some(k) = setup.thresholds.cvr {
             if cvr <= k {
                 return ControlFlow::Continue(());
             }
         }
-        let b_hits = both.map_or_else(
-            || self.exec.exec_count(count_plan, &[b, &h]),
-            |c| c.body_hits,
-        );
-        let cnf = Frac::ratio_or_zero(b_hits as u64, b.len() as u64);
-        if let Some(k) = self.setup.thresholds.cnf {
+        let cnf = Frac::ratio_or_zero(b_hits(&self.exec) as u64, b.len() as u64);
+        if let Some(k) = setup.thresholds.cnf {
             if cnf <= k {
                 return ControlFlow::Continue(());
             }
         }
         let iv = IndexValues { sup, cnf, cvr };
-        if !self.setup.thresholds.accepts(&iv) {
+        if !setup.thresholds.accepts(&iv) {
             return ControlFlow::Continue(());
         }
         // Assemble the full instantiation in rep(MQ) order.
         let mut maps = Vec::new();
-        if let Some(hm) = head_map {
-            maps.push(hm);
+        if setup.head_is_pattern {
+            let head = &setup.heads[i];
+            maps.push(PatternMap {
+                rel: head.rel,
+                slots: head.slots.clone(),
+            });
         }
-        for bi in 0..self.setup.mq.body.len() {
-            if let Some(pidx) = self.setup.body_pattern[bi] {
+        for bi in 0..setup.mq.body.len() {
+            if let Some(pidx) = setup.body_pattern[bi] {
                 maps.push(self.assign[pidx].clone().expect("assigned"));
             }
         }
-        for ni in 0..self.setup.mq.neg_body.len() {
-            if let Some(pidx) = self.setup.neg_pattern[ni] {
+        for ni in 0..setup.mq.neg_body.len() {
+            if let Some(pidx) = setup.neg_pattern[ni] {
                 maps.push(self.assign[pidx].clone().expect("assigned"));
             }
         }

@@ -20,9 +20,9 @@
 //! Count-only evaluations (the `enoughSupport` semijoin counts and the
 //! Yannakakis support counts) are tiny [`CountPlan`]s over input slots,
 //! interpreted by the same executor. The cover/confidence pair of
-//! `findHeads` is the executor's head-count op instead: it counts many
-//! heads against one body join through a per-body aggregate
-//! ([`mq_relation::BodyCounts`]) whose state outlives a single count,
+//! `findHeads` is the executor's head-count op instead: it counts every
+//! head of the search against one body join through the search's
+//! [`mq_relation::HeadTable`], whose state outlives a single count,
 //! which an input-slot plan cannot carry.
 
 use mq_relation::{RelId, Term, VarId};
@@ -349,8 +349,8 @@ pub fn build_node_plan_ordered(
 ///
 /// Cover and confidence are not a `CountOp` in the optimized engine:
 /// `findHeads` answers both with the executor's head-count op
-/// (`Executor::exec_head_counts`), which probes one count-only aggregate
-/// of the body join per shared key ([`mq_relation::BodyCounts`]).
+/// (`Executor::exec_head_counts`), which streams the body join once
+/// against one table of every head ([`mq_relation::HeadTable`]).
 /// Baseline mode still counts them as two [`CountOp::SemijoinCount`]s.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CountOp {

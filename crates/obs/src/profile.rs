@@ -16,8 +16,9 @@
 //!
 //! Detailed profiles also keep one engine phase outside the plan DAG:
 //! the `findHeads` head-count op (cover and confidence numerators of
-//! every head against the body join), as wall time, calls and key
-//! probes in a [`PhaseStat`] merged once per worker
+//! every head against each body join), as wall time (the search's
+//! head-table build plus per-body counting), calls (bodies counted) and
+//! body rows streamed in a [`PhaseStat`] merged once per worker
 //! ([`SearchProfile::merge_head_counts`]).
 //!
 //! Wall time per node is **self time**: the clock runs only around a
@@ -60,7 +61,7 @@ pub struct PhaseStat {
     pub wall_ns: u64,
     /// Times the phase's op ran.
     pub calls: u64,
-    /// Rows (or keys) the op probed.
+    /// Rows the op streamed.
     pub rows: u64,
 }
 

@@ -221,7 +221,7 @@ impl Bindings {
     }
 
     /// Get (or build once and cache) the group index over `cols`.
-    pub(crate) fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
+    fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
         self.indexes
             .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
     }
@@ -230,7 +230,7 @@ impl Bindings {
     /// the cost-only probe-direction choices ([`Bindings::semijoin_count`])
     /// peek here to avoid indexing an operand that will never be probed
     /// again. (`findHeads`' cover/confidence counts go further and never
-    /// index the body join at all: see [`crate::body_counts`].)
+    /// index the body join at all: see [`crate::head_table`].)
     fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
         self.indexes.get(cols)
     }
@@ -959,8 +959,8 @@ impl Bindings {
     /// `|self ⋉ other|` without materializing the surviving rows — pure
     /// index probing. `findRules` counts `enoughSupport` (an atom
     /// against its reduced home vertex) with it; the cover/confidence
-    /// pair of `findHeads` runs through [`crate::BodyCounts`] instead,
-    /// which answers both directions from one count-only aggregate of
+    /// pair of `findHeads` runs through [`crate::HeadTable`] instead,
+    /// which answers both directions for every head from one pass over
     /// the body join.
     ///
     /// The probe direction follows the cached-index state so a count

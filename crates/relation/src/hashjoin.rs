@@ -131,6 +131,13 @@ impl RawTable {
         }
     }
 
+    /// A table ready to hold up to `capacity` entries at load ≤ 0.5, for
+    /// tables built once and probed mostly by misses: a linear-probe
+    /// miss walks about 2.5 slots here instead of about 8 at load 0.75.
+    pub fn sparse(capacity: usize) -> Self {
+        RawTable::with_capacity(capacity.max(1) * 3 / 2)
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.len

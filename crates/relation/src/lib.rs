@@ -13,28 +13,28 @@
 //! * [`relation`] / [`database`] — set-semantics relations and databases;
 //! * [`algebra`] — `Bindings`, a relation over
 //!   variables, with join/semijoin/projection kernels;
-//! * [`body_counts`] — the `findHeads` count op: cover and confidence
-//!   numerators of many heads against one body join;
+//! * [`head_table`] — the `findHeads` count op: every head of a search
+//!   merged into one table, counted against each body join in one pass;
 //! * [`frac`] — exact rational arithmetic for index values and thresholds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algebra;
-pub mod body_counts;
 pub mod database;
 pub mod frac;
 pub mod hashjoin;
+pub mod head_table;
 pub mod relation;
 pub mod symbol;
 pub mod textio;
 pub mod value;
 
 pub use algebra::{baseline_mode, distinct_vars, set_baseline_mode, Bindings, Term, VarId};
-pub use body_counts::{BodyCounts, HeadCounts};
 pub use database::{Database, RelId};
 pub use frac::Frac;
 pub use hashjoin::BitSet;
+pub use head_table::{HeadCounts, HeadScratch, HeadTable};
 pub use relation::Relation;
 pub use symbol::{Symbol, SymbolTable};
 pub use textio::{parse_database, render_database, TextError};

@@ -11,8 +11,9 @@
 //! O(arity) allocations, batched multi-column hashing reuses one
 //! scratch buffer, and the fused/reverse semijoins return
 //! storage-sharing clones when nothing is filtered. The head-count phase
-//! pins `findHeads`' count op: counting K heads against one body of N
-//! rows allocates a bounded number of times, independent of N and K. A
+//! pins `findHeads`' count op: with the head table built and the scratch
+//! primed, counting one body of N rows against K heads allocates a
+//! constant number of times, independent of N and K. A
 //! final phase pins the observability contract: with tracing forced
 //! off, `span!` sites and metric-handle updates allocate nothing at all,
 //! and a zero scrape cadence keeps the flight recorder's scraper thread
@@ -21,7 +22,7 @@
 //! All phases live in one `#[test]` because the allocation counter is
 //! global to the process and the test harness runs tests concurrently.
 
-use mq_relation::{ints, Bindings, BodyCounts, Tuple, VarId};
+use mq_relation::{ints, Bindings, HeadScratch, HeadTable, Tuple, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -189,13 +190,12 @@ fn probe_phases_allocate_constant_not_per_row() {
     );
 
     // ── Head-count phase ────────────────────────────────────────────
-    // `findHeads` counts every head against one body with one
-    // `BodyCounts`: one count-only aggregate per shared key (`[V0,V1]`
-    // and `[V1,V0]` heads share it) plus scratch reused across heads.
-    // With the heads' cached indexes primed, a sweep's allocations are a
-    // constant — the same for 4 heads over N/4 rows as for 64 heads over
-    // N rows. Half the heads have at most N/2 keys (they probe the
-    // aggregate); the rest have 2N keys (the body streams against them).
+    // `findHeads` merges every head into one table per search, then
+    // streams each body once against it with buffers reused across
+    // bodies. With the table built and the scratch primed, counting the
+    // body allocates a constant — the same for 4 heads over
+    // N/4 rows as for 64 heads over N rows. The heads use both column
+    // orders of one key (`[V0,V1]` and `[V1,V0]`); half hit the body.
     let head_sweep = |n: i64, k: usize| -> usize {
         let body = Bindings::from_parts(
             vec![v(0), v(1), v(2)],
@@ -216,19 +216,18 @@ fn probe_phases_allocate_constant_not_per_row() {
             .iter()
             .map(|h| (h.semijoin_count(&body), body.semijoin_count(h)))
             .collect();
-        let mut prime = BodyCounts::new(&body);
-        for h in &heads {
-            prime.counts(h);
-        }
-        let mut got: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let refs: Vec<&Bindings> = heads.iter().collect();
+        let table = HeadTable::build(&refs, &[v(0), v(1), v(2)]);
+        let mut scratch = HeadScratch::new();
+        table.count(&body, &mut scratch);
         let before = allocations();
-        let mut counts = BodyCounts::new(&body);
-        for h in &heads {
-            let c = counts.counts(h);
-            got.push((c.head_hits, c.body_hits));
-        }
-        drop(counts);
+        table.count(&body, &mut scratch);
         let spent = allocations() - before;
+        let got: Vec<(usize, usize)> = scratch
+            .counts()
+            .iter()
+            .map(|c| (c.head_hits, c.body_hits))
+            .collect();
         assert_eq!(got, expect, "head counts at N={n}, K={k}");
         spent
     };

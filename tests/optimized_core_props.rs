@@ -12,7 +12,7 @@
 use metaquery::cq::{is_fully_reduced, FullReducer, JoinTree};
 use metaquery::prelude::*;
 use mq_relation::algebra::baseline;
-use mq_relation::{ints, Bindings, BodyCounts, Term, VarId};
+use mq_relation::{ints, Bindings, HeadScratch, HeadTable, Term, VarId};
 use proptest::prelude::*;
 
 fn relation_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -38,6 +38,63 @@ fn build_db(p: &[(i64, i64)], q: &[(i64, i64)], h: &[(i64, i64)]) -> Database {
 
 fn v(i: u32) -> VarId {
     VarId(i)
+}
+
+/// The head table of `heads` against bodies over `X`, `Y`, `Z`
+/// (`v(0..3)`).
+fn head_table(heads: &[Bindings]) -> HeadTable {
+    let refs: Vec<&Bindings> = heads.iter().collect();
+    HeadTable::build(&refs, &[v(0), v(1), v(2)])
+}
+
+/// `p(X,Y) ⋈ q(Y,Z)` in its natural column order, permuted to
+/// `[Y,Z,X]`, and empty.
+fn bodies(db: &Database) -> [Bindings; 3] {
+    let (x, y, z) = (v(0), v(1), v(2));
+    let body = Bindings::from_atom(db.rel("p"), &[Term::Var(x), Term::Var(y)]).join(
+        &Bindings::from_atom(db.rel("q"), &[Term::Var(y), Term::Var(z)]),
+    );
+    let permuted = body.project(&[y, z, x]);
+    let empty = Bindings::empty(body.vars().to_vec());
+    [body, permuted, empty]
+}
+
+/// Every head's table counts against every body equal the oracle
+/// semijoins, and each body is streamed once per key holding a row.
+fn check_head_table(table: &HeadTable, heads: &[Bindings], bodies: &[Bindings]) {
+    let mut scratch = HeadScratch::new();
+    for b in bodies {
+        let streamed = table.count(b, &mut scratch);
+        let keys_with_rows: std::collections::BTreeSet<Vec<VarId>> = heads
+            .iter()
+            .filter(|h| !h.is_empty())
+            .map(|h| {
+                let mut key: Vec<VarId> = h
+                    .vars()
+                    .iter()
+                    .copied()
+                    .filter(|&u| b.position(u).is_some())
+                    .collect();
+                key.sort_unstable();
+                key
+            })
+            .filter(|key| !key.is_empty())
+            .collect();
+        assert_eq!(streamed, b.len() * keys_with_rows.len());
+        for (hd, got) in heads.iter().zip(scratch.counts()) {
+            assert_eq!(
+                (got.head_hits, got.body_hits),
+                (
+                    baseline::semijoin(hd, b).len(),
+                    baseline::semijoin(b, hd).len()
+                ),
+                "head over {:?} against body over {:?} ({} rows)",
+                hd.vars(),
+                b.vars(),
+                b.len()
+            );
+        }
+    }
 }
 
 /// Sorted row multiset projected onto `vars` — the order-insensitive,
@@ -100,25 +157,21 @@ proptest! {
         prop_assert_eq!(anti.to_rows(), anti_base.to_rows());
     }
 
-    /// The findHeads head-count op ≡ the two oracle semijoins,
-    /// `(|h ⋉ b|, |b ⋉ h|)`, for every head of one `findHeads` call
-    /// counted against one `BodyCounts`: `[X,Z]` and `[Z,X]` heads (one
-    /// shared aggregate), a head padded with a variable absent from `b`
-    /// (the type-2 shape), a repeated-variable head, and heads sharing
-    /// no variable with `b` — against the body join in its natural and
-    /// a permuted column order, and against an empty body.
+    /// The findHeads head table ≡ the two oracle semijoins,
+    /// `(|h ⋉ b|, |b ⋉ h|)`, for every head merged into one table:
+    /// `[X,Z]` and `[Z,X]` heads (one shared key), a head padded with a
+    /// variable absent from the bodies (the type-2 shape), a
+    /// repeated-variable head, and heads sharing no variable with the
+    /// bodies — against the body join in its natural and a permuted
+    /// column order, and against an empty body.
     #[test]
     fn head_counts_match_baseline_semijoins(
         p in relation_strategy(),
         q in relation_strategy(),
         h in relation_strategy(),
-        permuted in proptest::bool::ANY,
     ) {
         let db = build_db(&p, &q, &h);
         let (x, y, z, pad, other) = (v(0), v(1), v(2), v(8), v(9));
-        let body = Bindings::from_atom(db.rel("p"), &[Term::Var(x), Term::Var(y)])
-            .join(&Bindings::from_atom(db.rel("q"), &[Term::Var(y), Term::Var(z)]));
-        let body = if permuted { body.project(&[y, z, x]) } else { body };
         let head = |a: VarId, b: VarId| Bindings::from_atom(db.rel("h"), &[Term::Var(a), Term::Var(b)]);
         let heads = [
             head(x, z),
@@ -128,19 +181,50 @@ proptest! {
             head(pad, other),
             Bindings::empty(vec![pad, other]),
         ];
-        for b in [body.clone(), Bindings::empty(body.vars().to_vec())] {
-            let mut counts = BodyCounts::new(&b);
-            for hd in &heads {
-                let got = counts.counts(hd);
-                prop_assert_eq!(
-                    (got.head_hits, got.body_hits),
-                    (baseline::semijoin(hd, &b).len(), baseline::semijoin(&b, hd).len()),
-                    "head over {:?} against body over {:?} ({} rows)",
-                    hd.vars(),
-                    b.vars(),
-                    b.len()
-                );
-            }
+        let table = head_table(&heads);
+        let keys: Vec<Vec<VarId>> = table.keys().map(<[VarId]>::to_vec).collect();
+        prop_assert_eq!(keys, vec![vec![x, z], vec![x], vec![y]]);
+        check_head_table(&table, &heads, &bodies(&db));
+    }
+
+    /// Heads with two different keys get two tables, and each body is
+    /// streamed once per key.
+    #[test]
+    fn head_counts_with_two_keys(
+        p in relation_strategy(),
+        q in relation_strategy(),
+        h in relation_strategy(),
+    ) {
+        let db = build_db(&p, &q, &h);
+        let (x, y, z) = (v(0), v(1), v(2));
+        let head = |a: VarId, b: VarId| Bindings::from_atom(db.rel("h"), &[Term::Var(a), Term::Var(b)]);
+        let heads = [head(x, z), head(y, x), head(z, x)];
+        let table = head_table(&heads);
+        let keys: Vec<Vec<VarId>> = table.keys().map(<[VarId]>::to_vec).collect();
+        prop_assert_eq!(keys, vec![vec![x, z], vec![x, y]]);
+        check_head_table(&table, &heads, &bodies(&db));
+    }
+
+    /// A tiny domain in which the heads hold every key: every body row
+    /// passes the filter and hits the table.
+    #[test]
+    fn head_counts_when_every_body_key_hits(
+        p in relation_strategy(),
+        q in relation_strategy(),
+    ) {
+        let bit = |rel: &[(i64, i64)]| rel.iter().map(|&(a, b)| (a % 2, b % 2)).collect::<Vec<_>>();
+        let square = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        let db = build_db(&bit(&p), &bit(&q), &square);
+        let (x, z, pad) = (v(0), v(2), v(8));
+        let head = |a: VarId, b: VarId| Bindings::from_atom(db.rel("h"), &[Term::Var(a), Term::Var(b)]);
+        let heads = [head(x, z), head(z, x), head(x, pad)];
+        let table = head_table(&heads);
+        let bodies = bodies(&db);
+        check_head_table(&table, &heads, &bodies);
+        let mut scratch = HeadScratch::new();
+        table.count(&bodies[0], &mut scratch);
+        for c in scratch.counts() {
+            prop_assert_eq!(c.body_hits, bodies[0].len());
         }
     }
 
@@ -338,40 +422,41 @@ proptest! {
     }
 }
 
-/// Both sides of the head-count op's size rule give the oracle's
-/// counts: a head with no more key groups than the body has rows probes
-/// the body's aggregate group by group (one probe per head group), and a
-/// head with more groups than the body has rows streams the body's rows
-/// against the head's index (one probe per body row).
+/// The head table streams each body row once per key, whatever the
+/// number of heads, and a padded head's cover counts its whole key
+/// group: every head row whose key occurs in the body.
 #[test]
-fn head_counts_take_both_directions() {
-    let (x, y) = (v(0), v(1));
+fn head_counts_stream_each_body_row_once_per_key() {
+    let (x, y, pad) = (v(0), v(1), v(5));
     let rows = |pairs: &[(i64, i64)]| pairs.iter().map(|&(a, b)| ints(&[a, b])).collect();
-    // 6 body rows over 3 keys of X; the head has 3 keys of X.
+    // 6 body rows over keys X ∈ {1, 2, 3}.
     let body = Bindings::from_parts(
         vec![x, y],
         rows(&[(1, 0), (1, 1), (2, 0), (3, 0), (3, 1), (3, 2)]),
     );
-    let small_head = Bindings::from_parts(vec![v(5), x], rows(&[(0, 1), (1, 1), (0, 3), (0, 9)]));
-    // One body row; the head has 4 keys of X.
-    let small_body = Bindings::from_parts(vec![x, y], rows(&[(3, 7)]));
-    let big_head =
-        Bindings::from_parts(vec![x], [1, 3, 4, 5].iter().map(|&a| ints(&[a])).collect());
-    for (b, hd, probes) in [(&body, &small_head, 3), (&small_body, &big_head, 1)] {
-        let got = BodyCounts::new(b).counts(hd);
+    // Padded head: key X = 1 has two rows, X = 3 one, X = 9 misses.
+    let padded = Bindings::from_parts(vec![pad, x], rows(&[(0, 1), (1, 1), (0, 3), (0, 9)]));
+    let plain = Bindings::from_parts(vec![x], [1, 3, 4, 5].iter().map(|&a| ints(&[a])).collect());
+    let table = HeadTable::build(&[&padded, &plain], &[x, y]);
+    let mut scratch = HeadScratch::new();
+    assert_eq!(
+        table.count(&body, &mut scratch),
+        body.len(),
+        "two heads over one key stream the body once"
+    );
+    let got: Vec<(usize, usize)> = scratch
+        .counts()
+        .iter()
+        .map(|c| (c.head_hits, c.body_hits))
+        .collect();
+    assert_eq!(got, vec![(3, 5), (2, 5)]);
+    for (hd, c) in [&padded, &plain].iter().zip(&got) {
         assert_eq!(
-            (got.head_hits, got.body_hits),
+            *c,
             (
-                baseline::semijoin(hd, b).len(),
-                baseline::semijoin(b, hd).len()
+                baseline::semijoin(hd, &body).len(),
+                baseline::semijoin(&body, hd).len()
             )
-        );
-        assert_eq!(
-            got.probes,
-            probes,
-            "head over {:?}, body of {} rows",
-            hd.vars(),
-            b.len()
         );
     }
 }
