@@ -61,7 +61,11 @@ fn main() {
     series("width-3 (clique-6)", 3, &pts);
 
     println!(
-        "\nReading: slopes should increase with the width c and stay at or below c \
-         (semijoin reduction often beats the worst case on random data)."
+        "\nReading: each slope is fitted to one wall-clock sample per d, with searches \
+         of a few milliseconds, so timer and scheduling noise dominate it. Read a \
+         slope only as a rough upper-bound check against c; nothing asserts it, and \
+         it need not grow with c (on random data the semijoin reduction often beats \
+         the worst case). ROADMAP's \"complexity claims as deterministic, asserted \
+         experiments\" item replaces this fit with deterministic work counters."
     );
 }

@@ -1,8 +1,8 @@
 //! Shared workloads and measurement helpers for the benchmark harness.
 //!
 //! Every experiment in EXPERIMENTS.md builds its inputs through this
-//! module so the criterion benches and the table-printer binaries measure
-//! exactly the same workloads (same seeds, same sizes).
+//! module so the table-printer binaries, `bench_report` and perfbench
+//! measure exactly the same workloads (same seeds, same sizes).
 
 pub mod netload;
 
@@ -135,6 +135,16 @@ mod tests {
         let pts: Vec<(f64, f64)> = (1..=6).map(|x| (x as f64, (x * x) as f64)).collect();
         let s = loglog_slope(&pts);
         assert!((s - 2.0).abs() < 1e-9, "slope {s}");
+    }
+
+    #[test]
+    fn workload_widths_match_the_series() {
+        use mq_core::engine::find_rules::body_decomposition;
+        let width = |w: Workload| body_decomposition(&w.mq).width;
+        assert_eq!(width(chain_workload(2, 20, 5, 2)), 1);
+        assert_eq!(width(cycle_workload(2, 20, 5, 4)), 2);
+        assert_eq!(width(clique_workload(1, 20, 6, 6)), 3);
+        assert_eq!(width(hybrid_star_workload(2, 20, 5, 4)), 3);
     }
 
     #[test]

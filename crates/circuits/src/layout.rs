@@ -72,7 +72,7 @@ impl SchemaLayout {
         let mut bits = vec![false; self.total];
         for (i, rel) in db.relations().enumerate() {
             assert_eq!(rel.arity(), self.relations[i].1, "arity mismatch");
-            for row in rel.rows() {
+            for row in rel.to_rows() {
                 let tuple: Vec<usize> = row
                     .iter()
                     .map(|v| match v {

@@ -106,7 +106,7 @@ pub fn derived_instance(db: &Database, mq: &Metaquery, index: IndexKind) -> Deri
         let rel = db.relation(rid);
         let a = rel.arity();
         let n_r = Value::Int(rid.0 as i64);
-        for row in rel.rows() {
+        for row in rel.to_rows() {
             let mut t = Vec::with_capacity(a + 1);
             t.push(n_r);
             t.extend(row.iter().copied());

@@ -8,6 +8,8 @@
 
 use crate::atom::{Atom, Cq};
 use mq_relation::{Bindings, Database, Term, Value, VarId};
+
+type Columns = mq_relation::hashjoin::ColumnarRows<Value>;
 use std::collections::HashMap;
 
 /// Pick an evaluation order: start from the smallest relation, then
@@ -48,11 +50,13 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Try to match `row` against `atom` under the current environment,
-    /// returning the newly bound variables (to undo) on success.
-    fn try_match(&mut self, atom: &Atom, row: &[Value]) -> Option<Vec<VarId>> {
+    /// Try to match row `i` of `rows` against `atom` under the current
+    /// environment, returning the newly bound variables (to undo) on
+    /// success.
+    fn try_match(&mut self, atom: &Atom, rows: &Columns, i: usize) -> Option<Vec<VarId>> {
         let mut newly = Vec::new();
-        for (t, &val) in atom.terms.iter().zip(row.iter()) {
+        for (col, t) in atom.terms.iter().enumerate() {
+            let val = *rows.value(i, col);
             match t {
                 Term::Const(c) => {
                     if *c != val {
@@ -92,13 +96,11 @@ impl<'a> Search<'a> {
             return true;
         }
         let atom = self.atoms[depth];
-        // Copy the `&Database` out of `self` so borrowing a row does not
-        // conflict with the `&mut self` calls below (no per-row clone).
-        let db = self.db;
-        let rel = db.relation(atom.rel);
-        for i in 0..rel.len() {
-            let row = rel.row(i);
-            if let Some(newly) = self.try_match(atom, row) {
+        // Rows are read in place from the relation's columns (an O(1)
+        // handle clone per atom, no per-row allocation).
+        let rows = self.db.relation(atom.rel).columnar();
+        for i in 0..rows.len() {
+            if let Some(newly) = self.try_match(atom, &rows, i) {
                 let fully_bound = newly.is_empty();
                 if self.sat(depth + 1) {
                     self.undo(newly);
@@ -121,12 +123,10 @@ impl<'a> Search<'a> {
             return 1;
         }
         let atom = self.atoms[depth];
-        let db = self.db;
-        let rel = db.relation(atom.rel);
+        let rows = self.db.relation(atom.rel).columnar();
         let mut total: u128 = 0;
-        for i in 0..rel.len() {
-            let row = rel.row(i);
-            if let Some(newly) = self.try_match(atom, row) {
+        for i in 0..rows.len() {
+            if let Some(newly) = self.try_match(atom, &rows, i) {
                 let fully_bound = newly.is_empty();
                 total += self.count(depth + 1);
                 self.undo(newly);

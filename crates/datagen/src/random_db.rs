@@ -102,14 +102,13 @@ impl PlantedChainSpec {
 /// Distinct `(X0, Xm)` endpoint pairs of the chain join over `r0..r{m-1}`.
 fn chain_endpoints(db: &Database, m: usize) -> Vec<(Value, Value)> {
     use std::collections::BTreeSet;
-    let mut frontier: BTreeSet<(Value, Value)> =
-        db.rel("r0").rows().map(|r| (r[0], r[1])).collect();
+    let pairs = |name: &str| -> BTreeSet<(Value, Value)> {
+        let c = db.rel(name).columnar();
+        std::iter::zip(c.col(0).iter().copied(), c.col(1).iter().copied()).collect()
+    };
+    let mut frontier = pairs("r0");
     for i in 1..m {
-        let next: BTreeSet<(Value, Value)> = db
-            .rel(&format!("r{i}"))
-            .rows()
-            .map(|r| (r[0], r[1]))
-            .collect();
+        let next = pairs(&format!("r{i}"));
         let mut out = BTreeSet::new();
         for &(a, mid) in &frontier {
             for &(m2, b) in &next {

@@ -17,7 +17,7 @@ pub const NO_PANIC_IN_SERVING: &str = "no-panic-in-serving";
 /// or inline `PoisonError` recovery.
 pub const POISON_SAFE_LOCKS: &str = "poison-safe-locks";
 /// `no-rc-refcell-in-sendsync`: no `Rc`/`RefCell`/`Cell`/`UnsafeCell`
-/// in the Send+Sync layers (store, service, engine).
+/// in the Send+Sync layers (store, relation, service, engine).
 pub const NO_RC_REFCELL: &str = "no-rc-refcell-in-sendsync";
 /// `knob-registry`: every `MQ_*` literal must be declared in the knob
 /// registry, no dead entries, docs table in sync.
@@ -127,6 +127,7 @@ fn in_serving_scope(path: &str) -> bool {
 
 fn in_sendsync_scope(path: &str) -> bool {
     path.starts_with("crates/store/src/")
+        || path.starts_with("crates/relation/src/")
         || path.starts_with("crates/service/src/")
         || path.starts_with("crates/core/src/engine/")
 }

@@ -72,6 +72,18 @@ fn poison_locks_fixture_fires_on_the_seeded_line() {
 }
 
 #[test]
+fn poison_locks_fixture_fires_under_the_relation_layer() {
+    // Relations are read concurrently by every search worker, so the
+    // relational layer's index caches are in the same scope.
+    let diags = lint(&ws(
+        "crates/relation/src/bad.rs",
+        include_str!("../fixtures/poison_locks.rs"),
+    ));
+    assert_eq!(rule_lines(&diags, POISON_SAFE_LOCKS), vec![7]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+}
+
+#[test]
 fn rc_refcell_fixture_fires_on_the_seeded_line() {
     let diags = lint(&ws(
         "crates/core/src/engine/bad.rs",

@@ -312,7 +312,7 @@ impl Bindings {
         }
         let shape = AtomShape::of(terms);
         // Column-wise evaluation: select matching row ids against the
-        // relation's columnar mirror, then gather the variable columns.
+        // relation's columns, then gather the variable columns.
         let store = rel.columnar();
         let keep: Vec<usize> = if !shape.const_cols.is_empty() && rel.len() >= 16 {
             // Constant-selective atom: probe the cached index on the
@@ -1109,7 +1109,7 @@ pub mod baseline {
             })
             .collect();
         let mut rows = Vec::new();
-        'rows: for row in rel.rows() {
+        'rows: for row in rel.to_rows() {
             let mut assignment: HashMap<VarId, Value> = HashMap::with_capacity(vars.len());
             for (t, &val) in terms.iter().zip(row.iter()) {
                 match t {

@@ -96,7 +96,7 @@ impl Database {
         &self.relations[id.index()]
     }
 
-    /// Mutable access to a relation by id (used by semijoin reduction).
+    /// Mutable access to a relation by id (catalog updates replace rows).
     pub fn relation_mut(&mut self, id: RelId) -> &mut Relation {
         &mut self.relations[id.index()]
     }
@@ -147,7 +147,7 @@ impl Database {
     pub fn active_domain(&self) -> BTreeSet<Value> {
         let mut dom = BTreeSet::new();
         for rel in &self.relations {
-            for row in rel.rows() {
+            for row in rel.to_rows() {
                 dom.extend(row.iter().copied());
             }
         }
@@ -159,7 +159,7 @@ impl Database {
         let mut out = String::new();
         for rel in &self.relations {
             out.push_str(&format!("{} (arity {}):\n", rel.name(), rel.arity()));
-            for row in rel.rows() {
+            for row in rel.to_rows() {
                 let cells: Vec<String> = row
                     .iter()
                     .map(|v| v.display(&self.symbols).to_string())

@@ -110,8 +110,9 @@ pub fn hash_cols_at(store: &ColumnarRows<Value>, cols: &[usize], i: usize) -> u6
 const EMPTY: u32 = u32::MAX;
 
 /// Open-addressing `(hash, id)` table with linear probing and external
-/// equality. Capacity is fixed at construction (size every table for the
-/// maximum number of inserts; join/semijoin/projection all know it).
+/// equality. Kernels size each table for its maximum number of inserts;
+/// a table filled one entry at a time grows through [`RawTable::reserve`].
+#[derive(Clone)]
 pub struct RawTable {
     mask: usize,
     hashes: Vec<u64>,
@@ -136,6 +137,21 @@ impl RawTable {
     /// miss walks about 2.5 slots here instead of about 8 at load 0.75.
     pub fn sparse(capacity: usize) -> Self {
         RawTable::with_capacity(capacity.max(1) * 3 / 2)
+    }
+
+    /// Make room for `additional` more entries at load ≤ 0.75, at least
+    /// doubling a full table and re-placing entries by their stored hash.
+    pub fn reserve(&mut self, additional: usize) {
+        let need = self.len + additional;
+        if need > self.mask * 3 / 4 {
+            let mut grown = RawTable::with_capacity(need.max(2 * self.len));
+            for (&hash, &id) in self.hashes.iter().zip(&self.ids) {
+                if id != EMPTY {
+                    grown.insert_new(hash, id);
+                }
+            }
+            *self = grown;
+        }
     }
 
     /// Number of stored entries.
@@ -510,6 +526,21 @@ mod tests {
             assert_eq!(t.find(h, |id| id == i), Some(i));
         }
         assert_eq!(t.find(3, |_| false), None);
+    }
+
+    #[test]
+    fn raw_table_reserve_grows_and_keeps_entries() {
+        let mut t = RawTable::with_capacity(0);
+        for i in 0..1000u32 {
+            let h = u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            t.reserve(1);
+            t.insert_new(h, i);
+        }
+        assert_eq!(t.len(), 1000);
+        for i in 0..1000u32 {
+            let h = u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            assert_eq!(t.find(h, |id| id == i), Some(i));
+        }
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! plausibility indices (Definition 2.6) counts distinct tuples. `Relation`
 //! therefore deduplicates on insertion and keeps rows in insertion order for
 //! deterministic iteration.
+//!
+//! The tuples are stored once, column-major, beside a membership table
+//! of row ids. Both are copied on write, so a clone is O(1) in the tuples
+//! and shares every index already built.
 
-use crate::hashjoin::GroupIndex;
+use crate::hashjoin::{hash_vals, GroupIndex, RawTable};
 use crate::value::{Tuple, Value};
+use mq_store::lock::{read_recover, write_recover};
 use mq_store::ColumnarRows;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -17,31 +21,24 @@ use std::sync::{Arc, RwLock};
 /// A named relation: a set of tuples of a fixed arity.
 pub struct Relation {
     name: String,
-    arity: usize,
-    rows: Vec<Tuple>,
-    /// Tuple -> row index, for O(1) membership; values index into `rows`.
-    index: HashMap<Tuple, usize>,
+    /// The tuples, in insertion order — the storage every kernel scans.
+    cols: ColumnarRows<Value>,
+    /// Row hash -> row id, for O(1) membership; keys live in `cols`.
+    members: Arc<RawTable>,
     /// Shared allocation-free column indexes, built lazily behind a lock
     /// so the algebra can consult them through `&Relation` — including
-    /// concurrently from the parallel `findRules` enumeration. Invalidated
-    /// on insert.
+    /// concurrently from the parallel `findRules` enumeration. Clones
+    /// share them (same tuples); inserting clears them.
     group_indexes: RwLock<HashMap<Box<[usize]>, Arc<GroupIndex>>>,
-    /// Lazily built column-major mirror of `rows` (handle clones are
-    /// O(1); see [`Relation::columnar`]). Invalidated on insert, like the
-    /// group indexes.
-    columnar: RwLock<Option<ColumnarRows<Value>>>,
 }
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
         Relation {
             name: self.name.clone(),
-            arity: self.arity,
-            rows: self.rows.clone(),
-            index: self.index.clone(),
-            // Cached indexes are cheap to rebuild; clones start cold.
-            group_indexes: RwLock::new(HashMap::new()),
-            columnar: RwLock::new(None),
+            cols: self.cols.clone(),
+            members: Arc::clone(&self.members),
+            group_indexes: RwLock::new(read_recover(&self.group_indexes).clone()),
         }
     }
 }
@@ -51,11 +48,9 @@ impl Relation {
     pub fn new(name: impl Into<String>, arity: usize) -> Self {
         Relation {
             name: name.into(),
-            arity,
-            rows: Vec::new(),
-            index: HashMap::new(),
+            cols: ColumnarRows::empty(arity),
+            members: Arc::new(RawTable::with_capacity(0)),
             group_indexes: RwLock::new(HashMap::new()),
-            columnar: RwLock::new(None),
         }
     }
 
@@ -78,17 +73,27 @@ impl Relation {
 
     /// The relation's arity `a(R)`.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.cols.arity()
     }
 
     /// Number of (distinct) tuples, `|R|`.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.len()
     }
 
     /// Whether the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cols.is_empty()
+    }
+
+    /// The id of the row equal to `row` (whose hash is `hash`), if any.
+    fn find(&self, hash: u64, row: &[Value]) -> Option<u32> {
+        self.members.find(hash, |id| {
+            let id = id as usize;
+            row.iter()
+                .enumerate()
+                .all(|(c, v)| self.cols.value(id, c) == v)
+        })
     }
 
     /// Insert a tuple; returns `true` if it was new.
@@ -98,61 +103,45 @@ impl Relation {
     pub fn insert(&mut self, row: Tuple) -> bool {
         assert_eq!(
             row.len(),
-            self.arity,
+            self.arity(),
             "tuple arity {} does not match relation `{}` arity {}",
             row.len(),
             self.name,
-            self.arity
+            self.arity()
         );
-        match self.index.entry(row) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(e) => {
-                let row = e.key().clone();
-                e.insert(self.rows.len());
-                self.rows.push(row);
-                // Any previously built key indexes / mirrors are now stale.
-                self.group_indexes
-                    .write()
-                    .expect("group index lock poisoned")
-                    .clear();
-                *self.columnar.write().expect("columnar lock poisoned") = None;
-                true
-            }
+        let hash = hash_vals(&row);
+        if self.find(hash, &row).is_some() {
+            return false;
         }
+        let id = u32::try_from(self.len()).expect("relation row ids fit in u32");
+        let members = Arc::make_mut(&mut self.members);
+        members.reserve(1);
+        members.insert_new(hash, id);
+        self.cols.push_row(&row);
+        // Any previously built key indexes are now stale.
+        write_recover(&self.group_indexes).clear();
+        true
     }
 
     /// Replace the relation's contents wholesale (duplicates dropped, as
     /// on insert). Used by copy-on-write catalog updates; any cached
-    /// group indexes are invalidated.
+    /// group indexes are dropped.
     ///
     /// # Panics
     /// Panics if any row's length differs from the arity.
     pub fn replace_rows(&mut self, rows: Vec<Tuple>) {
-        self.rows.clear();
-        self.index.clear();
-        self.group_indexes
-            .write()
-            .expect("group index lock poisoned")
-            .clear();
-        *self.columnar.write().expect("columnar lock poisoned") = None;
-        for row in rows {
-            self.insert(row);
-        }
+        let name = std::mem::take(&mut self.name);
+        *self = Relation::from_rows(name, self.arity(), rows);
     }
 
     /// Membership test.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.contains_key(row)
+        row.len() == self.arity() && self.find(hash_vals(row), row).is_some()
     }
 
-    /// Iterate over tuples in insertion order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &Tuple> {
-        self.rows.iter()
-    }
-
-    /// Access the i-th row.
-    pub fn row(&self, i: usize) -> &Tuple {
-        &self.rows[i]
+    /// Materialize every tuple as a boxed row, in insertion order.
+    pub fn to_rows(&self) -> Vec<Tuple> {
+        self.cols.to_rows()
     }
 
     /// Get (or build once and cache) the shared allocation-free hash
@@ -160,53 +149,31 @@ impl Relation {
     ///
     /// The index is built at most once per (relation, column-set) and
     /// shared by every join/semijoin that probes it — across the
-    /// thousands of instantiations a metaquery engine evaluates, and
-    /// across threads. Inserting into the relation invalidates it.
+    /// thousands of instantiations a metaquery engine evaluates, across
+    /// threads, and across clones. Inserting into the relation drops it.
     pub fn group_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
-        if let Some(idx) = self
-            .group_indexes
-            .read()
-            .expect("group index lock poisoned")
-            .get(cols)
-        {
+        if let Some(idx) = read_recover(&self.group_indexes).get(cols) {
             return Arc::clone(idx);
         }
-        let built = Arc::new(GroupIndex::build_columnar(&self.columnar(), cols));
-        let mut cache = self
-            .group_indexes
-            .write()
-            .expect("group index lock poisoned");
+        let built = Arc::new(GroupIndex::build_columnar(&self.cols, cols));
         // Another thread may have raced us; keep the first one inserted.
         Arc::clone(
-            cache
-                .entry(cols.to_vec().into_boxed_slice())
+            write_recover(&self.group_indexes)
+                .entry(cols.into())
                 .or_insert(built),
         )
     }
 
-    /// Get (or build once and cache) the column-major mirror of the
-    /// relation's rows — the storage the columnar kernels scan. The
-    /// returned handle is an O(1) clone sharing the cached buffers;
-    /// inserting into the relation invalidates the mirror.
+    /// The relation's column-major tuple storage, as an O(1) handle clone
+    /// (later inserts copy the buffers first, so it never observes one).
     pub fn columnar(&self) -> ColumnarRows<Value> {
-        if let Some(c) = self
-            .columnar
-            .read()
-            .expect("columnar lock poisoned")
-            .as_ref()
-        {
-            return c.clone();
-        }
-        let built = ColumnarRows::from_rows(self.arity, &self.rows);
-        let mut cache = self.columnar.write().expect("columnar lock poisoned");
-        // Another thread may have raced us; keep the first one inserted.
-        cache.get_or_insert(built).clone()
+        self.cols.clone()
     }
 }
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({} rows)", self.name, self.arity, self.rows.len())
+        write!(f, "{}/{} ({} rows)", self.name, self.arity(), self.len())
     }
 }
 
@@ -214,9 +181,9 @@ impl PartialEq for Relation {
     /// Set equality of contents (name and arity must also match).
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
-            && self.arity == other.arity
-            && self.rows.len() == other.rows.len()
-            && self.rows.iter().all(|r| other.contains(r))
+            && self.arity() == other.arity()
+            && self.len() == other.len()
+            && self.to_rows().iter().all(|r| other.contains(r))
     }
 }
 
@@ -248,7 +215,7 @@ mod tests {
         let r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[3, 4])]);
         assert!(r.contains(&ints(&[1, 2])));
         assert!(!r.contains(&ints(&[2, 1])));
-        assert_eq!(r.rows().count(), 2);
+        assert_eq!(r.to_rows(), vec![ints(&[1, 2]), ints(&[3, 4])]);
     }
 
     #[test]
@@ -283,16 +250,42 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mirror_is_cached_and_invalidated() {
+    fn columnar_handles_never_observe_later_inserts() {
         let mut r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[3, 4])]);
         let a = r.columnar();
         assert_eq!(a.col(0), &[Value::Int(1), Value::Int(3)]);
-        let b = r.columnar();
-        assert!(mq_store::ColumnarRows::ptr_eq(&a, &b), "mirror is cached");
+        assert!(mq_store::ColumnarRows::ptr_eq(&a, &r.columnar()));
         r.insert(ints(&[5, 6]));
         let c = r.columnar();
         assert!(!mq_store::ColumnarRows::ptr_eq(&a, &c));
+        assert_eq!(a.len(), 2);
         assert_eq!(c.col(1), &[Value::Int(2), Value::Int(4), Value::Int(6)]);
+    }
+
+    #[test]
+    fn clones_share_storage_and_indexes_until_written() {
+        let r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[3, 4])]);
+        let idx = r.group_index(&[0, 1]);
+        let mut c = r.clone();
+        assert!(mq_store::ColumnarRows::ptr_eq(&r.columnar(), &c.columnar()));
+        assert!(Arc::ptr_eq(&idx, &c.group_index(&[0, 1])));
+        assert!(c.insert(ints(&[5, 6])));
+        assert!(!c.insert(ints(&[1, 2])));
+        assert_eq!((r.len(), c.len()), (2, 3));
+        assert!(!r.contains(&ints(&[5, 6])));
+        assert!(c.contains(&ints(&[5, 6])));
+        assert!(Arc::ptr_eq(&idx, &r.group_index(&[0, 1])));
+        assert_eq!(c.group_index(&[0, 1]).num_groups(), 3);
+    }
+
+    #[test]
+    fn zero_arity_relation_holds_at_most_the_empty_tuple() {
+        let mut r = Relation::new("t", 0);
+        assert!(!r.contains(&[]));
+        assert!(r.insert(ints(&[])));
+        assert!(!r.insert(ints(&[])));
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(&[]));
     }
 
     #[test]

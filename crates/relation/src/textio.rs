@@ -150,7 +150,7 @@ pub fn parse_database(input: &str) -> Result<Database, TextError> {
 pub fn render_database(db: &Database) -> String {
     let mut out = String::new();
     for rel in db.relations() {
-        for row in rel.rows() {
+        for row in rel.to_rows() {
             let cells: Vec<String> = row
                 .iter()
                 .map(|v| match v {
@@ -205,7 +205,7 @@ mod tests {
         let db = parse_database("t(-5, \"a, b\", x)\n").unwrap();
         let rel = db.rel("t");
         assert_eq!(rel.arity(), 3);
-        let row = rel.row(0);
+        let row = &rel.to_rows()[0];
         assert_eq!(row[0], Value::Int(-5));
         assert_eq!(db.resolve(row[1].as_sym().unwrap()), "a, b");
         assert_eq!(db.resolve(row[2].as_sym().unwrap()), "x");
@@ -220,8 +220,8 @@ mod tests {
         assert_eq!(db.rel("edge").len(), db2.rel("edge").len());
         assert_eq!(db.rel("name").len(), db2.rel("name").len());
         // semantic equality of the name relation's symbol
-        let s1 = db.rel("name").row(0)[1];
-        let s2 = db2.rel("name").row(0)[1];
+        let s1 = db.rel("name").to_rows()[0][1];
+        let s2 = db2.rel("name").to_rows()[0][1];
         assert_eq!(
             db.resolve(s1.as_sym().unwrap()),
             db2.resolve(s2.as_sym().unwrap())

@@ -5,10 +5,9 @@
 //!
 //! * the [`Database`] itself behind an `Arc`, **frozen** at registration
 //!   — nothing mutates it, so any number of sessions can search it
-//!   concurrently, and every relation's column-major mirror and
-//!   single-column `group_index`es are pre-warmed so the first search
-//!   pays neither the transposition nor the index builds. Protocol
-//!   queries (`dump`, `stats`) read the same relations' rows;
+//!   concurrently, and every relation's single-column `group_index`es
+//!   are pre-warmed so the first search pays no index build. Protocol
+//!   queries (`dump`, `stats`) read the same relations' columns;
 //! * a `version` (bumped by every update) plus **per-relation
 //!   generations** ([`RelGeneration`]): the tags that key the entry's
 //!   persistent cross-search [`AtomCache`];
@@ -18,7 +17,9 @@
 //! Updates are **copy-on-write**: [`Catalog::append_rows`] /
 //! [`Catalog::replace_relation`] clone the current database, mutate the
 //! clone, bump `version` and the touched relation's generation, and
-//! publish a new snapshot. Sessions pinned to the old handle keep
+//! publish a new snapshot. A relation clone shares its tuples and built
+//! indexes until written, so the update copies only the touched
+//! relation and every other relation keeps its warmed indexes. Sessions pinned to the old handle keep
 //! searching exactly the rows they started with (their memo services
 //! probe the old generations, so they never observe post-update
 //! bindings), while new sessions cold-start only the touched relation's
@@ -109,11 +110,12 @@ pub struct DbHandle {
 }
 
 impl DbHandle {
-    /// Freeze `db` into a snapshot: pre-warm every relation's columnar
-    /// mirror and single-column `group_index` (the indexes the planner's
-    /// join keys overwhelmingly probe). This is O(total db) work;
-    /// [`Catalog::update_with`] runs it outside the catalog map lock so
-    /// snapshots and queries are never blocked behind it.
+    /// Freeze `db` into a snapshot: pre-warm every relation's
+    /// single-column `group_index` (the indexes the planner's join keys
+    /// overwhelmingly probe). Relations an update did not touch still
+    /// hold their indexes, so after an update only the touched relation
+    /// builds any; [`Catalog::update_with`] runs this outside the catalog
+    /// map lock so snapshots and queries are never blocked behind it.
     fn freeze(
         name: Arc<str>,
         db: Database,
@@ -123,10 +125,6 @@ impl DbHandle {
     ) -> Self {
         let _span = mq_obs::trace::SpanGuard::start_always(mq_obs::trace::CATALOG_FREEZE);
         for rel in db.relations() {
-            // Warm the column-major mirror first so the single-column
-            // index builds below scan columns, not boxed rows — and so
-            // the first search's columnar kernels find it ready.
-            let _ = rel.columnar();
             for col in 0..rel.arity() {
                 let _ = rel.group_index(&[col]);
             }
@@ -196,7 +194,7 @@ impl fmt::Debug for DbHandle {
 }
 
 /// One catalog entry: the published snapshot plus a per-entry update
-/// lock, so the O(db) snapshot build of an update runs without holding
+/// lock, so the snapshot build of an update runs without holding
 /// the catalog-wide map lock (snapshots and queries are never blocked
 /// behind it) while concurrent updates of the *same* entry still
 /// serialize (no lost updates).
@@ -272,11 +270,12 @@ impl Catalog {
     /// are unaffected; the entry's atom cache keeps every untouched
     /// relation's entries warm (their generations don't change).
     ///
-    /// The O(db) clone/warm/freeze runs under the entry's private update
-    /// lock only — the catalog map lock is held just to fetch the
-    /// current snapshot and to publish the new one, so concurrent
-    /// snapshots and queries (of this or any other entry) never stall
-    /// behind an update.
+    /// The clone/warm/freeze costs O(touched relation) — untouched
+    /// relations share storage and indexes with the old snapshot — and
+    /// runs under the entry's private update lock only: the catalog map
+    /// lock is held just to fetch the current snapshot and to publish the
+    /// new one, so concurrent snapshots and queries (of this or any other
+    /// entry) never stall behind an update.
     pub fn update_with(
         &self,
         name: &str,
@@ -419,6 +418,7 @@ fn check_arities(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mq_relation::hashjoin::ColumnarRows;
     use mq_relation::ints;
 
     fn sample_db() -> Database {
@@ -463,6 +463,21 @@ mod tests {
         assert_eq!(new.database().relation(q).len(), 2);
         // The catalog now serves the new snapshot.
         assert_eq!(cat.snapshot("tele").unwrap().version(), 2);
+    }
+
+    #[test]
+    fn append_copies_only_the_touched_relation() {
+        let cat = Catalog::new();
+        let old = cat.register("tele", sample_db()).unwrap();
+        let (p, q) = (old.database().rel("p"), old.database().rel("q"));
+        let warmed = p.group_index(&[0, 1]);
+        let new = cat.append_rows("tele", "q", vec![ints(&[9, 9])]).unwrap();
+        let (new_p, new_q) = (new.database().rel("p"), new.database().rel("q"));
+        assert!(ColumnarRows::ptr_eq(&p.columnar(), &new_p.columnar()));
+        assert!(Arc::ptr_eq(&warmed, &new_p.group_index(&[0, 1])));
+        assert!(!ColumnarRows::ptr_eq(&q.columnar(), &new_q.columnar()));
+        assert_eq!(q.len(), 1, "the old snapshot still reads one q row");
+        assert_eq!(new_q.len(), 2);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! searches instead of just across one search's workers:
 //!
 //! * [`Catalog`] / [`DbHandle`] — named, **generation-tagged** frozen
-//!   database snapshots: pre-warmed columnar mirrors and `group_index`es,
-//!   and a persistent cross-search atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
+//!   database snapshots: pre-warmed `group_index`es, and a persistent cross-search atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
 //!   `(relation generation, relation, terms)`). Updates are
-//!   copy-on-write: the entry version and only the touched relation's
-//!   generation bump, running sessions finish on their snapshot, and
+//!   copy-on-write and copy only the touched relation: the entry
+//!   version and only the touched relation's generation bump, running sessions finish on their snapshot, and
 //!   every untouched relation's cache entries stay warm.
 //! * [`MqService`] / [`Session`] — the session manager: admission
 //!   control (bounded concurrent searches), per-session budgets, and a

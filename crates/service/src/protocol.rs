@@ -407,8 +407,12 @@ fn cmd_dump(service: &MqService, rest: &str) -> Reply {
         handle.version()
     )];
     let symbols = db.symbols();
-    for row in relation.rows().take(limit) {
-        let cells: Vec<String> = row.iter().map(|v| v.display(symbols).to_string()).collect();
+    // Read the first `limit` rows in place: no copy of the whole relation.
+    let rows = relation.columnar();
+    for i in 0..rows.len().min(limit) {
+        let cells: Vec<String> = (0..rows.arity())
+            .map(|c| rows.value(i, c).display(symbols).to_string())
+            .collect();
         lines.push(format!("row {}", cells.join(",")));
     }
     Reply::Lines(lines)

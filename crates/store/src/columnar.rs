@@ -8,19 +8,19 @@
 //! keys in one pass, compare a key column value-by-value) compile to
 //! tight, vectorization-friendly loops.
 //!
-//! The column set sits behind an `Arc`: handle clones are O(1), the
-//! storage never mutates once built, and the whole value is
-//! `Send + Sync`. The relational layer keeps a `ColumnarRows<Value>`
-//! mirror beside each relation's row-major tuples, stores every
-//! variable relation (`Bindings`) in one, and runs its join, semijoin
-//! and projection kernels over them.
+//! The column set sits behind an `Arc`: handle clones are O(1) and the
+//! whole value is `Send + Sync`. Storage mutates only through
+//! [`ColumnarRows::push_row`], which copies a shared column set first,
+//! so no handle ever observes a later append. Every relation
+//! (`Relation`) and variable relation (`Bindings`) is stored in one, and
+//! the join, semijoin and projection kernels run over them.
 
 use std::fmt;
 use std::sync::Arc;
 
-/// Immutable column-major row storage: `arity` columns, each one
-/// contiguous buffer of `len` values. Handle clones are O(1) and share
-/// the column buffers.
+/// Column-major row storage: `arity` columns, each one contiguous
+/// buffer of `len` values. Handle clones are O(1) and share the column
+/// buffers; appends copy them first while they are shared.
 pub struct ColumnarRows<V> {
     cols: Arc<[Vec<V>]>,
     rows: usize,
@@ -52,6 +52,19 @@ impl<V: Clone> ColumnarRows<V> {
             cols: cols.into(),
             rows: rows.len(),
         }
+    }
+
+    /// Append one row, first copying the column set if another handle
+    /// shares it (so no other handle observes the append).
+    ///
+    /// # Panics
+    /// Panics if `row.len()` differs from the arity.
+    pub fn push_row(&mut self, row: &[V]) {
+        assert_eq!(row.len(), self.arity(), "columnar row length mismatch");
+        for (col, v) in Arc::make_mut(&mut self.cols).iter_mut().zip(row) {
+            col.push(v.clone());
+        }
+        self.rows += 1;
     }
 
     /// Materialize row `i` by appending its values to `out` (one clone
@@ -230,6 +243,19 @@ mod tests {
             c,
             ColumnarRows::from_rows(2, &boxed(&[&[1, 2], &[3, 4], &[5, 6]]))
         );
+    }
+
+    #[test]
+    fn push_row_copies_shared_storage_only() {
+        let mut a = ColumnarRows::from_rows(2, &boxed(&[&[1, 2]]));
+        let b = a.clone();
+        a.push_row(&[3, 4]);
+        assert!(!ColumnarRows::ptr_eq(&a, &b), "shared storage is copied");
+        assert_eq!(b.len(), 1);
+        assert_eq!(a.col(1), &[2, 4]);
+        a.push_row(&[5, 6]);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.to_rows(), boxed(&[&[1, 2], &[3, 4], &[5, 6]]));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! additionally pin the column-major layout's costs: transposition is
 //! O(arity) allocations, batched multi-column hashing reuses one
 //! scratch buffer, and the fused/reverse semijoins return
-//! storage-sharing clones when nothing is filtered. The head-count phase
+//! storage-sharing clones when nothing is filtered. The relation-insert
+//! phase pins `Relation::insert` to amortized growth allocations only,
+//! not one key per row. The head-count phase
 //! pins `findHeads`' count op: with the head table built and the scratch
 //! primed, counting one body of N rows against K heads allocates a
 //! constant number of times, independent of N and K. A
@@ -22,7 +24,7 @@
 //! All phases live in one `#[test]` because the allocation counter is
 //! global to the process and the test harness runs tests concurrently.
 
-use mq_relation::{ints, Bindings, HeadScratch, HeadTable, Tuple, VarId};
+use mq_relation::{ints, Bindings, HeadScratch, HeadTable, Relation, Tuple, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -187,6 +189,24 @@ fn probe_phases_allocate_constant_not_per_row() {
     assert!(
         spent < BUDGET,
         "semijoin_all allocated {spent} times for {N} rows"
+    );
+
+    // ── Relation-insert phase ───────────────────────────────────────
+    // A relation stores each tuple once, in its columns; the membership
+    // table keeps row ids, not boxed keys. Inserting N pre-built distinct
+    // rows therefore allocates only for amortized column and table
+    // growth — O(log N) times, never once per row.
+    let rows: Vec<Tuple> = (0..N).map(|i| ints(&[i, i % 7, -i])).collect();
+    let before = allocations();
+    let mut rel = Relation::new("r", 3);
+    for row in rows {
+        rel.insert(row);
+    }
+    let spent = allocations() - before;
+    assert_eq!(rel.len(), N as usize);
+    assert!(
+        spent < N as usize / 16,
+        "inserting {N} rows allocated {spent} times — per-row keys are back"
     );
 
     // ── Head-count phase ────────────────────────────────────────────

@@ -267,8 +267,8 @@ proptest! {
         for rel in db.relations().filter(|r| !r.is_empty()) {
             let rel2 = db2.rel(rel.name());
             prop_assert_eq!(rel.len(), rel2.len());
-            for row in rel.rows() {
-                prop_assert!(rel2.contains(row));
+            for row in rel.to_rows() {
+                prop_assert!(rel2.contains(&row));
             }
         }
     }
