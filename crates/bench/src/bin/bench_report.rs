@@ -4,11 +4,10 @@
 //! widths 1/2/3, pruning ablation), a Figure 5-style combined-
 //! complexity point, and the paper's telecom running example under
 //! type-2 instantiations (answer count pinned to the Figure 1 worked
-//! example) through **both** join cores — the optimized plan-IR
-//! executor and the pre-optimization baseline kept in-tree behind
-//! [`mq_relation::set_baseline_mode`] — and writes medians, rows/sec
-//! and speedups to `BENCH_findrules.json` so successive PRs have a
-//! perf trajectory.
+//! example) through the plan-IR `findRules` engine, checks every
+//! workload's answers against the sequential engine
+//! ([`find_rules_seq`]), and writes medians and rows/sec to
+//! `BENCH_findrules.json` so successive PRs have a perf trajectory.
 //!
 //! Run: `cargo run --release -p mq-bench --bin bench_report`
 //!
@@ -20,14 +19,14 @@
 //! planner or the columnar kernels regress.
 //!
 //! Knobs: `MQ_BENCH_SAMPLES` (default 5) timed samples per
-//! (workload, core); `MQ_BENCH_ONLY=<substring>` restricts the run to
+//! workload; `MQ_BENCH_ONLY=<substring>` restricts the run to
 //! workloads whose name contains the substring (single-series runs;
 //! guards needing absent workloads are skipped); `MQ_BENCH_OUT`
 //! overrides the output path; `MQ_BENCH_MAX_WIDTH2_LAG` (default 30)
 //! the guard threshold; `MQ_BENCH_THREADS=1,2,4` additionally times the
 //! optimized core at each listed worker count (via the scheduler's
 //! thread override — the first entry is the primary measurement the
-//! speedup guards use), so memo scaling shows up in the perf trajectory
+//! guards use), so memo scaling shows up in the perf trajectory
 //! even before real many-core hardware is available. The report records
 //! the `threads` and `split_depth` configuration the scheduler ran with
 //! (`MQ_THREADS`, `MQ_SPLIT_DEPTH`), plus per-workload shared-memo
@@ -70,7 +69,7 @@ use mq_core::engine::memo::{MemoStats, SharedMemos};
 use mq_core::plan::PlanNodeId;
 use mq_core::prelude::*;
 use mq_obs::NodeStat;
-use mq_relation::{set_baseline_mode, Frac};
+use mq_relation::Frac;
 use mq_service::{handle_line, MetaqueryRequest, MqService, NetConfig, NetServer};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -81,7 +80,6 @@ struct Row {
     total_tuples: usize,
     answers: usize,
     median_opt_s: f64,
-    median_base_s: f64,
     /// Shared-memo traffic accumulated over the primary optimized
     /// samples.
     memo: MemoStats,
@@ -91,10 +89,6 @@ struct Row {
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.median_base_s / self.median_opt_s.max(1e-12)
-    }
-
     fn rows_per_sec(&self) -> f64 {
         self.total_tuples as f64 / self.median_opt_s.max(1e-12)
     }
@@ -143,10 +137,10 @@ fn thread_sweep() -> Vec<usize> {
         .unwrap_or_default()
 }
 
-/// Median of `n` timed runs of `f` (which returns the answer count).
-fn median_secs(n: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
+/// Median of `n` timed runs of `f`, with the last run's answers.
+fn median_secs<T: Default>(n: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut secs = Vec::with_capacity(n);
-    let mut answers = 0;
+    let mut answers = T::default();
     for _ in 0..n {
         let (a, s) = time(&mut f);
         answers = a;
@@ -156,8 +150,9 @@ fn median_secs(n: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
     (secs[secs.len() / 2], answers)
 }
 
-/// Measure `w` under both cores and append a row — unless the workload
-/// name misses the `MQ_BENCH_ONLY` filter.
+/// Measure `w`, check its answers against the sequential engine and
+/// append a row — unless the workload name misses the `MQ_BENCH_ONLY`
+/// filter.
 fn measure(
     rows_out: &mut Vec<Row>,
     name: &str,
@@ -173,7 +168,7 @@ fn measure(
         }
     }
     let n = samples();
-    let run = || find_rules(&w.db, &w.mq, ty, th).unwrap().len();
+    let run = || find_rules(&w.db, &w.mq, ty, th).unwrap();
     let sweep = thread_sweep();
     // Primary measurement: the first sweep entry, or the ambient thread
     // count when no sweep was requested. Each primary sample runs its
@@ -194,8 +189,7 @@ fn measure(
                 None,
                 0,
             )
-            .unwrap()
-            .len();
+            .unwrap();
             memo_total.set(memo_total.get().merged(memos.stats()));
             out
         };
@@ -212,7 +206,7 @@ fn measure(
         }
     };
     let memo = memo_total.get();
-    // Remaining sweep entries re-time the optimized core only.
+    // Remaining sweep entries re-time the search at each worker count.
     let mut by_threads: Vec<(usize, f64)> = Vec::new();
     if let Some((&first, rest)) = sweep.split_first() {
         by_threads.push((first, median_opt_s));
@@ -224,24 +218,14 @@ fn measure(
             by_threads.push((t, m));
         }
     }
-    // Baseline always runs sequentially (baseline mode disables the
-    // scheduler), but keep the primary thread override in force anyway
-    // so both medians are measured under one configuration.
-    set_baseline_mode(true);
-    if let Some(&t) = sweep.first() {
-        rayon::set_thread_override(Some(t));
-    }
-    let (median_base_s, base_answers) = median_secs(n, run);
-    rayon::set_thread_override(None);
-    set_baseline_mode(false);
     assert_eq!(
-        answers, base_answers,
-        "optimized and baseline cores must agree on {name}"
+        answers,
+        find_rules_seq(&w.db, &w.mq, ty, th).unwrap(),
+        "findRules must agree with the sequential engine on {name}"
     );
+    let answers = answers.len();
     eprintln!(
-        "{name}: opt {median_opt_s:.5}s  base {median_base_s:.5}s  ({:.2}x, {answers} answers, \
-         memo {:.0}% hit)",
-        median_base_s / median_opt_s.max(1e-12),
+        "{name}: opt {median_opt_s:.5}s  ({answers} answers, memo {:.0}% hit)",
         memo.hit_rate() * 100.0
     );
     rows_out.push(Row {
@@ -250,7 +234,6 @@ fn measure(
         total_tuples: w.db.total_tuples(),
         answers,
         median_opt_s,
-        median_base_s,
         memo,
         by_threads,
     });
@@ -1134,16 +1117,6 @@ fn main() {
         "MQ_BENCH_ONLY matched no workload — nothing to report"
     );
 
-    // Aggregate: the fig4 findRules series' median speedup (when the
-    // series ran — MQ_BENCH_ONLY may have filtered it out).
-    let mut fig4_speedups: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.name.starts_with("fig4_findrules_chain"))
-        .map(Row::speedup)
-        .collect();
-    fig4_speedups.sort_by(f64::total_cmp);
-    let fig4_median_speedup = fig4_speedups.get(fig4_speedups.len() / 2).copied();
-
     // Width-2 regression guard: the cycle workload must stay within a sane
     // factor of the width-1 chain at the same d. Before the λ-join planner
     // the lag was ~41× (an unplanned cross-product intermediate in every
@@ -1216,9 +1189,6 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
-    }
-    if let Some(s) = fig4_median_speedup {
-        json.push_str(&format!("  \"fig4_median_speedup\": {s:.3},\n"));
     }
     if let Some(lag) = width2_lag {
         json.push_str(&format!("  \"width2_lag_vs_chain\": {lag:.3},\n"));
@@ -1333,16 +1303,13 @@ fn main() {
         };
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"rows\": {}, \"total_tuples\": {}, \"answers\": {}, \
-             \"median_optimized_s\": {:.6}, \"median_baseline_s\": {:.6}, \
-             \"speedup\": {:.3}, \"rows_per_sec\": {:.1}, \
+             \"median_optimized_s\": {:.6}, \"rows_per_sec\": {:.1}, \
              \"memo_hits\": {}, \"memo_misses\": {}, \"memo_hit_rate\": {:.3}{}}}{}\n",
             r.name,
             r.rows,
             r.total_tuples,
             r.answers,
             r.median_opt_s,
-            r.median_base_s,
-            r.speedup(),
             r.rows_per_sec(),
             r.memo.hits,
             r.memo.misses,
@@ -1366,8 +1333,5 @@ fn main() {
             &trace_overhead,
             &scrape_overhead,
         );
-    }
-    if let Some(s) = fig4_median_speedup {
-        println!("fig4 findRules median speedup vs baseline core: {s:.2}x");
     }
 }

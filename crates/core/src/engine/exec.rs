@@ -26,10 +26,6 @@
 //! is `findHeads`' head-count op — cover and confidence of every head in
 //! one pass over a body join, against the search's [`HeadTable`]
 //! ([`Executor::build_head_table`]).
-//!
-//! In baseline mode ([`mq_relation::baseline_mode`]) the executor
-//! reproduces the pre-optimization engine faithfully: atoms re-evaluated
-//! at every use, node joins folded in raw λ order, no plans, no memos.
 
 use crate::engine::memo::{PlanKey, SharedMemos};
 use crate::plan::{
@@ -107,13 +103,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate `rel(terms)` once, memoized. In baseline mode the memo is
-    /// bypassed so A/B timings measure the pre-optimization engine (which
-    /// re-evaluated every atom at every use) faithfully.
+    /// Evaluate `rel(terms)` once, memoized.
     pub(crate) fn eval_atom(&mut self, key: AtomKey) -> Arc<Bindings> {
-        if mq_relation::baseline_mode() {
-            return Arc::new(Bindings::from_atom(self.db.relation(key.0), &key.1));
-        }
         let db = self.db;
         // The service consults the search-local atom memo, then (when
         // seeded by the serving layer) the persistent cross-search cache
@@ -133,19 +124,6 @@ impl<'a> Executor<'a> {
     /// `(χ, atom keys)` — not by decomposition vertex — so vertices with
     /// identical labels share one plan outright.
     pub(crate) fn node_join(&mut self, chi: &[VarId], atom_keys: Vec<AtomKey>) -> Arc<Bindings> {
-        if mq_relation::baseline_mode() {
-            // Pre-optimization engine: fold in raw λ order, no planning,
-            // no memo — the A/B comparison target of `bench_report`.
-            let mut join = Bindings::unit();
-            for key in atom_keys {
-                let b = self.eval_atom(key);
-                join = join.join(&b);
-                if join.is_empty() {
-                    break;
-                }
-            }
-            return Arc::new(join.project(chi));
-        }
         let cache_key: PlanKey = (chi.to_vec(), atom_keys);
         if let Some(root) = self.memos.plans.get(&cache_key) {
             return self.exec(root);
@@ -262,8 +240,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a count-only plan over the given input slots — the
-    /// `enoughSupport` semijoin counts, the Yannakakis support counts and
-    /// baseline mode's cover/confidence semijoins run through here.
+    /// `enoughSupport` semijoin counts and the Yannakakis support counts
+    /// run through here.
     pub(crate) fn exec_count(&self, plan: &CountPlan, inputs: &[&Bindings]) -> usize {
         match &plan.op {
             CountOp::SemijoinCount { left, right } => inputs[*left].semijoin_count(inputs[*right]),

@@ -115,7 +115,7 @@ pub fn find_rules_instrumented(
     req_id: u64,
 ) -> Result<Vec<MqAnswer>, InstError> {
     validate(db, mq, ty)?;
-    let mut setup = Setup::with_memo_service(db, mq, ty, thresholds, memos);
+    let mut setup = Setup::new(db, mq, ty, thresholds, memos);
     setup.deadline = max_wall_ms.map(SearchDeadline::new);
     setup.profile = profile;
     setup.obs_req = req_id;
@@ -151,7 +151,7 @@ pub fn find_rules_seq(
     thresholds: Thresholds,
 ) -> Result<Vec<MqAnswer>, InstError> {
     validate(db, mq, ty)?;
-    let setup = Setup::new(db, mq, ty, thresholds);
+    let setup = Setup::new(db, mq, ty, thresholds, None);
     let mut out = collect_sequential(&setup);
     crate::engine::sort_answers(&mut out);
     Ok(out)
@@ -198,7 +198,7 @@ pub fn find_rules_with(
     f: impl FnMut(&MqAnswer) -> ControlFlow<()>,
 ) -> Result<bool, InstError> {
     validate(db, mq, ty)?;
-    let setup = Setup::new(db, mq, ty, thresholds);
+    let setup = Setup::new(db, mq, ty, thresholds, None);
     let mut engine = Engine::new(&setup, f);
     let stopped = engine.find_bodies(0).is_break();
     Ok(stopped)
@@ -332,14 +332,12 @@ pub(crate) struct Setup<'a> {
     /// `findHeads` of the search and shared by every worker.
     head_table: OnceLock<HeadTable>,
     /// The count-only plan `|inputs[0] ⋉ inputs[1]|` behind
-    /// `enoughSupport` (`[atom, s[home]]`) and baseline mode's
-    /// cover/confidence semijoins (cvr feeds `[h, b]`, cnf `[b, h]`).
+    /// `enoughSupport` (`[atom, s[home]]`).
     semijoin_count_plan: CountPlan,
     /// The cross-worker shared memo service (atoms, plans, node
     /// results), created once per search — or supplied by the serving
     /// layer, possibly seeded with a persistent cross-search atom cache
-    /// — and handed to every worker's executor. Baseline mode gets a
-    /// fresh one, which it bypasses anyway.
+    /// — and handed to every worker's executor.
     pub(crate) shared_memos: Arc<super::memo::SharedMemos>,
     /// Optional wall-clock budget, polled cooperatively by every engine
     /// and by the scheduler's task loop. `None` (every entry point but
@@ -357,25 +355,15 @@ pub(crate) struct Setup<'a> {
 }
 
 impl<'a> Setup<'a> {
+    /// The search state for `mq` over `db`. `memos` is an externally
+    /// supplied memo service (the serving layer's, possibly seeded with
+    /// a persistent atom cache); `None` creates a fresh one.
     pub(crate) fn new(
         db: &'a Database,
         mq: &'a Metaquery,
         ty: InstType,
         thresholds: Thresholds,
-    ) -> Self {
-        Setup::with_memo_service(db, mq, ty, thresholds, None)
-    }
-
-    /// [`Setup::new`] with an externally supplied memo service. `None`
-    /// creates a fresh service; `Some` is honored unconditionally —
-    /// except in baseline mode, which bypasses every memo to reproduce
-    /// the pre-optimization engine faithfully.
-    pub(crate) fn with_memo_service(
-        db: &'a Database,
-        mq: &'a Metaquery,
-        ty: InstType,
-        thresholds: Thresholds,
-        external_memos: Option<Arc<super::memo::SharedMemos>>,
+        memos: Option<Arc<super::memo::SharedMemos>>,
     ) -> Self {
         // Decomposition of the body literal schemes' ordinary variables.
         let edges: Vec<BTreeSet<VarId>> = mq.body.iter().map(|l| l.var_set()).collect();
@@ -525,10 +513,7 @@ impl<'a> Setup<'a> {
             body_vars,
             head_table: OnceLock::new(),
             semijoin_count_plan: CountPlan::semijoin_count(0, 1),
-            shared_memos: match external_memos {
-                Some(memos) if !mq_relation::baseline_mode() => memos,
-                _ => Arc::default(),
-            },
+            shared_memos: memos.unwrap_or_default(),
             deadline: None,
             profile: None,
             obs_req: 0,
@@ -918,10 +903,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
                 // When s[home] ranges over exactly the atom's variables it
                 // is itself the reduced atom (every s-row is an ra-row and
-                // reduction only drops rows), so |ra ⋉ s| = |s|. (Engine
-                // shortcut: disabled in baseline mode so A/B timings
-                // reproduce the pre-optimization engine.)
-                let reduced = if !mq_relation::baseline_mode() && s_home.vars() == ra.vars() {
+                // reduction only drops rows), so |ra ⋉ s| = |s|.
+                let reduced = if s_home.vars() == ra.vars() {
                     s_home.len()
                 } else {
                     self.exec
@@ -949,15 +932,13 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         // already covered satisfies `b ⋉ s[j] = b` and is skipped
         // outright. Type-2 instantiations can pad atoms with fresh
         // variables that appear in no χ — those columns exist only in
-        // the atom relations, so such bodies (and baseline mode, for
-        // A/B parity with the pre-optimization engine) take the
-        // per-atom assembly: reduce each atom relation against its
-        // home, then fold joins (pure filters become semijoins).
-        let calibrated = !mq_relation::baseline_mode()
-            && body_atoms.iter().enumerate().all(|(bi, ra)| {
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                ra.vars().iter().all(|v| s_home.position(*v).is_some())
-            });
+        // the atom relations, so such bodies take the per-atom
+        // assembly: reduce each atom relation against its home, then
+        // fold joins (pure filters become semijoins).
+        let calibrated = body_atoms.iter().enumerate().all(|(bi, ra)| {
+            let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+            ra.vars().iter().all(|v| s_home.position(*v).is_some())
+        });
         let mut b;
         if calibrated {
             b = s[n - 1].clone();
@@ -972,7 +953,6 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             }
         } else {
             // Join reduced atoms in postorder of homes (join-tree locality).
-            let baseline = mq_relation::baseline_mode();
             let mut order: Vec<usize> = (0..setup.mq.body.len()).collect();
             order.sort_by_key(|&bi| setup.pos_of[setup.ht.atom_home[bi]]);
             b = Bindings::unit();
@@ -980,10 +960,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
                 // A vertex relation over exactly the atom's variables is
                 // the reduced atom already.
-                let reduced = if !baseline && s_home.vars() == body_atoms[bi].vars() {
+                let reduced = if s_home.vars() == body_atoms[bi].vars() {
                     s_home.clone()
-                } else if baseline {
-                    body_atoms[bi].semijoin(s_home)
                 } else {
                     // Index the stable atom side (cached across bodies
                     // by the executor's atom memo), probe the small
@@ -992,9 +970,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 };
                 // An atom contributing no new variable is a pure filter:
                 // `b ⋈ reduced = b ⋉ reduced` (set semantics).
-                let filter_only = !baseline
-                    && !b.vars().is_empty()
-                    && reduced.vars().iter().all(|v| b.position(*v).is_some());
+                let filter_only =
+                    !b.vars().is_empty() && reduced.vars().iter().all(|v| b.position(*v).is_some());
                 b = if filter_only {
                     b.semijoin(&reduced)
                 } else {
@@ -1014,40 +991,39 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         // support count runs over the (small) vertex relation, never the
         // assembled join; when the variables are *exactly* the vertex's,
         // the count is just `|s[home]|`.
-        let sup_hint: Option<Frac> =
-            if setup.mq.neg_body.is_empty() && !mq_relation::baseline_mode() {
-                let mut sup = Some(Frac::ZERO);
-                for (bi, ra) in body_atoms.iter().enumerate() {
-                    if ra.is_empty() {
-                        continue;
-                    }
-                    let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                    let vars = self.mq_body_atom_vars(bi);
-                    if vars.iter().all(|v| s_home.position(*v).is_some()) {
-                        let num = if s_home.vars() == vars.as_slice() {
-                            s_home.len()
-                        } else {
-                            self.exec
-                                .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
-                        };
-                        let f = Frac::ratio_or_zero(num as u64, ra.len() as u64);
-                        if let Some(cur) = sup {
-                            if f > cur {
-                                sup = Some(f);
-                            }
-                        }
-                    } else {
-                        // Atom variables outside the decomposition (type-2
-                        // padding): fall back to counting over the
-                        // assembled join.
-                        sup = None;
-                        break;
-                    }
+        let sup_hint: Option<Frac> = if setup.mq.neg_body.is_empty() {
+            let mut sup = Some(Frac::ZERO);
+            for (bi, ra) in body_atoms.iter().enumerate() {
+                if ra.is_empty() {
+                    continue;
                 }
-                sup
-            } else {
-                None
-            };
+                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+                let vars = self.mq_body_atom_vars(bi);
+                if vars.iter().all(|v| s_home.position(*v).is_some()) {
+                    let num = if s_home.vars() == vars.as_slice() {
+                        s_home.len()
+                    } else {
+                        self.exec
+                            .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
+                    };
+                    let f = Frac::ratio_or_zero(num as u64, ra.len() as u64);
+                    if let Some(cur) = sup {
+                        if f > cur {
+                            sup = Some(f);
+                        }
+                    }
+                } else {
+                    // Atom variables outside the decomposition (type-2
+                    // padding): fall back to counting over the
+                    // assembled join.
+                    sup = None;
+                    break;
+                }
+            }
+            sup
+        } else {
+            None
+        };
 
         self.enum_neg(0, b, &body_atoms, sup_hint)
     }
@@ -1153,9 +1129,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     /// agreeing with the body instantiation against `b`, in enumeration
     /// order. One head-count op streams `b` once against the search's
     /// head table (built by the first call, shared by every worker) and
-    /// yields cover and confidence for every head at once. Baseline mode
-    /// keeps the two oracle semijoins per head, confidence only once
-    /// cover passes.
+    /// yields cover and confidence for every head at once.
     fn find_heads(&mut self, b: &Bindings, sup: Frac) -> ControlFlow<()> {
         let setup = self.setup;
         let locked = if setup.head_is_pattern {
@@ -1165,21 +1139,6 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         };
         let heads = setup.head_range(locked);
         if heads.is_empty() {
-            return ControlFlow::Continue(());
-        }
-        if mq_relation::baseline_mode() {
-            let plan = &setup.semijoin_count_plan;
-            for i in heads {
-                if self.over_deadline() {
-                    return ControlFlow::Break(());
-                }
-                let head = &setup.heads[i];
-                let h = self.eval_atom(head.rel, head.terms.clone());
-                let h_hits = self.exec.exec_count(plan, &[&h, b]);
-                self.check_head(b, sup, i, h.len(), h_hits, |exec| {
-                    exec.exec_count(plan, &[b, &h])
-                })?;
-            }
             return ControlFlow::Continue(());
         }
         let table = setup.head_table.get_or_init(|| {
@@ -1192,18 +1151,22 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 return ControlFlow::Break(());
             }
             let counts = self.head_scratch.counts()[i];
-            self.check_head(b, sup, i, table.head_len(i), counts.head_hits, |_| {
-                counts.body_hits
-            })?;
+            self.check_head(
+                b,
+                sup,
+                i,
+                table.head_len(i),
+                counts.head_hits,
+                counts.body_hits,
+            )?;
         }
         ControlFlow::Continue(())
     }
 
     /// Apply the thresholds to head `i` and report it when it passes.
     /// `cvr = |h ⋉ b| / |h|` from `h_hits`; `cnf = |b ⋉ h| / |b|` from
-    /// `b_hits`, asked only once cover passes (equivalently `b ⋉ h'`:
-    /// every h-row whose key occurs in b is itself in h', so the key sets
-    /// agree).
+    /// `b_hits` (equivalently `b ⋉ h'`: every h-row whose key occurs in b
+    /// is itself in h', so the key sets agree).
     fn check_head(
         &mut self,
         b: &Bindings,
@@ -1211,7 +1174,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         i: usize,
         h_len: usize,
         h_hits: usize,
-        b_hits: impl FnOnce(&Executor<'a>) -> usize,
+        b_hits: usize,
     ) -> ControlFlow<()> {
         let setup = self.setup;
         let cvr = Frac::ratio_or_zero(h_hits as u64, h_len as u64);
@@ -1220,7 +1183,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 return ControlFlow::Continue(());
             }
         }
-        let cnf = Frac::ratio_or_zero(b_hits(&self.exec) as u64, b.len() as u64);
+        let cnf = Frac::ratio_or_zero(b_hits as u64, b.len() as u64);
         if let Some(k) = setup.thresholds.cnf {
             if cnf <= k {
                 return ControlFlow::Continue(());
@@ -1431,7 +1394,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let db = random_db(&mut rng, &[("p", 2), ("q", 2)], 6, 3);
         let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-        let setup = Setup::new(&db, &mq, InstType::Zero, Thresholds::none());
+        let setup = Setup::new(&db, &mq, InstType::Zero, Thresholds::none(), None);
         assert_eq!(setup.enum_order.len(), 2);
         let d1 = setup.prefix_tasks(1);
         let d2 = setup.prefix_tasks(2);
@@ -1444,7 +1407,7 @@ mod tests {
         }
         // A shared predicate variable locks the relation across patterns.
         let mq2 = parse_metaquery("R(X,Z) <- P(X,Y), P(Y,Z)").unwrap();
-        let setup2 = Setup::new(&db, &mq2, InstType::Zero, Thresholds::none());
+        let setup2 = Setup::new(&db, &mq2, InstType::Zero, Thresholds::none(), None);
         for task in setup2.prefix_tasks(2) {
             assert_eq!(task[0].1, task[1].1, "shared pv must lock the relation");
         }

@@ -47,7 +47,7 @@
 //! measured as noise against a private per-worker map on the bench
 //! guards (see PERFORMANCE.md). In exchange every search reports
 //! hit-rate telemetry and exercises the exact storage layer that
-//! concurrent sessions share. Baseline mode bypasses it.
+//! concurrent sessions share.
 //!
 //! ## Counters
 //!

@@ -20,17 +20,17 @@
 //! sort as `find_rules_seq`, so output is byte-identical for every
 //! `MQ_THREADS` × `MQ_SPLIT_DEPTH` combination.
 //!
-//! Knobs: `MQ_PARALLEL=0` disables the scheduler; `MQ_THREADS` caps the
-//! worker count (via the rayon shim); `MQ_SPLIT_DEPTH` (default 2) sets
-//! how many leading patterns the split enumerates — deeper splits give
-//! more, finer tasks for many-core machines.
+//! Knobs: `MQ_THREADS` caps the worker count (via the rayon shim;
+//! `MQ_THREADS=1` runs every search sequentially); `MQ_SPLIT_DEPTH`
+//! (default 2) sets how many leading patterns the split enumerates —
+//! deeper splits give more, finer tasks for many-core machines.
 
 use super::find_rules::{collect_sequential, Engine, Setup};
 use super::MqAnswer;
 use mq_store::lock::{lock_recover, unpoison};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default number of leading patterns the scheduler splits on.
 pub const DEFAULT_SPLIT_DEPTH: usize = 2;
@@ -47,39 +47,31 @@ pub fn set_split_depth_override(d: Option<usize>) {
     SPLIT_DEPTH_OVERRIDE.store(d.unwrap_or(0), Ordering::SeqCst);
 }
 
-/// The split depth: the override, else `MQ_SPLIT_DEPTH`, else
+/// The split depth: the override, else `MQ_SPLIT_DEPTH` (read once per
+/// process, like the rayon shim's `MQ_THREADS`), else
 /// [`DEFAULT_SPLIT_DEPTH`]. Clamped to ≥ 1.
 pub fn split_depth() -> usize {
     let over = SPLIT_DEPTH_OVERRIDE.load(Ordering::Relaxed);
     if over > 0 {
         return over;
     }
-    std::env::var("MQ_SPLIT_DEPTH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&d| d > 0)
-        .unwrap_or(DEFAULT_SPLIT_DEPTH)
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| {
+        std::env::var("MQ_SPLIT_DEPTH")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&d| d > 0)
+            .unwrap_or(DEFAULT_SPLIT_DEPTH)
+    })
 }
 
-/// Whether the parallel driver is enabled (`MQ_PARALLEL=0` disables it;
-/// baseline mode always runs sequentially so A/B timings compare the
-/// pre-optimization engine faithfully).
-fn parallel_enabled() -> bool {
-    if mq_relation::baseline_mode() {
-        return false;
-    }
-    match std::env::var_os("MQ_PARALLEL") {
-        Some(v) => !matches!(v.to_str(), Some("0") | Some("false") | Some("off")),
-        None => true,
-    }
-}
-
-/// Run the search for `setup`, on the work-stealing scheduler when it is
-/// enabled and the split yields at least two tasks, else sequentially.
+/// Run the search for `setup`, on the work-stealing scheduler when more
+/// than one thread is available and the split yields at least two tasks,
+/// else sequentially.
 /// Answers come back in enumeration order (pre-sort).
 pub(crate) fn run(setup: &Setup) -> Vec<MqAnswer> {
     let threads = rayon::current_num_threads();
-    if threads <= 1 || !parallel_enabled() {
+    if threads <= 1 {
         // The sequential fallback runs on the calling thread, which is
         // already inside the request's trace scope; count it as one task.
         if let Some(p) = &setup.profile {

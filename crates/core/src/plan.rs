@@ -347,15 +347,13 @@ pub fn build_node_plan_ordered(
 /// materialize rows, so their plans are a single counting op over input
 /// slots resolved at execution time (slot 0 = first input, etc.).
 ///
-/// Cover and confidence are not a `CountOp` in the optimized engine:
-/// `findHeads` answers both with the executor's head-count op
-/// (`Executor::exec_head_counts`), which streams the body join once
-/// against one table of every head ([`mq_relation::HeadTable`]).
-/// Baseline mode still counts them as two [`CountOp::SemijoinCount`]s.
+/// Cover and confidence are not a `CountOp`: `findHeads` answers both
+/// with the executor's head-count op (`Executor::exec_head_counts`),
+/// which streams the body join once against one table of every head
+/// ([`mq_relation::HeadTable`]).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CountOp {
-    /// `|inputs[left] ⋉ inputs[right]|` — `enoughSupport`'s atom counts
-    /// (and baseline mode's cover/confidence checks).
+    /// `|inputs[left] ⋉ inputs[right]|` — `enoughSupport`'s atom counts.
     SemijoinCount {
         /// Slot of the counted (left) side.
         left: usize,

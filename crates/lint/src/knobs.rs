@@ -104,11 +104,6 @@ pub const KNOBS: &[Knob] = &[
         purpose: "Health rule `p99-burn`: request-latency objective for the two-window burn math",
     },
     Knob {
-        name: "MQ_PARALLEL",
-        default: "1 (on)",
-        purpose: "Work-stealing `findRules` scheduler (`0`/`false`/`off` disables)",
-    },
-    Knob {
         name: "MQ_SCRAPE_MS",
         default: "1000",
         purpose: "Flight-recorder scrape cadence, ms (`0` keeps the recorder fully off)",
@@ -126,7 +121,8 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MQ_THREADS",
         default: "CPU count",
-        purpose: "Worker-thread cap for the scheduler pool (rayon shim)",
+        purpose:
+            "Worker-thread cap for the scheduler pool (rayon shim); `1` runs searches sequentially",
     },
     Knob {
         name: "MQ_TRACE",

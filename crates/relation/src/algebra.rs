@@ -20,10 +20,8 @@
 //! across the thousands of instantiations a metaquery engine evaluates.
 //!
 //! The pre-optimization kernels (the naive port: one boxed key per row,
-//! hash tables rebuilt per operation) are kept in [`baseline`] both as the
-//! oracle for randomized equivalence tests and as the comparison point for
-//! `bench_report`. [`set_baseline_mode`] routes the public API through
-//! them at runtime.
+//! hash tables rebuilt per operation) are kept in [`baseline`] as the
+//! oracle the randomized equivalence tests compare every kernel against.
 
 use crate::hashjoin::{self, BitSet, GroupIndex, RawTable};
 use crate::relation::Relation;
@@ -31,24 +29,7 @@ use crate::value::{Tuple, Value};
 use mq_store::{ColIndexCache, ColumnarRows};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// When set, the public algebra API routes through the [`baseline`]
-/// kernels (used by `bench_report` to measure the optimization in-tree).
-static BASELINE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Route the algebra through the pre-optimization [`baseline`] kernels
-/// (`true`) or the optimized kernels (`false`, the default).
-pub fn set_baseline_mode(on: bool) {
-    BASELINE_MODE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`set_baseline_mode`] routed the algebra to the baseline.
-#[inline]
-pub fn baseline_mode() -> bool {
-    BASELINE_MODE.load(Ordering::Relaxed)
-}
 
 /// An ordinary (first-order) variable, interned by the caller.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -307,9 +288,6 @@ impl Bindings {
             rel.name(),
             rel.arity()
         );
-        if baseline_mode() {
-            return baseline::from_atom(rel, terms);
-        }
         let shape = AtomShape::of(terms);
         // Column-wise evaluation: select matching row ids against the
         // relation's columns, then gather the variable columns.
@@ -341,23 +319,21 @@ impl Bindings {
     /// Natural join on shared variables. With no shared variables this is a
     /// cross product; with identical variable sets it is an intersection.
     pub fn join(&self, other: &Bindings) -> Bindings {
-        if !baseline_mode() {
-            // Unit shortcuts: `unit ⋈ B = B` shares B's row storage; a
-            // variable-free empty side annihilates to empty-over-B's-vars.
-            if self.vars.is_empty() {
-                return if self.is_empty() {
-                    Bindings::empty(other.vars.clone())
-                } else {
-                    other.clone()
-                };
-            }
-            if other.vars.is_empty() {
-                return if other.is_empty() {
-                    Bindings::empty(self.vars.clone())
-                } else {
-                    self.clone()
-                };
-            }
+        // Unit shortcuts: `unit ⋈ B = B` shares B's row storage; a
+        // variable-free empty side annihilates to empty-over-B's-vars.
+        if self.vars.is_empty() {
+            return if self.is_empty() {
+                Bindings::empty(other.vars.clone())
+            } else {
+                other.clone()
+            };
+        }
+        if other.vars.is_empty() {
+            return if other.is_empty() {
+                Bindings::empty(self.vars.clone())
+            } else {
+                self.clone()
+            };
         }
         // Join the smaller side as the build side.
         if self.len() > other.len() {
@@ -368,9 +344,6 @@ impl Bindings {
 
     /// Natural join keeping `self`'s columns first (build side = `self`).
     fn join_ordered(&self, probe: &Bindings) -> Bindings {
-        if baseline_mode() {
-            return baseline::join_ordered(self, probe);
-        }
         let shared: Vec<VarId> = self
             .vars
             .iter()
@@ -452,9 +425,6 @@ impl Bindings {
     /// re-discovering them per execution); column and row order of the
     /// result are identical to [`Bindings::join`].
     pub fn join_on(&self, other: &Bindings, keys: &[VarId]) -> Bindings {
-        if baseline_mode() {
-            return baseline::join(self, other);
-        }
         debug_assert!(
             {
                 let (sp, _) = self.semijoin_positions(other);
@@ -494,9 +464,6 @@ impl Bindings {
     /// filtering entry point; result is identical to
     /// [`Bindings::semijoin`] given `keys` = the shared variables.
     pub fn semijoin_on(&self, other: &Bindings, keys: &[VarId]) -> Bindings {
-        if baseline_mode() {
-            return baseline::semijoin(self, other);
-        }
         debug_assert!(
             {
                 let (sp, _) = self.semijoin_positions(other);
@@ -581,9 +548,6 @@ impl Bindings {
     /// relation share one build side instead of rebuilding a hash table
     /// per call.
     pub fn join_atom(&self, rel: &Relation, terms: &[Term]) -> Bindings {
-        if baseline_mode() {
-            return self.join(&Bindings::from_atom(rel, terms));
-        }
         assert_eq!(
             terms.len(),
             rel.arity(),
@@ -657,9 +621,6 @@ impl Bindings {
     /// Variables in `vars` not present in `self` are ignored (projecting a
     /// join onto `att(R)` may mention variables the join lost to emptiness).
     pub fn project(&self, vars: &[VarId]) -> Bindings {
-        if baseline_mode() {
-            return baseline::project(self, vars);
-        }
         let cols: Vec<usize> = vars.iter().filter_map(|&v| self.position(v)).collect();
         if cols.len() == self.vars.len() && cols.iter().enumerate().all(|(i, &c)| i == c) {
             // Identity projection: rows are already distinct (invariant),
@@ -697,9 +658,6 @@ impl Bindings {
     /// Count of distinct tuples over `vars` (`|π_vars(self)|`) without
     /// materializing the projection rows.
     pub fn count_distinct(&self, vars: &[VarId]) -> usize {
-        if baseline_mode() {
-            return baseline::count_distinct(self, vars);
-        }
         let cols: Vec<usize> = vars.iter().filter_map(|&v| self.position(v)).collect();
         // Same hash-of-column-slice dedup as `project`, counting only.
         let sc = self.columnar();
@@ -756,9 +714,6 @@ impl Bindings {
     /// projection appears in `other`. With no shared variables this keeps
     /// all rows iff `other` is non-empty.
     pub fn semijoin(&self, other: &Bindings) -> Bindings {
-        if baseline_mode() {
-            return baseline::semijoin(self, other);
-        }
         let (self_pos, other_pos) = self.semijoin_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
@@ -779,13 +734,6 @@ impl Bindings {
     /// engine's bottom-up reducer sweep (`r[i]` against every child's
     /// memoized relation) is the intended caller.
     pub fn semijoin_all(&self, others: &[&Bindings]) -> Bindings {
-        if baseline_mode() {
-            let mut out = self.clone();
-            for o in others {
-                out = baseline::semijoin(&out, o);
-            }
-            return out;
-        }
         // An empty operand empties the result whether or not variables
         // are shared; a non-empty operand with no shared variables is no
         // constraint at all.
@@ -842,9 +790,6 @@ impl Bindings {
     /// reduced vertex relations, so indexing the atom side turns every
     /// sweep after the first into pure probing of the small side.
     pub fn semijoin_indexed(&self, other: &Bindings) -> Bindings {
-        if baseline_mode() {
-            return baseline::semijoin(self, other);
-        }
         let (self_pos, other_pos) = self.semijoin_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
@@ -971,9 +916,6 @@ impl Bindings {
     /// worth indexing (the build is cached, so re-counting the same
     /// large operand against many small ones pays it once).
     pub fn semijoin_count(&self, other: &Bindings) -> usize {
-        if baseline_mode() {
-            return baseline::semijoin(self, other).len();
-        }
         let (self_pos, other_pos) = self.semijoin_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() { 0 } else { self.len() };
@@ -998,9 +940,6 @@ impl Bindings {
     /// rows iff `other` is empty (negation-as-failure on a closed
     /// condition). Used by the negated-literal extension of metaqueries.
     pub fn antijoin(&self, other: &Bindings) -> Bindings {
-        if baseline_mode() {
-            return baseline::antijoin(self, other);
-        }
         let (self_pos, other_pos) = self.semijoin_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
@@ -1089,9 +1028,8 @@ impl fmt::Debug for Bindings {
 }
 
 /// The pre-optimization kernels: one boxed key per row, hash tables
-/// rebuilt from scratch per operation. Kept as (a) the oracle for the
-/// randomized equivalence tests and (b) the comparison point for
-/// `bench_report`'s in-tree A/B measurement (see [`set_baseline_mode`]).
+/// rebuilt from scratch per operation. Kept as the oracle for the
+/// randomized equivalence tests; nothing in the engine calls them.
 pub mod baseline {
     use super::*;
     use std::collections::HashMap;

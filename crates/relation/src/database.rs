@@ -5,6 +5,7 @@ use crate::symbol::{Symbol, SymbolTable};
 use crate::value::{Tuple, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a relation inside a [`Database`], stable across lookups.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -22,10 +23,12 @@ impl RelId {
 ///
 /// The active domain `D` is derived from the stored tuples; [`Database`]
 /// additionally owns the [`SymbolTable`] used to intern string constants so
-/// that values can be rendered back to text.
+/// that values can be rendered back to text. The table sits behind an
+/// [`Arc`] and is copied on write, so a clone shares it until one side
+/// interns a name the table lacks.
 #[derive(Clone, Default)]
 pub struct Database {
-    symbols: SymbolTable,
+    symbols: Arc<SymbolTable>,
     relations: Vec<Relation>,
     by_name: HashMap<String, RelId>,
 }
@@ -36,9 +39,14 @@ impl Database {
         Self::default()
     }
 
-    /// Intern a string constant.
+    /// Intern a string constant. Re-interning a known name reads the
+    /// shared table; only a new name copies it (when shared).
     pub fn sym(&mut self, name: &str) -> Value {
-        Value::Sym(self.symbols.intern(name))
+        let sym = match self.symbols.get(name) {
+            Some(sym) => sym,
+            None => Arc::make_mut(&mut self.symbols).intern(name),
+        };
+        Value::Sym(sym)
     }
 
     /// Access the symbol table (for display).
@@ -220,6 +228,26 @@ mod tests {
         assert_eq!(dom.len(), 2);
         assert!(dom.contains(&v));
         assert!(dom.contains(&Value::Int(7)));
+    }
+
+    #[test]
+    fn clones_share_the_symbol_table_until_a_new_name() {
+        let mut db = Database::new();
+        let x = db.sym("x");
+        let mut copy = db.clone();
+        assert_eq!(copy.sym("x"), x);
+        assert!(
+            std::ptr::eq(db.symbols(), copy.symbols()),
+            "re-interning a known name keeps the table shared"
+        );
+        let y = copy.sym("y");
+        assert!(!std::ptr::eq(db.symbols(), copy.symbols()));
+        assert_eq!(db.symbols().len(), 1, "the original's table is unchanged");
+        assert_eq!(db.symbols().get("y"), None);
+        let Value::Sym(y) = y else {
+            unreachable!("sym interns a symbol")
+        };
+        assert_eq!(copy.resolve(y), "y");
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod symbol;
 pub mod textio;
 pub mod value;
 
-pub use algebra::{baseline_mode, distinct_vars, set_baseline_mode, Bindings, Term, VarId};
+pub use algebra::{distinct_vars, Bindings, Term, VarId};
 pub use database::{Database, RelId};
 pub use frac::Frac;
 pub use hashjoin::BitSet;

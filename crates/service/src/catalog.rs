@@ -478,6 +478,10 @@ mod tests {
         assert!(!ColumnarRows::ptr_eq(&q.columnar(), &new_q.columnar()));
         assert_eq!(q.len(), 1, "the old snapshot still reads one q row");
         assert_eq!(new_q.len(), 2);
+        assert!(
+            std::ptr::eq(old.database().symbols(), new.database().symbols()),
+            "an update that interns no new name shares the symbol table"
+        );
     }
 
     #[test]

@@ -360,44 +360,14 @@ proptest! {
         prop_assert_eq!(par, seq);
     }
 
-    /// The columnar kernels and the baseline (boxed-key) core give
-    /// byte-identical `find_rules` answers, both matching the naive
-    /// reference — on chain, triangle and type-2 (padded-instantiation)
-    /// shapes, the last exercising the per-atom body assembly whose
-    /// padding variables live outside every decomposition vertex.
-    #[test]
-    fn columnar_and_baseline_agree(
-        p in relation_strategy(),
-        q in relation_strategy(),
-        h in relation_strategy(),
-        shape in 0usize..3,
-        padded in proptest::bool::ANY,
-        ksup in 0u64..3,
-    ) {
-        use mq_relation::set_baseline_mode;
-        let db = build_db(&p, &q, &h);
-        let text = match shape {
-            0 => "R(X,Z) <- P(X,Y), Q(Y,Z)",
-            1 => "R(X0,X1) <- P0(X0,X1), P1(X1,X2), P2(X2,X0)",
-            _ => "I(X) <- O(X), N(X)",
-        };
-        let ty = if padded { InstType::Two } else { InstType::Zero };
-        let mq = parse_metaquery(text).unwrap();
-        let th = Thresholds::all(Frac::new(ksup, 4), Frac::ZERO, Frac::ZERO);
-        let reference = naive_find_all(&db, &mq, ty, th).unwrap();
-        for baseline in [false, true] {
-            set_baseline_mode(baseline);
-            let got = find_rules(&db, &mq, ty, th).unwrap();
-            set_baseline_mode(false);
-            prop_assert_eq!(&got, &reference, "baseline={} diverged on {}", baseline, text);
-        }
-    }
-
     /// The Plan IR → Executor pipeline must not change answers: planned
     /// `find_rules` ≡ the naive guess-and-check engine on random chains,
     /// stars and width-2 cycles — the shapes exercising single-atom
     /// plans, shared-variable fans, and multi-atom λ labels (including
-    /// variable-disjoint pairs) respectively.
+    /// variable-disjoint pairs) respectively. Every case also checks
+    /// `I(X) <- O(X), N(X)` at types 0 and 2: type-2 padding variables
+    /// live outside every decomposition vertex, so the padded bodies
+    /// take the per-atom body assembly.
     #[test]
     fn plan_ir_executor_matches_naive(
         p in relation_strategy(),
@@ -419,6 +389,12 @@ proptest! {
         let planned = find_rules(&db, &mq, InstType::Zero, th).unwrap();
         let reference = naive_find_all(&db, &mq, InstType::Zero, th).unwrap();
         prop_assert_eq!(planned, reference);
+        let unary = parse_metaquery("I(X) <- O(X), N(X)").unwrap();
+        for ty in [InstType::Zero, InstType::Two] {
+            let planned = find_rules(&db, &unary, ty, th).unwrap();
+            let reference = naive_find_all(&db, &unary, ty, th).unwrap();
+            prop_assert_eq!(planned, reference, "I(X) <- O(X), N(X) diverged at {:?}", ty);
+        }
     }
 }
 
