@@ -44,8 +44,9 @@
 //! self wall time (id, rendered label, execs, memo hits, row traffic);
 //! `head_count_phase` runs detailed-profile searches of the largest fig4
 //! chain on one thread and reports the `findHeads` head-count op's time
-//! (head-table build plus per-body counting), calls (bodies counted) and
-//! body rows streamed per search and its share of the search;
+//! (head-table build plus per-body streaming of the body's last join),
+//! calls (bodies counted) and body rows streamed per search and its
+//! share of the search;
 //! `trace_overhead` times that fig4 search with tracing forced off and
 //! on in paired batches of at least 50 ms (median-of-differences
 //! estimator), failing if the slowdown exceeds
@@ -545,9 +546,9 @@ struct HeadCountReport {
 /// The `findHeads` head-count op pinned to a layer: detailed-profile
 /// searches of the largest fig4 chain, each on a fresh memo service and
 /// on one thread (so the phase and the search share one clock), report
-/// the op's wall time (head-table build plus per-body counting), calls
-/// (bodies counted) and body rows streamed per search and its share of
-/// the search wall time.
+/// the op's wall time (head-table build plus per-body streaming of the
+/// body's last join), calls (bodies counted) and body rows streamed per
+/// search and its share of the search wall time.
 fn bench_head_count_phase() -> Option<HeadCountReport> {
     const NAME: &str = "head_count_phase";
     const WORKLOAD: &str = "fig4_findrules_chain_d450";

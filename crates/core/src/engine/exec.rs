@@ -24,7 +24,8 @@
 //! Count-only work runs here too: [`Executor::exec_count`] interprets
 //! [`CountPlan`]s (support counts), and [`Executor::exec_head_counts`]
 //! is `findHeads`' head-count op — cover and confidence of every head in
-//! one pass over a body join, against the search's [`HeadTable`]
+//! one pass over a body join given as its last two join inputs, never
+//! built, against the search's [`HeadTable`]
 //! ([`Executor::build_head_table`]).
 
 use crate::engine::memo::{PlanKey, SharedMemos};
@@ -268,27 +269,30 @@ impl<'a> Executor<'a> {
         table
     }
 
-    /// The `findHeads` head-count op: stream the body join `b` once
-    /// against `table`, leaving `(|h ⋉ b|, |b ⋉ h|)` for every head in
-    /// `scratch` (see [`mq_relation::head_table`]). Under a detailed
+    /// The `findHeads` head-count op: stream the body join
+    /// `b = left ⋈ right` once against `table` without building it,
+    /// leaving `(|h ⋉ b|, |b ⋉ h|)` for every head in `scratch` (see
+    /// [`mq_relation::head_table`]), and return `|b|`. Under a detailed
     /// profile the op's wall time, calls (bodies) and body rows streamed
-    /// accumulate worker-locally; otherwise the cost is this one branch.
+    /// (`|b|` per key with a head row) accumulate worker-locally;
+    /// otherwise the cost is this one branch.
     pub(crate) fn exec_head_counts(
         &mut self,
         table: &HeadTable,
-        b: &Bindings,
+        left: &Bindings,
+        right: &Bindings,
         scratch: &mut HeadScratch,
-    ) {
+    ) -> usize {
         if !self.detailed {
-            table.count(b, scratch);
-            return;
+            return table.count(left, right, scratch);
         }
         let t0 = mq_obs::trace::now_ns();
-        let streamed = table.count(b, scratch);
+        let body_len = table.count(left, right, scratch);
         let phase = &mut self.head_counts;
         phase.wall_ns += mq_obs::trace::now_ns().saturating_sub(t0);
         phase.calls += 1;
-        phase.rows += streamed as u64;
+        phase.rows += (body_len * table.live_keys()) as u64;
+        body_len
     }
 }
 

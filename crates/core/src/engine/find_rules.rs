@@ -21,8 +21,11 @@
 //!    shared key, sorted by variable → the heads holding it and their
 //!    rows with it), shared by every worker. Each body then costs one
 //!    head-count op: `b`'s rows stream once against the table behind a
-//!    key filter, yielding cover and confidence for every head at once.
-//!    `b` itself is never indexed or aggregated.
+//!    key filter, yielding `|b|` and cover and confidence for every head
+//!    at once. On the calibrated path with no negated literal (the
+//!    common one) `b` is never built: the op is handed the join of every
+//!    vertex but the last and the last vertex relation, and streams
+//!    their join row pair by row pair without gathering a column.
 //!
 //! The decomposition is computed once: by Proposition 4.9, applying any
 //! instantiation `σ` to the `λ` labels preserves a width-`c`
@@ -86,7 +89,6 @@ pub fn find_rules(
 ///   cross-search [`AtomCache`](super::memo::AtomCache)
 ///   (`SharedMemos::with_persistent_atoms`) and reads per-search hit
 ///   rates off the instance afterwards; `None` means a fresh service.
-///   Baseline mode bypasses every memo by design.
 /// * `max_wall_ms` — a **wall-clock budget**. The search checks the
 ///   deadline cooperatively (in the engine's enumeration loop and in the
 ///   scheduler's task loop) and, once it expires, unwinds and returns
@@ -331,6 +333,8 @@ pub(crate) struct Setup<'a> {
     /// All heads merged into one count table, built by the first
     /// `findHeads` of the search and shared by every worker.
     head_table: OnceLock<HeadTable>,
+    /// The unit relation: a body built whole is counted as `b ⋈ unit`.
+    unit: Bindings,
     /// The count-only plan `|inputs[0] ⋉ inputs[1]|` behind
     /// `enoughSupport` (`[atom, s[home]]`).
     semijoin_count_plan: CountPlan,
@@ -512,6 +516,7 @@ impl<'a> Setup<'a> {
             heads,
             body_vars,
             head_table: OnceLock::new(),
+            unit: Bindings::unit(),
             semijoin_count_plan: CountPlan::semijoin_count(0, 1),
             shared_memos: memos.unwrap_or_default(),
             deadline: None,
@@ -920,77 +925,14 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             }
         }
 
-        // b := J(σb(body(MQ))). After both reducer halves every vertex
-        // relation is calibrated — `s[j] = π_χ(j)(b)` (Yannakakis, the
-        // same invariant the support counts below rely on) — so when
-        // every instantiated atom's variables sit inside its home's χ,
-        // joining the vertex relations along the decomposition
-        // reconstructs `b` exactly: every atom's constraint is already
-        // inside its home's s[j], the χ-connectedness condition keeps
-        // every join keyed when parents join before children (postorder
-        // positions descend root-first), and a vertex whose χ is
-        // already covered satisfies `b ⋉ s[j] = b` and is skipped
-        // outright. Type-2 instantiations can pad atoms with fresh
-        // variables that appear in no χ — those columns exist only in
-        // the atom relations, so such bodies take the per-atom
-        // assembly: reduce each atom relation against its home, then
-        // fold joins (pure filters become semijoins).
-        let calibrated = body_atoms.iter().enumerate().all(|(bi, ra)| {
-            let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-            ra.vars().iter().all(|v| s_home.position(*v).is_some())
-        });
-        let mut b;
-        if calibrated {
-            b = s[n - 1].clone();
-            for j in (0..n.saturating_sub(1)).rev() {
-                if s[j].vars().iter().all(|v| b.position(*v).is_some()) {
-                    continue; // χ(j) covered: s[j] = π_χ(j)(b) adds nothing
-                }
-                b = b.join(&s[j]);
-                if b.is_empty() && !setup.zero_ok {
-                    return ControlFlow::Continue(());
-                }
-            }
-        } else {
-            // Join reduced atoms in postorder of homes (join-tree locality).
-            let mut order: Vec<usize> = (0..setup.mq.body.len()).collect();
-            order.sort_by_key(|&bi| setup.pos_of[setup.ht.atom_home[bi]]);
-            b = Bindings::unit();
-            for &bi in &order {
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                // A vertex relation over exactly the atom's variables is
-                // the reduced atom already.
-                let reduced = if s_home.vars() == body_atoms[bi].vars() {
-                    s_home.clone()
-                } else {
-                    // Index the stable atom side (cached across bodies
-                    // by the executor's atom memo), probe the small
-                    // reduced side.
-                    body_atoms[bi].semijoin_indexed(s_home)
-                };
-                // An atom contributing no new variable is a pure filter:
-                // `b ⋈ reduced = b ⋉ reduced` (set semantics).
-                let filter_only =
-                    !b.vars().is_empty() && reduced.vars().iter().all(|v| b.position(*v).is_some());
-                b = if filter_only {
-                    b.semijoin(&reduced)
-                } else {
-                    b.join(&reduced)
-                };
-                if b.is_empty() && !setup.zero_ok {
-                    return ControlFlow::Continue(());
-                }
-            }
-        }
-
         // With no negated literals, the exact support is available from
         // the reduced vertex relations: after both reducer halves the
         // tree is fully reduced, so `s[j] = π_χ(j)(b)` (Yannakakis).
         // For an atom whose instantiated variables all occur in χ(home),
         // projection composes — `π_vars(b) = π_vars(s[home])` — so the
         // support count runs over the (small) vertex relation, never the
-        // assembled join; when the variables are *exactly* the vertex's,
-        // the count is just `|s[home]|`.
+        // body join; when the variables are *exactly* the vertex's, the
+        // count is just `|s[home]|`.
         let sup_hint: Option<Frac> = if setup.mq.neg_body.is_empty() {
             let mut sup = Some(Frac::ZERO);
             for (bi, ra) in body_atoms.iter().enumerate() {
@@ -1025,6 +967,92 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             None
         };
 
+        // b := J(σb(body(MQ))). After both reducer halves every vertex
+        // relation is calibrated — `s[j] = π_χ(j)(b)` (Yannakakis, the
+        // same invariant the support counts above rely on) — so when
+        // every instantiated atom's variables sit inside its home's χ,
+        // joining the vertex relations along the decomposition
+        // reconstructs `b` exactly: every atom's constraint is already
+        // inside its home's s[j], the χ-connectedness condition keeps
+        // every join keyed when parents join before children (postorder
+        // positions descend root-first), and a vertex whose χ is
+        // already covered satisfies `b ⋉ s[j] = b` and is skipped
+        // outright. With no negated literal to filter `b`, its last
+        // join is never built: every vertex but the last uncovered one
+        // joins into a prefix, and `findHeads` streams `prefix ⋈ s[last]`
+        // against the head table, which also yields `|b|` (a body with
+        // negated literals joins the last vertex too, then filters).
+        // Type-2 instantiations can pad atoms with fresh variables that
+        // appear in no χ — those columns exist only in the atom
+        // relations, so such bodies take the per-atom assembly: reduce
+        // each atom relation against its home, then fold joins (pure
+        // filters become semijoins).
+        let calibrated = body_atoms.iter().enumerate().all(|(bi, ra)| {
+            let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+            ra.vars().iter().all(|v| s_home.position(*v).is_some())
+        });
+        let b = if calibrated {
+            let mut prefix = s[n - 1].clone();
+            let mut last: Option<usize> = None;
+            for j in (0..n.saturating_sub(1)).rev() {
+                let bound = |v: &VarId| {
+                    prefix.position(*v).is_some()
+                        || last.is_some_and(|l| s[l].position(*v).is_some())
+                };
+                if s[j].vars().iter().all(bound) {
+                    continue; // χ(j) covered: s[j] = π_χ(j)(b) adds nothing
+                }
+                if let Some(l) = last.replace(j) {
+                    prefix = prefix.join(&s[l]);
+                    if prefix.is_empty() && !setup.zero_ok {
+                        return ControlFlow::Continue(());
+                    }
+                }
+            }
+            let Some(l) = last else {
+                return self.enum_neg(0, prefix, &body_atoms, sup_hint);
+            };
+            if let Some(sup) = sup_hint {
+                return self.find_heads(&prefix, &s[l], sup);
+            }
+            let b = prefix.join(&s[l]);
+            if b.is_empty() && !setup.zero_ok {
+                return ControlFlow::Continue(());
+            }
+            b
+        } else {
+            // Join reduced atoms in postorder of homes (join-tree
+            // locality).
+            let mut order: Vec<usize> = (0..setup.mq.body.len()).collect();
+            order.sort_by_key(|&bi| setup.pos_of[setup.ht.atom_home[bi]]);
+            let mut b = Bindings::unit();
+            for &bi in &order {
+                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+                // A vertex relation over exactly the atom's variables is
+                // the reduced atom already.
+                let reduced = if s_home.vars() == body_atoms[bi].vars() {
+                    s_home.clone()
+                } else {
+                    // Index the stable atom side (cached across bodies
+                    // by the executor's atom memo), probe the small
+                    // reduced side.
+                    body_atoms[bi].semijoin_indexed(s_home)
+                };
+                // An atom contributing no new variable is a pure filter:
+                // `b ⋈ reduced = b ⋉ reduced` (set semantics).
+                let filter_only =
+                    !b.vars().is_empty() && reduced.vars().iter().all(|v| b.position(*v).is_some());
+                b = if filter_only {
+                    b.semijoin(&reduced)
+                } else {
+                    b.join(&reduced)
+                };
+                if b.is_empty() && !setup.zero_ok {
+                    return ControlFlow::Continue(());
+                }
+            }
+            b
+        };
         self.enum_neg(0, b, &body_atoms, sup_hint)
     }
 
@@ -1066,12 +1094,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                     sup
                 }
             };
-            if let Some(ksup) = setup.thresholds.sup {
-                if sup <= ksup {
-                    return ControlFlow::Continue(());
-                }
-            }
-            return self.find_heads(&b, sup);
+            return self.find_heads(&b, &setup.unit, sup);
         }
         match setup.neg_pattern[ni].filter(|&pidx| self.assign[pidx].is_none()) {
             None => {
@@ -1125,13 +1148,20 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         mq_relation::distinct_vars(&terms)
     }
 
-    /// The paper's `findHeads(σb)`: check every head instantiation
-    /// agreeing with the body instantiation against `b`, in enumeration
-    /// order. One head-count op streams `b` once against the search's
-    /// head table (built by the first call, shared by every worker) and
-    /// yields cover and confidence for every head at once.
-    fn find_heads(&mut self, b: &Bindings, sup: Frac) -> ControlFlow<()> {
+    /// The paper's `findHeads(σb)` for the body `b = left ⋈ right` with
+    /// exact support `sup`: unless `sup` fails `k_sup`, check every head
+    /// instantiation agreeing with the body instantiation against `b`,
+    /// in enumeration order. One head-count op streams `left ⋈ right`
+    /// once against the search's head table (built by the first call,
+    /// shared by every worker) without building `b`, and yields `|b|`
+    /// plus cover and confidence for every head at once.
+    fn find_heads(&mut self, left: &Bindings, right: &Bindings, sup: Frac) -> ControlFlow<()> {
         let setup = self.setup;
+        if let Some(ksup) = setup.thresholds.sup {
+            if sup <= ksup {
+                return ControlFlow::Continue(());
+            }
+        }
         let locked = if setup.head_is_pattern {
             self.pv_rel.get(&setup.pattern_pv[0]).map(|&(r, _)| r)
         } else {
@@ -1145,14 +1175,19 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             let keys = setup.heads.iter().map(|h| (h.rel, h.terms.clone()));
             self.exec.build_head_table(keys, &setup.body_vars)
         });
-        self.exec.exec_head_counts(table, b, &mut self.head_scratch);
+        let b_len = self
+            .exec
+            .exec_head_counts(table, left, right, &mut self.head_scratch);
+        if b_len == 0 && !setup.zero_ok {
+            return ControlFlow::Continue(());
+        }
         for i in heads {
             if self.over_deadline() {
                 return ControlFlow::Break(());
             }
             let counts = self.head_scratch.counts()[i];
             self.check_head(
-                b,
+                b_len,
                 sup,
                 i,
                 table.head_len(i),
@@ -1165,11 +1200,11 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
 
     /// Apply the thresholds to head `i` and report it when it passes.
     /// `cvr = |h ⋉ b| / |h|` from `h_hits`; `cnf = |b ⋉ h| / |b|` from
-    /// `b_hits` (equivalently `b ⋉ h'`: every h-row whose key occurs in b
-    /// is itself in h', so the key sets agree).
+    /// `b_hits` and `b_len` (equivalently `b ⋉ h'`: every h-row whose key
+    /// occurs in b is itself in h', so the key sets agree).
     fn check_head(
         &mut self,
-        b: &Bindings,
+        b_len: usize,
         sup: Frac,
         i: usize,
         h_len: usize,
@@ -1183,7 +1218,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 return ControlFlow::Continue(());
             }
         }
-        let cnf = Frac::ratio_or_zero(b_hits as u64, b.len() as u64);
+        let cnf = Frac::ratio_or_zero(b_hits as u64, b_len as u64);
         if let Some(k) = setup.thresholds.cnf {
             if cnf <= k {
                 return ControlFlow::Continue(());

@@ -349,8 +349,8 @@ pub fn build_node_plan_ordered(
 ///
 /// Cover and confidence are not a `CountOp`: `findHeads` answers both
 /// with the executor's head-count op (`Executor::exec_head_counts`),
-/// which streams the body join once against one table of every head
-/// ([`mq_relation::HeadTable`]).
+/// which streams the body join's last two inputs once against one table
+/// of every head ([`mq_relation::HeadTable`]) without building the join.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CountOp {
     /// `|inputs[left] ⋉ inputs[right]|` — `enoughSupport`'s atom counts.

@@ -17,9 +17,9 @@
 //! Detailed profiles also keep one engine phase outside the plan DAG:
 //! the `findHeads` head-count op (cover and confidence numerators of
 //! every head against each body join), as wall time (the search's
-//! head-table build plus per-body counting), calls (bodies counted) and
-//! body rows streamed in a [`PhaseStat`] merged once per worker
-//! ([`SearchProfile::merge_head_counts`]).
+//! head-table build plus per-body streaming of the body's last join),
+//! calls (bodies counted) and body rows streamed in a [`PhaseStat`]
+//! merged once per worker ([`SearchProfile::merge_head_counts`]).
 //!
 //! Wall time per node is **self time**: the clock runs only around a
 //! node's own kernel (scan/probe/build), not its children's recursion,

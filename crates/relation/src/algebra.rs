@@ -202,7 +202,7 @@ impl Bindings {
     }
 
     /// Get (or build once and cache) the group index over `cols`.
-    fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
+    pub(crate) fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
         self.indexes
             .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
     }
@@ -211,7 +211,7 @@ impl Bindings {
     /// the cost-only probe-direction choices ([`Bindings::semijoin_count`])
     /// peek here to avoid indexing an operand that will never be probed
     /// again. (`findHeads`' cover/confidence counts go further and never
-    /// index the body join at all: see [`crate::head_table`].)
+    /// build the body join at all: see [`crate::head_table`].)
     fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
         self.indexes.get(cols)
     }

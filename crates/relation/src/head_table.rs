@@ -1,6 +1,6 @@
-//! The `findHeads` count op: cover and confidence numerators of every
-//! head instantiation of a search against one body join, in one pass
-//! over the body.
+//! The `findHeads` count op: `|b|` and the cover and confidence
+//! numerators of every head instantiation of a search against one body
+//! join `b`, in one pass over the body — without building `b`.
 //!
 //! `findHeads` (Figure 4) checks every head instantiation `h` against the
 //! body join `b` with two counts, `|h ⋉ b|` (cover) and `|b ⋉ h|`
@@ -18,25 +18,35 @@
 //!   through an open-addressing table at load ≤ 0.5, fronted by a
 //!   one-bit-per-bucket **filter** of about 8 bits per key, indexed by the
 //!   hash's high bits (the table's slots use the low bits);
-//! * [`HeadTable::count`] hashes the body's key columns once, skips every
-//!   row whose filter bit is clear, probes the table for the rest and
-//!   bumps the hit entry's multiplicity; each touched entry then folds
-//!   into its members: `body_hits += multiplicity` and
-//!   `head_hits += head rows with the key`. Per-row work is O(1) whatever
-//!   the number of heads;
+//! * the body arrives as the two inputs of its last join,
+//!   `b = left ⋈ right`, and is **streamed, not built**:
+//!   [`HeadTable::count`] pairs the rows through the smaller side's
+//!   cached group index on the shared variables (the one
+//!   [`Bindings::join`] builds) and gathers no output column. A body
+//!   that is already one relation is counted as `b ⋈ unit`;
+//! * each row pair's key hash resumes a per-row partial hash state of
+//!   the side holding the key's leading variables and folds in the
+//!   rest, bit-identical to hashing `b`'s key columns; a pair whose
+//!   filter bit is clear is skipped, the rest probe the table and bump
+//!   the hit entry's multiplicity; each touched entry then folds into
+//!   its members: `body_hits += multiplicity` and
+//!   `head_hits += head rows with the key`. Per-pair work is O(1)
+//!   whatever the number of heads;
 //! * a head sharing no variable with the bodies keeps the semijoin
 //!   semantics: `h ⋉ b` keeps all of `h` iff `b` is non-empty, and
 //!   symmetrically.
 //!
 //! The table is immutable once built, so every worker of a search shares
-//! one. Each worker owns a [`HeadScratch`] (hashes, multiplicities,
-//! touched entries, output) reused across bodies, so counting a body
-//! allocates nothing once the scratch has grown
-//! (`tests/no_alloc_kernels.rs`).
+//! one. Each worker owns a [`HeadScratch`] (hashes, groups, partial
+//! states, multiplicities, touched entries, output) reused across
+//! bodies, so counting a body allocates nothing once the scratch has
+//! grown (`tests/no_alloc_kernels.rs`).
 
 use crate::algebra::{Bindings, VarId};
-use crate::hashjoin::{self, RawTable};
+use crate::hashjoin::{self, FxHasher, GroupIndex, RawTable};
 use crate::value::Value;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Both semijoin counts of one head against one body join.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -149,51 +159,268 @@ impl KeyTable {
         self.starts.len() - 1
     }
 
-    /// Stream `body`'s rows once, adding every member head's counts
-    /// into `scratch.out`.
-    fn count(&self, body: &Bindings, scratch: &mut HeadScratch) {
+    /// The entry whose key hashes to `hash` and satisfies `eq` (called
+    /// with the entry's key values, in key order), behind the filter.
+    #[inline]
+    fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<u32> {
+        let b = (hash >> self.filter_shift) as usize;
+        if self.filter[b / 64] & (1 << (b % 64)) == 0 {
+            return None;
+        }
         let k = self.key.len();
-        let store = body.columnar();
-        scratch.cols.clear();
-        scratch.cols.extend(
+        self.table.find(hash, |e| {
+            eq(&self.keys[e as usize * k..(e as usize + 1) * k])
+        })
+    }
+
+    /// Stream the body `join` once, adding every member head's counts
+    /// into `scratch.out`.
+    ///
+    /// Each key variable is read from the **home** side — the side
+    /// binding the longer leading run of the key — when it binds it, and
+    /// from the other side otherwise. When home binds the whole key, one
+    /// probe per home row decides every row pair it joins into; a probe
+    /// row that hits adds its join fan-out at once. Otherwise home's
+    /// rows carry a partial hash state over the key's leading run, and
+    /// each row pair folds the remaining key values into it, which
+    /// reproduces [`hashjoin::hash_columns_into`] over the body's key
+    /// columns bit for bit.
+    fn count(&self, join: &Join, scratch: &mut HeadScratch) {
+        let HeadScratch {
+            groups,
+            loc,
+            cols,
+            states,
+            ents,
+            mult,
+            touched,
+            out,
+            ..
+        } = scratch;
+        let (bc, pc) = (join.build.columnar(), join.probe.columnar());
+        let lead = |side: &Bindings| {
             self.key
                 .iter()
-                .map(|&v| body.position(v).expect("body binds every head key")),
-        );
-        let cols = &scratch.cols;
-        hashjoin::hash_columns_into(store, cols, &mut scratch.hashes);
-        if scratch.mult.len() < self.entries() {
-            scratch.mult.resize(self.entries(), 0);
+                .take_while(|&&v| side.position(v).is_some())
+                .count()
+        };
+        let home_probe = lead(join.probe) >= lead(join.build);
+        let (home, away) = if home_probe {
+            (join.probe, join.build)
+        } else {
+            (join.build, join.probe)
+        };
+        loc.clear();
+        loc.extend(self.key.iter().map(|&v| match home.position(v) {
+            Some(c) => (home_probe, c),
+            None => (
+                !home_probe,
+                away.position(v).expect("body binds every head key"),
+            ),
+        }));
+        let run = loc.iter().take_while(|l| l.0 == home_probe).count();
+        cols.clear();
+        cols.extend(loc[..run].iter().map(|l| l.1));
+        if mult.len() < self.entries() {
+            mult.resize(self.entries(), 0);
         }
-        let mult = &mut scratch.mult;
-        for (i, &hash) in scratch.hashes.iter().enumerate() {
-            let b = (hash >> self.filter_shift) as usize;
-            if self.filter[b / 64] & (1 << (b % 64)) == 0 {
-                continue;
+        let mut bump = |e: u32, by: usize| {
+            let m = &mut mult[e as usize];
+            if *m == 0 {
+                touched.push(e);
             }
-            let found = self.table.find(hash, |e| {
-                let e = e as usize;
-                self.keys[e * k..(e + 1) * k]
-                    .iter()
-                    .zip(cols)
-                    .all(|(kv, &c)| *kv == store.col(c)[i])
-            });
-            if let Some(e) = found {
-                let m = &mut mult[e as usize];
-                if *m == 0 {
-                    scratch.touched.push(e);
-                }
-                *m += 1;
+            *m += by;
+        };
+        let home_store = home.columnar();
+        if run == loc.len() {
+            // Home binds the whole key: resolve each home row once.
+            hashjoin::hash_columns_into(home_store, cols, states);
+            ents.clear();
+            ents.extend(states.iter().enumerate().map(|(i, &hash)| {
+                self.find(hash, |key| {
+                    key.iter()
+                        .zip(cols.iter())
+                        .all(|(kv, &c)| *kv == home_store.col(c)[i])
+                })
+                .unwrap_or(NONE)
+            }));
+            if home_probe {
+                join.for_each_probe(groups, |pi, fanout| {
+                    if ents[pi] != NONE {
+                        bump(ents[pi], fanout);
+                    }
+                });
+            } else {
+                join.for_each_pair(groups, |bi, _| {
+                    if ents[bi] != NONE {
+                        bump(ents[bi], 1);
+                    }
+                });
+            }
+        } else {
+            // The key spans both sides: fold the rest per row pair.
+            hashjoin::fold_columns_into(home_store, cols, states);
+            let rest = &loc[run..];
+            if let [(_, c)] = *rest {
+                // One away value per pair — a chain's head key — with
+                // its column hoisted out of the pair loop.
+                let away_col = if home_probe { bc.col(c) } else { pc.col(c) };
+                join.for_each_pair(groups, |bi, pi| {
+                    let (hr, ar) = if home_probe { (pi, bi) } else { (bi, pi) };
+                    let mut h = FxHasher::from_state(states[hr]);
+                    away_col[ar].hash(&mut h);
+                    let found = self.find(h.finish(), |key| {
+                        key[run] == away_col[ar]
+                            && key[..run]
+                                .iter()
+                                .zip(cols.iter())
+                                .all(|(kv, &c)| *kv == home_store.col(c)[hr])
+                    });
+                    if let Some(e) = found {
+                        bump(e, 1);
+                    }
+                });
+            } else {
+                let value = |(on_probe, c): (bool, usize), bi: usize, pi: usize| {
+                    if on_probe {
+                        &pc.col(c)[pi]
+                    } else {
+                        &bc.col(c)[bi]
+                    }
+                };
+                join.for_each_pair(groups, |bi, pi| {
+                    let mut h = FxHasher::from_state(states[if home_probe { pi } else { bi }]);
+                    for &l in rest {
+                        value(l, bi, pi).hash(&mut h);
+                    }
+                    let found = self.find(h.finish(), |key| {
+                        key.iter()
+                            .zip(loc.iter())
+                            .all(|(kv, &l)| kv == value(l, bi, pi))
+                    });
+                    if let Some(e) = found {
+                        bump(e, 1);
+                    }
+                });
             }
         }
-        for e in scratch.touched.drain(..) {
+        for e in touched.drain(..) {
             let e = e as usize;
-            let m = std::mem::take(&mut mult[e]) as usize;
+            let m = std::mem::take(&mut mult[e]);
             let range = self.starts[e] as usize..self.starts[e + 1] as usize;
             for &(head, n) in &self.members[range] {
-                let out = &mut scratch.out[head as usize];
+                let out = &mut out[head as usize];
                 out.body_hits += m;
                 out.head_hits += n as usize;
+            }
+        }
+    }
+}
+
+/// No entry, or no build group.
+const NONE: u32 = u32::MAX;
+
+/// A body given as the natural join `build ⋈ probe`, paired row by row
+/// but never gathered into output columns.
+struct Join<'b> {
+    build: &'b Bindings,
+    probe: &'b Bindings,
+    /// The build side's group index on the shared variables — the one
+    /// [`Bindings::join`] builds and caches; `None` for a cross product.
+    index: Option<Arc<GroupIndex>>,
+}
+
+impl<'b> Join<'b> {
+    /// Pair `left ⋈ right` with the smaller side building, as
+    /// [`Bindings::join`] does: fill `scratch.groups` with every probe
+    /// row's build group and return `|left ⋈ right|`.
+    fn pair(left: &'b Bindings, right: &'b Bindings, scratch: &mut HeadScratch) -> (Self, usize) {
+        let (build, probe) = if left.len() > right.len() {
+            (right, left)
+        } else {
+            (left, right)
+        };
+        let HeadScratch {
+            cols,
+            probe_cols,
+            hashes,
+            groups,
+            ..
+        } = scratch;
+        cols.clear();
+        probe_cols.clear();
+        for (i, &v) in build.vars().iter().enumerate() {
+            if let Some(p) = probe.position(v) {
+                cols.push(i);
+                probe_cols.push(p);
+            }
+        }
+        groups.clear();
+        if cols.is_empty() {
+            let join = Join {
+                build,
+                probe,
+                index: None,
+            };
+            return (join, build.len() * probe.len());
+        }
+        let index = build.binding_index(cols);
+        let pc = probe.columnar();
+        hashjoin::hash_columns_into(pc, probe_cols, hashes);
+        let mut rows = 0;
+        groups.extend(hashes.iter().enumerate().map(|(i, &hash)| {
+            let found = index.find_group(hash, |key| {
+                key.iter()
+                    .zip(probe_cols.iter())
+                    .all(|(kv, &c)| *kv == pc.col(c)[i])
+            });
+            match found {
+                Some(g) => {
+                    rows += index.group_count(g);
+                    g as u32
+                }
+                None => NONE,
+            }
+        }));
+        let join = Join {
+            build,
+            probe,
+            index: Some(index),
+        };
+        (join, rows)
+    }
+
+    /// Visit every probe row that joins, with the number of build rows
+    /// it joins.
+    #[inline]
+    fn for_each_probe(&self, groups: &[u32], mut f: impl FnMut(usize, usize)) {
+        match &self.index {
+            None => (0..self.probe.len()).for_each(|pi| f(pi, self.build.len())),
+            Some(index) => {
+                for (pi, &g) in groups.iter().enumerate() {
+                    if g != NONE {
+                        f(pi, index.group_count(g as usize));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Visit every joined `(build row, probe row)` pair.
+    #[inline]
+    fn for_each_pair(&self, groups: &[u32], mut f: impl FnMut(usize, usize)) {
+        match &self.index {
+            None => {
+                for pi in 0..self.probe.len() {
+                    (0..self.build.len()).for_each(|bi| f(bi, pi));
+                }
+            }
+            Some(index) => {
+                for (pi, &g) in groups.iter().enumerate() {
+                    if g != NONE {
+                        index.group_rows(g as usize).for_each(|bi| f(bi, pi));
+                    }
+                }
             }
         }
     }
@@ -257,34 +484,39 @@ impl HeadTable {
         self.tables.iter().map(|t| t.key.as_slice())
     }
 
-    /// Count every head against `body` in one pass per key: afterwards
-    /// `scratch.counts()[i]` is `(|h_i ⋉ body|, |body ⋉ h_i|)`. Returns
-    /// the body rows streamed — `body.len()` per key with at least one
-    /// head row.
+    /// The keys with at least one head row: a non-empty body streams
+    /// once per such key.
+    pub fn live_keys(&self) -> usize {
+        self.tables.iter().filter(|t| t.entries() > 0).count()
+    }
+
+    /// Count every head against the body `b = left ⋈ right` without
+    /// building `b`: afterwards `scratch.counts()[i]` is
+    /// `(|h_i ⋉ b|, |b ⋉ h_i|)`. Returns `|b|`. A body that is already
+    /// one relation is counted as `b ⋈ unit`
+    /// ([`Bindings::unit`]).
     ///
     /// # Panics
-    /// Panics if `body` does not bind every variable of some key.
-    pub fn count(&self, body: &Bindings, scratch: &mut HeadScratch) -> usize {
+    /// Panics if the body does not bind every variable of some key.
+    pub fn count(&self, left: &Bindings, right: &Bindings, scratch: &mut HeadScratch) -> usize {
+        let (join, body_len) = Join::pair(left, right, scratch);
         scratch.out.clear();
         scratch
             .out
             .resize(self.head_lens.len(), HeadCounts::default());
         for &i in &self.unkeyed {
-            let (h, b) = (self.head_lens[i as usize], body.len());
+            let h = self.head_lens[i as usize];
             scratch.out[i as usize] = HeadCounts {
-                head_hits: if b == 0 { 0 } else { h },
-                body_hits: if h == 0 { 0 } else { b },
+                head_hits: if body_len == 0 { 0 } else { h },
+                body_hits: if h == 0 { 0 } else { body_len },
             };
         }
-        if body.is_empty() {
-            return 0;
+        if body_len > 0 {
+            for t in self.tables.iter().filter(|t| t.entries() > 0) {
+                t.count(&join, scratch);
+            }
         }
-        let mut streamed = 0;
-        for t in self.tables.iter().filter(|t| t.entries() > 0) {
-            t.count(body, scratch);
-            streamed += body.len();
-        }
-        streamed
+        body_len
     }
 }
 
@@ -292,11 +524,24 @@ impl HeadTable {
 /// body's counts.
 #[derive(Default)]
 pub struct HeadScratch {
+    /// Build-side join columns, then one key table's home columns.
     cols: Vec<usize>,
+    /// Probe-side join columns.
+    probe_cols: Vec<usize>,
+    /// Probe-row join-key hashes.
     hashes: Vec<u64>,
-    /// Per entry of the table being counted: hits so far (all zero
-    /// between counts).
-    mult: Vec<u32>,
+    /// Per probe row: its build group, or `NONE`.
+    groups: Vec<u32>,
+    /// Per key variable: `(read from the probe side, column)`.
+    loc: Vec<(bool, usize)>,
+    /// Per home row: its key hash, or its partial state over the key's
+    /// leading run.
+    states: Vec<u64>,
+    /// Per home row binding the whole key: its entry, or `NONE`.
+    ents: Vec<u32>,
+    /// Per entry of the table being counted: row pairs hitting it so far
+    /// (all zero between counts).
+    mult: Vec<usize>,
     touched: Vec<u32>,
     out: Vec<HeadCounts>,
 }
@@ -339,14 +584,15 @@ mod tests {
         let table = HeadTable::build(&[&h1, &h2], &[v(0), v(1)]);
         assert_eq!(table.keys().collect::<Vec<_>>(), vec![&[v(0)][..]]);
         let mut scratch = HeadScratch::new();
-        assert_eq!(table.count(&body, &mut scratch), 3);
+        let unit = Bindings::unit();
+        assert_eq!(table.count(&body, &unit, &mut scratch), 3);
         let want = |head_hits, body_hits| HeadCounts {
             head_hits,
             body_hits,
         };
         assert_eq!(scratch.counts(), &[want(2, 2), want(1, 2)]);
         // Multiplicities reset between bodies.
-        assert_eq!(table.count(&body, &mut scratch), 3);
+        assert_eq!(table.count(&unit, &body, &mut scratch), 3);
         assert_eq!(scratch.counts(), &[want(2, 2), want(1, 2)]);
     }
 
@@ -357,7 +603,11 @@ mod tests {
         let table = HeadTable::build(&[&h, &empty_h], &[v(0)]);
         assert_eq!(table.keys().count(), 0);
         let mut scratch = HeadScratch::new();
-        assert_eq!(table.count(&rel(&[0], &[&[1], &[2]]), &mut scratch), 0);
+        let unit = Bindings::unit();
+        assert_eq!(
+            table.count(&rel(&[0], &[&[1], &[2]]), &unit, &mut scratch),
+            2
+        );
         assert_eq!(
             scratch.counts(),
             &[
@@ -368,7 +618,97 @@ mod tests {
                 HeadCounts::default()
             ]
         );
-        table.count(&Bindings::empty(vec![v(0)]), &mut scratch);
+        table.count(&Bindings::empty(vec![v(0)]), &unit, &mut scratch);
         assert_eq!(scratch.counts(), &[HeadCounts::default(); 2]);
+    }
+
+    /// Distinct random rows over `vars` with values in `0..dom`.
+    fn random_rel(rng: &mut rand::StdRng, vars: &[u32], rows: usize, dom: i64) -> Bindings {
+        use rand::Rng;
+        let set: std::collections::BTreeSet<Vec<i64>> = (0..rows)
+            .map(|_| vars.iter().map(|_| rng.gen_range(0..dom)).collect())
+            .collect();
+        let rows: Vec<Vec<i64>> = set.into_iter().collect();
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        rel(vars, &refs)
+    }
+
+    /// The streamed count of `left ⋈ right` against `heads` equals the
+    /// count of the materialized oracle join `b` (as `b ⋈ unit`), and
+    /// both equal the oracle semijoin counts; `|b|` agrees too.
+    fn check_streamed(heads: &[Bindings], left: &Bindings, right: &Bindings) {
+        use crate::algebra::baseline;
+        let mut body_vars: Vec<VarId> = left.vars().to_vec();
+        body_vars.extend(right.vars().iter().filter(|v| left.position(**v).is_none()));
+        let refs: Vec<&Bindings> = heads.iter().collect();
+        let table = HeadTable::build(&refs, &body_vars);
+        let b = baseline::join(left, right);
+        let mut scratch = HeadScratch::new();
+        let materialized = table.count(&b, &Bindings::unit(), &mut scratch);
+        let want = scratch.counts().to_vec();
+        for (l, r) in [(left, right), (right, left)] {
+            assert_eq!(table.count(l, r, &mut scratch), materialized);
+            assert_eq!(
+                scratch.counts(),
+                &want[..],
+                "{:?} ⋈ {:?}",
+                l.vars(),
+                r.vars()
+            );
+        }
+        assert_eq!(materialized, b.len());
+        for (h, got) in heads.iter().zip(&want) {
+            let oracle = (
+                baseline::semijoin(h, &b).len(),
+                baseline::semijoin(&b, h).len(),
+            );
+            assert_eq!(
+                (got.head_hits, got.body_hits),
+                oracle,
+                "head over {:?}",
+                h.vars()
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_counts_match_the_materialized_body() {
+        use rand::SeedableRng;
+        let mut rng = rand::StdRng::seed_from_u64(20);
+        for round in 0..60 {
+            // Sides of unequal sizes, so either one builds; every tenth
+            // round one side is empty.
+            let (small, large) = if round % 10 == 9 { (0, 24) } else { (6, 24) };
+            let (nl, nr) = if round % 2 == 0 {
+                (small, large)
+            } else {
+                (large, small)
+            };
+            let dom = 2 + round as i64 % 4;
+            let mut rel_over = |vars: &[u32], n: usize| random_rel(&mut rng, vars, n, dom);
+            let heads = [
+                rel_over(&[0, 2], 12), // key [X,Z] across a chain's two sides
+                rel_over(&[2, 0], 12), // the same key, other column order
+                rel_over(&[1], 4),     // a second key, Y, on both sides
+                rel_over(&[0, 8], 8),  // key [X]: wholly on one side
+                rel_over(&[8, 9], 3),  // unkeyed
+                Bindings::empty(vec![v(9)]),
+            ];
+            // Chain P(X,Y), Q(Y,Z).
+            let (p, q) = (rel_over(&[0, 1], nl), rel_over(&[1, 2], nr));
+            check_streamed(&heads, &p, &q);
+            // Disconnected body P(X), Q(Y): a cross product.
+            let (px, qy) = (rel_over(&[0], nl), rel_over(&[1], nr));
+            check_streamed(&heads[2..], &px, &qy);
+            check_streamed(&[rel_over(&[0, 1], 12)], &px, &qy);
+            // Key [A,B,C] read A, C from one side and B from the other
+            // (switching sides twice), joined on S.
+            let (l, r) = (rel_over(&[0, 2, 5], nl), rel_over(&[5, 1], nr));
+            check_streamed(
+                &[rel_over(&[0, 1, 2], 16), rel_over(&[2, 1, 0], 16)],
+                &l,
+                &r,
+            );
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! not one key per row. The head-count phase
 //! pins `findHeads`' count op: with the head table built and the scratch
 //! primed, counting one body of N rows against K heads allocates a
-//! constant number of times, independent of N and K. A
+//! constant number of times, independent of N and K, whether the body is
+//! built or given as the two inputs of its last join. A
 //! final phase pins the observability contract: with tracing forced
 //! off, `span!` sites and metric-handle updates allocate nothing at all,
 //! and a zero scrape cadence keeps the flight recorder's scraper thread
@@ -216,11 +217,21 @@ fn probe_phases_allocate_constant_not_per_row() {
     // body allocates a constant — the same for 4 heads over
     // N/4 rows as for 64 heads over N rows. The heads use both column
     // orders of one key (`[V0,V1]` and `[V1,V0]`); half hit the body.
-    let head_sweep = |n: i64, k: usize| -> usize {
-        let body = Bindings::from_parts(
-            vec![v(0), v(1), v(2)],
-            (0..n).map(|i| ints(&[i % (n / 2), i, -i])).collect(),
+    // The body is counted twice: built whole (as `body ⋈ unit`), and as
+    // the two inputs `left(V0,V3) ⋈ right(V3,V1,V2)` of its last join,
+    // which the op streams without building — the key spans both sides.
+    let head_sweep = |n: i64, k: usize| -> (usize, usize) {
+        let left = Bindings::from_parts(
+            vec![v(0), v(3)],
+            (0..n).map(|i| ints(&[i % (n / 2), i])).collect(),
         );
+        let right = Bindings::from_parts(
+            vec![v(3), v(1), v(2)],
+            (0..n).map(|i| ints(&[i, i, -i])).collect(),
+        );
+        let body = left.join(&right);
+        assert_eq!(body.len(), n as usize);
+        let unit = Bindings::unit();
         let heads: Vec<Bindings> = (0..k)
             .map(|j| {
                 let vars = if j % 4 < 2 {
@@ -237,25 +248,32 @@ fn probe_phases_allocate_constant_not_per_row() {
             .map(|h| (h.semijoin_count(&body), body.semijoin_count(h)))
             .collect();
         let refs: Vec<&Bindings> = heads.iter().collect();
-        let table = HeadTable::build(&refs, &[v(0), v(1), v(2)]);
+        let table = HeadTable::build(&refs, &[v(0), v(1), v(2), v(3)]);
         let mut scratch = HeadScratch::new();
-        table.count(&body, &mut scratch);
-        let before = allocations();
-        table.count(&body, &mut scratch);
-        let spent = allocations() - before;
-        let got: Vec<(usize, usize)> = scratch
-            .counts()
-            .iter()
-            .map(|c| (c.head_hits, c.body_hits))
-            .collect();
-        assert_eq!(got, expect, "head counts at N={n}, K={k}");
-        spent
+        let mut spent = [0; 2];
+        for (sides, spent) in [(&body, &unit), (&left, &right)]
+            .into_iter()
+            .zip(&mut spent)
+        {
+            table.count(sides.0, sides.1, &mut scratch);
+            let before = allocations();
+            let body_len = table.count(sides.0, sides.1, &mut scratch);
+            *spent = allocations() - before;
+            assert_eq!(body_len, n as usize);
+            let got: Vec<(usize, usize)> = scratch
+                .counts()
+                .iter()
+                .map(|c| (c.head_hits, c.body_hits))
+                .collect();
+            assert_eq!(got, expect, "head counts at N={n}, K={k}");
+        }
+        (spent[0], spent[1])
     };
     let small = head_sweep(N / 4, 4);
     let large = head_sweep(N, 64);
     assert!(
-        large < 32,
-        "counting 64 heads against {N} body rows allocated {large} times"
+        large.0 < 32 && large.1 < 32,
+        "counting 64 heads against {N} body rows allocated {large:?} times"
     );
     assert_eq!(
         small, large,

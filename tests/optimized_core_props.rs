@@ -60,11 +60,12 @@ fn bodies(db: &Database) -> [Bindings; 3] {
 }
 
 /// Every head's table counts against every body equal the oracle
-/// semijoins, and each body is streamed once per key holding a row.
+/// semijoins, the op reports `|b|`, and the table streams each body once
+/// per key holding a row.
 fn check_head_table(table: &HeadTable, heads: &[Bindings], bodies: &[Bindings]) {
     let mut scratch = HeadScratch::new();
     for b in bodies {
-        let streamed = table.count(b, &mut scratch);
+        let body_len = table.count(b, &Bindings::unit(), &mut scratch);
         let keys_with_rows: std::collections::BTreeSet<Vec<VarId>> = heads
             .iter()
             .filter(|h| !h.is_empty())
@@ -80,7 +81,8 @@ fn check_head_table(table: &HeadTable, heads: &[Bindings], bodies: &[Bindings]) 
             })
             .filter(|key| !key.is_empty())
             .collect();
-        assert_eq!(streamed, b.len() * keys_with_rows.len());
+        assert_eq!(body_len, b.len());
+        assert_eq!(table.live_keys(), keys_with_rows.len());
         for (hd, got) in heads.iter().zip(scratch.counts()) {
             assert_eq!(
                 (got.head_hits, got.body_hits),
@@ -222,7 +224,7 @@ proptest! {
         let bodies = bodies(&db);
         check_head_table(&table, &heads, &bodies);
         let mut scratch = HeadScratch::new();
-        table.count(&bodies[0], &mut scratch);
+        table.count(&bodies[0], &Bindings::unit(), &mut scratch);
         for c in scratch.counts() {
             prop_assert_eq!(c.body_hits, bodies[0].len());
         }
@@ -434,8 +436,12 @@ fn head_counts_stream_each_body_row_once_per_key() {
     let table = HeadTable::build(&[&padded, &plain], &[x, y]);
     let mut scratch = HeadScratch::new();
     assert_eq!(
-        table.count(&body, &mut scratch),
-        body.len(),
+        table.count(&body, &Bindings::unit(), &mut scratch),
+        body.len()
+    );
+    assert_eq!(
+        table.live_keys(),
+        1,
         "two heads over one key stream the body once"
     );
     let got: Vec<(usize, usize)> = scratch
