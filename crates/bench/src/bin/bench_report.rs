@@ -28,9 +28,9 @@
 //! thread override — the first entry is the primary measurement the
 //! guards use), so memo scaling shows up in the perf trajectory
 //! even before real many-core hardware is available. The report records
-//! the `threads` and `split_depth` configuration the scheduler ran with
-//! (`MQ_THREADS`, `MQ_SPLIT_DEPTH`), plus per-workload shared-memo
-//! hit/miss counters.
+//! the `threads` configuration the scheduler ran with (`MQ_THREADS`) and
+//! its fixed `split_depth`, plus per-workload shared-memo hit/miss
+//! counters.
 //!
 //! The `net_load` workload drives the hardened TCP serving layer with
 //! concurrent client connections and records tail latency and
@@ -1062,13 +1062,11 @@ fn main() {
         mid_thresholds(),
     );
 
-    // The paper's telecom running example (Figures 1-2) under type-2
-    // instantiations: tiny, but shape-diverse in a way the random
-    // fig4/fig5 workloads are not — mixed arities and padded
-    // instantiations exercise the per-atom body assembly (padding
-    // variables live outside every χ) and the columnar kernels' small-
-    // relation paths. Guarded below by the worked example's known
-    // answer count.
+    // The paper's telecom running example (Figure 1) under type-2
+    // instantiations: tiny, and it exercises the columnar kernels'
+    // small-relation paths. Every relation of `DB1` is binary, so each
+    // type-2 instantiation is a permutation and no body is padded.
+    // Guarded below by the worked example's known answer count.
     let telecom = Workload {
         db: mq_datagen::telecom::db1(),
         mq: parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap(),
@@ -1179,7 +1177,7 @@ fn main() {
             .first()
             .copied()
             .unwrap_or_else(rayon::current_num_threads),
-        mq_core::engine::parallel::split_depth(),
+        mq_core::engine::parallel::SPLIT_DEPTH,
     ));
     if !sweep.is_empty() {
         json.push_str(&format!(

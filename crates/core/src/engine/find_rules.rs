@@ -22,10 +22,13 @@
 //!    rows with it), shared by every worker. Each body then costs one
 //!    head-count op: `b`'s rows stream once against the table behind a
 //!    key filter, yielding `|b|` and cover and confidence for every head
-//!    at once. On the calibrated path with no negated literal (the
-//!    common one) `b` is never built: the op is handed the join of every
-//!    vertex but the last and the last vertex relation, and streams
-//!    their join row pair by row pair without gathering a column.
+//!    at once. Every body is assembled one way: a type-2 atom padded
+//!    with variables outside every χ is first joined into its home
+//!    vertex, so the vertex relations stay calibrated; then, with no
+//!    negated literal, `b` is never built: the op is handed the join of
+//!    every vertex but the last and the last vertex relation, and
+//!    streams their join row pair by row pair without gathering a
+//!    column.
 //!
 //! The decomposition is computed once: by Proposition 4.9, applying any
 //! instantiation `σ` to the `λ` labels preserves a width-`c`
@@ -37,18 +40,19 @@
 //!
 //! * **Planner** ([`crate::plan`]) — a pure function from a vertex's χ
 //!   and λ-atom statistics to a hash-consed [`crate::plan::PlanOp`] DAG;
-//! * **Executor** ([`super::exec`]) — interprets plan nodes against
+//! * **Executor** (`engine::exec`) — interprets plan nodes against
 //!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
 //!   result memo); the count-only cvr/cnf/sup paths (the head-count op
 //!   and the `CountPlan`s) run through it too;
 //! * **Scheduler** ([`super::parallel`]) — splits the search over
-//!   instantiation prefixes up to `MQ_SPLIT_DEPTH` and drains the task
-//!   deque with work-stealing workers, merging results in enumeration
-//!   order so answers are byte-identical to [`find_rules_seq`].
+//!   instantiation prefixes of [`super::parallel::SPLIT_DEPTH`]
+//!   patterns and drains the task deque with work-stealing workers,
+//!   merging results in enumeration order so answers are
+//!   byte-identical to [`find_rules_seq`].
 //!
-//! This module is the remaining orchestration: the immutable [`Setup`]
+//! This module is the remaining orchestration: the immutable `Setup`
 //! (decomposition, candidates, thresholds, enumeration order) and the
-//! per-search [`Engine`] (assignment stacks, node relations, executor)
+//! per-search `Engine` (assignment stacks, node relations, executor)
 //! driving the three phases.
 
 use crate::ast::{Metaquery, Pred, PredVarId};
@@ -925,134 +929,85 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             }
         }
 
+        // Type-2 instantiations can pad an atom with fresh variables that
+        // occur in that atom alone and in no χ. Join each such atom into
+        // its home vertex: `π_{χ ∪ pad}(b) = s[home] ⋈ ra`, because the
+        // padding extends a row of `b` independently of everything else.
+        // The tree stays calibrated — `s[j] = π_vars(s[j])(b)` for every
+        // vertex — and every atom's variables now sit inside its home.
+        // Index the stable atom side (cached across bodies by the
+        // executor's atom memo), probe the small reduced side.
+        for (bi, ra) in body_atoms.iter().enumerate() {
+            let home = setup.pos_of[setup.ht.atom_home[bi]];
+            if ra.vars().iter().any(|v| s[home].position(*v).is_none()) {
+                s[home] = s[home].join(&ra.semijoin_indexed(&s[home]));
+            }
+        }
+
         // With no negated literals, the exact support is available from
-        // the reduced vertex relations: after both reducer halves the
-        // tree is fully reduced, so `s[j] = π_χ(j)(b)` (Yannakakis).
-        // For an atom whose instantiated variables all occur in χ(home),
-        // projection composes — `π_vars(b) = π_vars(s[home])` — so the
-        // support count runs over the (small) vertex relation, never the
-        // body join; when the variables are *exactly* the vertex's, the
-        // count is just `|s[home]|`.
+        // the calibrated vertex relations: projection composes, so
+        // `π_vars(b) = π_vars(s[home])` and the support count runs over
+        // the (small) vertex relation, never the body join; when the
+        // variables are *exactly* the vertex's, the count is `|s[home]|`.
         let sup_hint: Option<Frac> = if setup.mq.neg_body.is_empty() {
-            let mut sup = Some(Frac::ZERO);
+            let mut sup = Frac::ZERO;
             for (bi, ra) in body_atoms.iter().enumerate() {
                 if ra.is_empty() {
                     continue;
                 }
                 let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
                 let vars = self.mq_body_atom_vars(bi);
-                if vars.iter().all(|v| s_home.position(*v).is_some()) {
-                    let num = if s_home.vars() == vars.as_slice() {
-                        s_home.len()
-                    } else {
-                        self.exec
-                            .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
-                    };
-                    let f = Frac::ratio_or_zero(num as u64, ra.len() as u64);
-                    if let Some(cur) = sup {
-                        if f > cur {
-                            sup = Some(f);
-                        }
-                    }
+                let num = if s_home.vars() == vars.as_slice() {
+                    s_home.len()
                 } else {
-                    // Atom variables outside the decomposition (type-2
-                    // padding): fall back to counting over the
-                    // assembled join.
-                    sup = None;
-                    break;
-                }
+                    self.exec
+                        .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
+                };
+                sup = sup.max(Frac::ratio_or_zero(num as u64, ra.len() as u64));
             }
-            sup
+            Some(sup)
         } else {
             None
         };
 
-        // b := J(σb(body(MQ))). After both reducer halves every vertex
-        // relation is calibrated — `s[j] = π_χ(j)(b)` (Yannakakis, the
-        // same invariant the support counts above rely on) — so when
-        // every instantiated atom's variables sit inside its home's χ,
-        // joining the vertex relations along the decomposition
-        // reconstructs `b` exactly: every atom's constraint is already
-        // inside its home's s[j], the χ-connectedness condition keeps
-        // every join keyed when parents join before children (postorder
-        // positions descend root-first), and a vertex whose χ is
-        // already covered satisfies `b ⋉ s[j] = b` and is skipped
-        // outright. With no negated literal to filter `b`, its last
-        // join is never built: every vertex but the last uncovered one
-        // joins into a prefix, and `findHeads` streams `prefix ⋈ s[last]`
-        // against the head table, which also yields `|b|` (a body with
-        // negated literals joins the last vertex too, then filters).
-        // Type-2 instantiations can pad atoms with fresh variables that
-        // appear in no χ — those columns exist only in the atom
-        // relations, so such bodies take the per-atom assembly: reduce
-        // each atom relation against its home, then fold joins (pure
-        // filters become semijoins).
-        let calibrated = body_atoms.iter().enumerate().all(|(bi, ra)| {
-            let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-            ra.vars().iter().all(|v| s_home.position(*v).is_some())
-        });
-        let b = if calibrated {
-            let mut prefix = s[n - 1].clone();
-            let mut last: Option<usize> = None;
-            for j in (0..n.saturating_sub(1)).rev() {
-                let bound = |v: &VarId| {
-                    prefix.position(*v).is_some()
-                        || last.is_some_and(|l| s[l].position(*v).is_some())
-                };
-                if s[j].vars().iter().all(bound) {
-                    continue; // χ(j) covered: s[j] = π_χ(j)(b) adds nothing
-                }
-                if let Some(l) = last.replace(j) {
-                    prefix = prefix.join(&s[l]);
-                    if prefix.is_empty() && !setup.zero_ok {
-                        return ControlFlow::Continue(());
-                    }
-                }
-            }
-            let Some(l) = last else {
-                return self.enum_neg(0, prefix, &body_atoms, sup_hint);
+        // b := J(σb(body(MQ))). Every vertex relation is calibrated, so
+        // joining them along the decomposition reconstructs `b` exactly:
+        // every atom's constraint is already inside its home's s[j], the
+        // χ-connectedness condition keeps every join keyed when parents
+        // join before children (postorder positions descend root-first),
+        // and a vertex whose variables are already covered satisfies
+        // `b ⋉ s[j] = b` and is skipped outright. With no negated literal
+        // to filter `b`, its last join is never built: every vertex but
+        // the last uncovered one joins into a prefix, and `findHeads`
+        // streams `prefix ⋈ s[last]` against the head table, which also
+        // yields `|b|` (a body with negated literals joins the last
+        // vertex too, then filters).
+        let mut prefix = s[n - 1].clone();
+        let mut last: Option<usize> = None;
+        for j in (0..n.saturating_sub(1)).rev() {
+            let bound = |v: &VarId| {
+                prefix.position(*v).is_some() || last.is_some_and(|l| s[l].position(*v).is_some())
             };
-            if let Some(sup) = sup_hint {
-                return self.find_heads(&prefix, &s[l], sup);
+            if s[j].vars().iter().all(bound) {
+                continue; // covered: s[j] = π_vars(s[j])(b) adds nothing
             }
-            let b = prefix.join(&s[l]);
-            if b.is_empty() && !setup.zero_ok {
-                return ControlFlow::Continue(());
-            }
-            b
-        } else {
-            // Join reduced atoms in postorder of homes (join-tree
-            // locality).
-            let mut order: Vec<usize> = (0..setup.mq.body.len()).collect();
-            order.sort_by_key(|&bi| setup.pos_of[setup.ht.atom_home[bi]]);
-            let mut b = Bindings::unit();
-            for &bi in &order {
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                // A vertex relation over exactly the atom's variables is
-                // the reduced atom already.
-                let reduced = if s_home.vars() == body_atoms[bi].vars() {
-                    s_home.clone()
-                } else {
-                    // Index the stable atom side (cached across bodies
-                    // by the executor's atom memo), probe the small
-                    // reduced side.
-                    body_atoms[bi].semijoin_indexed(s_home)
-                };
-                // An atom contributing no new variable is a pure filter:
-                // `b ⋈ reduced = b ⋉ reduced` (set semantics).
-                let filter_only =
-                    !b.vars().is_empty() && reduced.vars().iter().all(|v| b.position(*v).is_some());
-                b = if filter_only {
-                    b.semijoin(&reduced)
-                } else {
-                    b.join(&reduced)
-                };
-                if b.is_empty() && !setup.zero_ok {
+            if let Some(l) = last.replace(j) {
+                prefix = prefix.join(&s[l]);
+                if prefix.is_empty() && !setup.zero_ok {
                     return ControlFlow::Continue(());
                 }
             }
-            b
+        }
+        let Some(l) = last else {
+            return self.enum_neg(0, prefix, &body_atoms, sup_hint);
         };
+        if let Some(sup) = sup_hint {
+            return self.find_heads(&prefix, &s[l], sup);
+        }
+        let b = prefix.join(&s[l]);
+        if b.is_empty() && !setup.zero_ok {
+            return ControlFlow::Continue(());
+        }
         self.enum_neg(0, b, &body_atoms, sup_hint)
     }
 

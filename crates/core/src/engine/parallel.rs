@@ -2,7 +2,7 @@
 //!
 //! The sequential search enumerates pattern assignments depth-first. The
 //! scheduler splits that search over *instantiation prefixes*: every
-//! combination of candidate assignments for the first [`split_depth`]
+//! combination of candidate assignments for the first [`SPLIT_DEPTH`]
 //! patterns (in enumeration order, respecting predicate-variable locks)
 //! becomes one task. Tasks go into a shared deque drained by
 //! work-stealing workers (`rayon::scope`/`spawn`, identical under the
@@ -18,52 +18,20 @@
 //! reproduces the sequential enumeration order exactly, regardless of
 //! which worker ran what when. `find_rules` then applies the same final
 //! sort as `find_rules_seq`, so output is byte-identical for every
-//! `MQ_THREADS` × `MQ_SPLIT_DEPTH` combination.
+//! `MQ_THREADS`.
 //!
-//! Knobs: `MQ_THREADS` caps the worker count (via the rayon shim;
-//! `MQ_THREADS=1` runs every search sequentially); `MQ_SPLIT_DEPTH`
-//! (default 2) sets how many leading patterns the split enumerates —
-//! deeper splits give more, finer tasks for many-core machines.
+//! Knob: `MQ_THREADS` caps the worker count (via the rayon shim;
+//! `MQ_THREADS=1` runs every search sequentially).
 
 use super::find_rules::{collect_sequential, Engine, Setup};
 use super::MqAnswer;
 use mq_store::lock::{lock_recover, unpoison};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// Default number of leading patterns the scheduler splits on.
-pub const DEFAULT_SPLIT_DEPTH: usize = 2;
-
-/// Runtime override of the split depth (0 = none). Exists so tests can
-/// sweep depths without `std::env::set_var` (unsound under concurrent
-/// env reads on glibc).
-static SPLIT_DEPTH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Force [`split_depth`] to return `d` (or `None` to restore the
-/// `MQ_SPLIT_DEPTH` env / default resolution). Process-global; intended
-/// for tests and harnesses.
-pub fn set_split_depth_override(d: Option<usize>) {
-    SPLIT_DEPTH_OVERRIDE.store(d.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// The split depth: the override, else `MQ_SPLIT_DEPTH` (read once per
-/// process, like the rayon shim's `MQ_THREADS`), else
-/// [`DEFAULT_SPLIT_DEPTH`]. Clamped to ≥ 1.
-pub fn split_depth() -> usize {
-    let over = SPLIT_DEPTH_OVERRIDE.load(Ordering::Relaxed);
-    if over > 0 {
-        return over;
-    }
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("MQ_SPLIT_DEPTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&d| d > 0)
-            .unwrap_or(DEFAULT_SPLIT_DEPTH)
-    })
-}
+/// Number of leading patterns the scheduler splits on.
+pub const SPLIT_DEPTH: usize = 2;
 
 /// Run the search for `setup`, on the work-stealing scheduler when more
 /// than one thread is available and the split yields at least two tasks,
@@ -79,7 +47,7 @@ pub(crate) fn run(setup: &Setup) -> Vec<MqAnswer> {
         }
         return collect_sequential(setup);
     }
-    let tasks = setup.prefix_tasks(split_depth());
+    let tasks = setup.prefix_tasks(SPLIT_DEPTH);
     if tasks.len() < 2 {
         if let Some(p) = &setup.profile {
             p.task_claimed();

@@ -7,7 +7,7 @@
 //! (reversed, swapped) program read off a rooted join tree.
 
 use crate::jointree::JoinTree;
-use mq_relation::{Bindings, BitSet};
+use mq_relation::Bindings;
 use std::fmt;
 
 /// One semijoin step `target := target ⋉ source` over atom indices.
@@ -78,44 +78,21 @@ impl FullReducer {
         self.first_half.is_empty()
     }
 
-    /// Execute against per-atom bindings, in place.
-    ///
-    /// Runs the whole semijoin program on shared row-liveness bitsets and
-    /// materializes each atom's surviving rows once at the end, so a full
-    /// reduction allocates O(atoms) result vectors instead of one new
-    /// relation per semijoin step. (A step whose source already lost
-    /// rows gathers the source's live rows to index them.)
+    /// Execute against per-atom bindings, in place: each step is one
+    /// [`Bindings::semijoin`], the engine's kernel.
     pub fn run(&self, atoms: &mut [Bindings]) {
-        let steps: Vec<SemijoinStep> = self.steps().copied().collect();
-        run_steps_filtered(&steps, atoms);
+        run_steps(self.steps(), atoms);
     }
 
     /// Execute only the first half (enough for satisfiability at the root).
     pub fn run_first_half(&self, atoms: &mut [Bindings]) {
-        run_steps_filtered(&self.first_half, atoms);
+        run_steps(&self.first_half, atoms);
     }
 }
 
-/// Run a semijoin program over liveness bitsets, then materialize each
-/// atom's surviving rows exactly once.
-fn run_steps_filtered(steps: &[SemijoinStep], atoms: &mut [Bindings]) {
-    let mut live: Vec<BitSet> = atoms.iter().map(|b| BitSet::all_ones(b.len())).collect();
+fn run_steps<'a>(steps: impl IntoIterator<Item = &'a SemijoinStep>, atoms: &mut [Bindings]) {
     for step in steps {
-        debug_assert_ne!(step.target, step.source, "self-semijoin is a no-op");
-        // Split the liveness borrows: target mutable, source shared.
-        let (t_live, s_live) = if step.target < step.source {
-            let (lo, hi) = live.split_at_mut(step.source);
-            (&mut lo[step.target], &hi[0])
-        } else {
-            let (lo, hi) = live.split_at_mut(step.target);
-            (&mut hi[0], &lo[step.source])
-        };
-        atoms[step.target].semijoin_filter(t_live, &atoms[step.source], s_live);
-    }
-    for (atom, mask) in atoms.iter_mut().zip(live.iter()) {
-        if !mask.is_full() {
-            *atom = atom.retain_rows(mask);
-        }
+        atoms[step.target] = atoms[step.target].semijoin(&atoms[step.source]);
     }
 }
 

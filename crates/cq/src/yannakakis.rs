@@ -9,8 +9,8 @@
 use crate::atom::Cq;
 use crate::jointree::JoinTree;
 use crate::reducer::FullReducer;
-use mq_relation::{Bindings, Database, Value, VarId};
-use std::collections::HashMap;
+use mq_relation::hashjoin::{hash_cols_at, GroupIndex};
+use mq_relation::{Bindings, Database, VarId};
 
 /// The reduced state of an acyclic query: per-atom bindings after running
 /// a full reducer, plus the join tree that produced them.
@@ -84,15 +84,18 @@ pub fn acyclic_count(db: &Database, cq: &Cq) -> Option<u128> {
                 .iter()
                 .map(|&v| atoms[node].position(v).unwrap())
                 .collect();
-            let mut sums: HashMap<Box<[Value]>, u128> = HashMap::new();
-            for (i, row) in atoms[child].to_rows().iter().enumerate() {
-                let key: Box<[Value]> = child_pos.iter().map(|&p| row[p]).collect();
-                *sums.entry(key).or_insert(0) += weights[child][i];
-            }
-            for (i, row) in atoms[node].to_rows().iter().enumerate() {
-                let key: Box<[Value]> = node_pos.iter().map(|&p| row[p]).collect();
-                let s = sums.get(&key).copied().unwrap_or(0);
-                weights[node][i] = weights[node][i].saturating_mul(s);
+            let idx = GroupIndex::build_columnar(atoms[child].columnar(), &child_pos);
+            let sums: Vec<u128> = (0..idx.num_groups())
+                .map(|g| idx.group_rows(g).map(|i| weights[child][i]).sum())
+                .collect();
+            let nc = atoms[node].columnar();
+            for (i, w) in weights[node].iter_mut().enumerate() {
+                let g = idx.find_group(hash_cols_at(nc, &node_pos, i), |gkey| {
+                    gkey.iter()
+                        .zip(&node_pos)
+                        .all(|(kv, &c)| *kv == nc.col(c)[i])
+                });
+                *w = w.saturating_mul(g.map_or(0, |g| sums[g]));
             }
         }
     }

@@ -114,11 +114,6 @@ pub const KNOBS: &[Knob] = &[
         purpose: "Slow-query log threshold, ms — slower searches capture a per-node profile",
     },
     Knob {
-        name: "MQ_SPLIT_DEPTH",
-        default: "2",
-        purpose: "How many leading patterns the parallel split enumerates into tasks",
-    },
-    Knob {
         name: "MQ_THREADS",
         default: "CPU count",
         purpose:

@@ -20,7 +20,7 @@
 //!
 //! ## Gates
 //!
-//! `MQ_TRACE=1` turns the hot-path spans ([`span!`] sites: scheduler
+//! `MQ_TRACE=1` turns the hot-path spans ([`crate::span!`] sites: scheduler
 //! tasks, detailed node profiling) on; default off. Request-granularity
 //! spans ([`SpanGuard::start_always`]) record regardless — a handful per
 //! request, nanoseconds each. `MQ_SLOW_MS=<ms>` arms the serving layer's
@@ -28,7 +28,7 @@
 //! overridable through process-wide atomics
 //! ([`set_trace_override`]/[`set_slow_ms_override`]) — never by mutating
 //! the environment, which is unsound under concurrent reads (the same
-//! pattern as `MQ_SPLIT_DEPTH`).
+//! pattern as the rayon shim's `MQ_THREADS`).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -86,7 +86,7 @@ static TRACE_ENV: AtomicU8 = AtomicU8::new(GATE_UNSET);
 static TRACE_OVERRIDE: AtomicU8 = AtomicU8::new(GATE_UNSET);
 
 /// Whether hot-path tracing is on. Disabled, this is the whole cost of
-/// a [`span!`] site: two relaxed loads and a branch.
+/// a [`crate::span!`] site: two relaxed loads and a branch.
 pub fn trace_enabled() -> bool {
     match TRACE_OVERRIDE.load(Ordering::Relaxed) {
         GATE_OFF => return false,

@@ -23,7 +23,7 @@
 //! hash tables rebuilt per operation) are kept in [`baseline`] as the
 //! oracle the randomized equivalence tests compare every kernel against.
 
-use crate::hashjoin::{self, BitSet, GroupIndex, RawTable};
+use crate::hashjoin::{self, GroupIndex, RawTable};
 use crate::relation::Relation;
 use crate::value::{Tuple, Value};
 use mq_store::{ColIndexCache, ColumnarRows};
@@ -951,41 +951,6 @@ impl Bindings {
         self.filter_by_index(&other.binding_index(&other_pos), &self_pos, false)
     }
 
-    /// In-place semijoin on liveness masks: kill the rows of `self` (in
-    /// `live`) whose shared-variable projection appears in no live row of
-    /// `other`. `self` is never materialized — full reducers run entire
-    /// semijoin programs on bitsets and materialize once at the end; a
-    /// partially live `other` is gathered and indexed for the probe.
-    pub fn semijoin_filter(&self, live: &mut BitSet, other: &Bindings, other_live: &BitSet) {
-        debug_assert_eq!(live.len(), self.len());
-        debug_assert_eq!(other_live.len(), other.len());
-        let (self_pos, other_pos) = self.semijoin_positions(other);
-        if self_pos.is_empty() {
-            if other_live.count_ones() == 0 {
-                live.clear_all();
-            }
-            return;
-        }
-        // Index the live source rows (a full mask reuses `other`'s own
-        // cached index) and kill the target rows whose key misses it.
-        let source = other.retain_rows(other_live);
-        let idx = source.binding_index(&other_pos);
-        for i in self.rows_by_index(&idx, &self_pos, false) {
-            live.clear(i);
-        }
-    }
-
-    /// Materialize the rows selected by `live`, in row order (a columnar
-    /// gather — no per-row allocation).
-    pub fn retain_rows(&self, live: &BitSet) -> Bindings {
-        debug_assert_eq!(live.len(), self.len());
-        if live.is_full() {
-            return self.clone();
-        }
-        let kept: Vec<usize> = live.iter_ones().collect();
-        Bindings::new(self.vars.clone(), self.columnar().gather(&kept))
-    }
-
     /// Natural join of a list of atoms over their relations: `J(R)`.
     ///
     /// Joins left to right; callers wanting a good order should sort atoms.
@@ -1448,63 +1413,6 @@ mod tests {
             .map(|r| ints(r))
             .collect();
         assert_eq!(j.to_rows(), want);
-    }
-
-    #[test]
-    fn semijoin_filter_matches_semijoin() {
-        let e = rel_e();
-        let xy = Bindings::from_atom(&e, &[Term::Var(v(0)), Term::Var(v(1))]);
-        let yz = Bindings::from_atom(&e, &[Term::Var(v(1)), Term::Var(v(2))]);
-        let mut live = BitSet::all_ones(xy.len());
-        let other_live = BitSet::all_ones(yz.len());
-        xy.semijoin_filter(&mut live, &yz, &other_live);
-        let filtered = xy.retain_rows(&live);
-        assert_eq!(
-            filtered.sorted().to_rows(),
-            xy.semijoin(&yz).sorted().to_rows()
-        );
-    }
-
-    #[test]
-    fn semijoin_filter_respects_dead_source_rows() {
-        let e = rel_e();
-        let xy = Bindings::from_atom(&e, &[Term::Var(v(0)), Term::Var(v(1))]);
-        let yz = Bindings::from_atom(&e, &[Term::Var(v(1)), Term::Var(v(2))]);
-        let mut live = BitSet::all_ones(xy.len());
-        let mut other_live = BitSet::all_ones(yz.len());
-        // Kill every source row: semijoin against the empty set.
-        other_live.clear_all();
-        xy.semijoin_filter(&mut live, &yz, &other_live);
-        assert_eq!(live.count_ones(), 0);
-
-        // Partial mask: the source holds key X = 2 twice. Killing one of
-        // those rows kills no target row; killing both kills exactly the
-        // target row X = 2. The probe must see the live source rows, not
-        // the source's full cached index.
-        let target = Bindings::from_parts(vec![v(0)], vec![ints(&[1]), ints(&[2]), ints(&[3])]);
-        let source = Bindings::from_parts(
-            vec![v(0), v(1)],
-            vec![
-                ints(&[1, 10]),
-                ints(&[2, 20]),
-                ints(&[3, 30]),
-                ints(&[2, 21]),
-            ],
-        );
-        // Warm the source's full index, as a prior full-mask step would.
-        assert_eq!(target.semijoin(&source).len(), 3);
-        let mut source_live = BitSet::all_ones(source.len());
-        source_live.clear(1); // (2, 20)
-        let mut live = BitSet::all_ones(target.len());
-        target.semijoin_filter(&mut live, &source, &source_live);
-        assert!(live.is_full(), "(2, 21) still carries key 2");
-        source_live.clear(3); // (2, 21)
-        target.semijoin_filter(&mut live, &source, &source_live);
-        assert_eq!(live.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(
-            target.retain_rows(&live).to_rows(),
-            vec![ints(&[1]), ints(&[3])]
-        );
     }
 
     #[test]

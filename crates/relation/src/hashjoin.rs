@@ -16,10 +16,7 @@
 //!   membership sets, and projection dedup sets;
 //! * [`GroupIndex`] — row-ids grouped by the key at a column subset,
 //!   i.e. a hash join build side (also cached per relation, see
-//!   [`crate::relation::Relation::group_index`]);
-//! * [`BitSet`] — fixed-size row liveness masks for in-place semijoin
-//!   filtering (used by full reducers to avoid materializing a new
-//!   relation per semijoin step).
+//!   [`crate::relation::Relation::group_index`]).
 
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
@@ -416,89 +413,6 @@ impl Iterator for GroupRows<'_> {
     }
 }
 
-/// A fixed-size bitmask over row indices.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitSet {
-    blocks: Vec<u64>,
-    len: usize,
-    ones: usize,
-}
-
-impl BitSet {
-    /// All bits set, over `len` rows.
-    pub fn all_ones(len: usize) -> Self {
-        let nblocks = len.div_ceil(64);
-        let mut blocks = vec![u64::MAX; nblocks];
-        if !len.is_multiple_of(64) {
-            if let Some(last) = blocks.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
-        BitSet {
-            blocks,
-            len,
-            ones: len,
-        }
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no row is covered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of live rows.
-    pub fn count_ones(&self) -> usize {
-        self.ones
-    }
-
-    /// Whether every row is live.
-    pub fn is_full(&self) -> bool {
-        self.ones == self.len
-    }
-
-    /// Whether row `i` is live.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        self.blocks[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Kill row `i` (no-op if already dead).
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        let mask = 1u64 << (i % 64);
-        if self.blocks[i / 64] & mask != 0 {
-            self.blocks[i / 64] &= !mask;
-            self.ones -= 1;
-        }
-    }
-
-    /// Kill every row.
-    pub fn clear_all(&mut self) {
-        self.blocks.iter_mut().for_each(|b| *b = 0);
-        self.ones = 0;
-    }
-
-    /// Iterate live row indices in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
-            let mut b = block;
-            std::iter::from_fn(move || {
-                if b == 0 {
-                    return None;
-                }
-                let bit = b.trailing_zeros() as usize;
-                b &= b - 1;
-                Some(bi * 64 + bit)
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,23 +515,5 @@ mod tests {
             let one_shot: Vec<u64> = rows.iter().map(|r| hash_cols(r, cols)).collect();
             assert_eq!(batch, one_shot, "cols {cols:?}");
         }
-    }
-
-    #[test]
-    fn bitset_ops() {
-        let mut b = BitSet::all_ones(70);
-        assert!(b.is_full());
-        assert_eq!(b.count_ones(), 70);
-        b.clear(0);
-        b.clear(69);
-        b.clear(69); // double-clear is a no-op
-        assert_eq!(b.count_ones(), 68);
-        assert!(!b.get(0) && !b.get(69) && b.get(35));
-        let ones: Vec<usize> = b.iter_ones().collect();
-        assert_eq!(ones.len(), 68);
-        assert_eq!(ones[0], 1);
-        assert_eq!(*ones.last().unwrap(), 68);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
     }
 }

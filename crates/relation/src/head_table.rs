@@ -427,7 +427,7 @@ impl<'b> Join<'b> {
 }
 
 /// Every head instantiation of a search merged into one immutable count
-/// structure: one [`KeyTable`] per distinct shared key, plus the heads
+/// structure: one key table per distinct shared key, plus the heads
 /// that share no variable with the bodies (see the module docs).
 pub struct HeadTable {
     tables: Vec<KeyTable>,

@@ -33,7 +33,6 @@ pub mod value;
 pub use algebra::{distinct_vars, Bindings, Term, VarId};
 pub use database::{Database, RelId};
 pub use frac::Frac;
-pub use hashjoin::BitSet;
 pub use head_table::{HeadCounts, HeadScratch, HeadTable};
 pub use relation::Relation;
 pub use symbol::{Symbol, SymbolTable};

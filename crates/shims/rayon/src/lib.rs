@@ -58,9 +58,8 @@ fn as_worker<R>(f: impl FnOnce() -> R) -> R {
 
 /// Number of worker threads the pool would use. Resolution order: `1`
 /// inside a nested scope/iterator worker (the configured budget is
-/// already spent — see [`IN_PARALLEL_WORKER`]), then the
-/// [`set_thread_override`] value, then `MQ_THREADS` (read once), then
-/// the detected hardware parallelism (cached — probing
+/// already spent), then the [`set_thread_override`] value, then
+/// `MQ_THREADS` (read once), then the detected hardware parallelism (cached — probing
 /// `available_parallelism` opens procfs on Linux, far too slow for a
 /// per-operation check).
 pub fn current_num_threads() -> usize {

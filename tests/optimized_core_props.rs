@@ -247,8 +247,9 @@ proptest! {
         prop_assert_eq!(fast.to_rows(), slow.to_rows());
     }
 
-    /// The bitset-based full reducer fully reduces and matches a
-    /// step-by-step materializing reduction.
+    /// The full reducer (one `Bindings::semijoin` per step) fully
+    /// reduces and matches the same program run on the baseline
+    /// semijoin.
     #[test]
     fn full_reduce_matches_baseline(
         p in relation_strategy(),
@@ -269,9 +270,8 @@ proptest! {
             .map(|a| Bindings::from_atom(db.relation(a.rel), &a.terms))
             .collect();
         let mut slow = fast.clone();
-        // Optimized: bitset program, one materialization at the end.
         reducer.run(&mut fast);
-        // Reference: materialize every step with the baseline semijoin.
+        // Reference: every step with the baseline semijoin.
         for step in reducer.steps() {
             slow[step.target] = baseline::semijoin(&slow[step.target], &slow[step.source]);
         }
@@ -362,10 +362,11 @@ proptest! {
         prop_assert_eq!(par, seq);
     }
 
-    /// The columnar `find_rules` engine and the naive baseline engine give
-    /// identical answers on chain, triangle and type-2 (padded-instantiation)
-    /// shapes, the last exercising the per-atom body assembly whose
-    /// padding variables live outside every decomposition vertex.
+    /// `find_rules` and the naive baseline engine give identical answers
+    /// on chain, triangle and `I(X) <- O(X), N(X)` shapes, at types 0
+    /// and 2. Type 2 pads the last shape's unary patterns onto binary
+    /// relations with variables outside every decomposition vertex,
+    /// which the engine joins into each atom's home vertex.
     #[test]
     fn columnar_and_baseline_agree(
         p in relation_strategy(),
@@ -461,16 +462,14 @@ fn head_counts_stream_each_body_row_once_per_key() {
     }
 }
 
-/// The scheduler must be deterministic across every thread-count ×
-/// split-depth combination: byte-identical `find_rules` output for
-/// `MQ_THREADS ∈ {1, 2, 4}` × `MQ_SPLIT_DEPTH ∈ {1, 2}` (set via the
-/// process-global overrides — env mutation is unsound under concurrent
-/// reads), on shapes whose
-/// enumeration actually spans multiple patterns and a shared predicate
-/// variable.
+/// The scheduler must be deterministic across thread counts:
+/// byte-identical `find_rules` output for `MQ_THREADS ∈ {1, 2, 4}` (set
+/// via the process-global override — env mutation is unsound under
+/// concurrent reads), on shapes whose enumeration actually spans
+/// multiple patterns and a shared predicate variable. (The name keeps
+/// the split-depth axis the scheduler had when its depth was a knob.)
 #[test]
 fn find_rules_deterministic_across_threads_and_split_depths() {
-    use metaquery::core::engine::parallel::set_split_depth_override;
     use mq_relation::ints;
 
     let mut db = Database::new();
@@ -497,18 +496,13 @@ fn find_rules_deterministic_across_threads_and_split_depths() {
                 metaquery::core::engine::find_rules::find_rules_seq(&db, &mq, InstType::Zero, th)
                     .unwrap();
             for threads in [1usize, 2, 4] {
-                for depth in [1usize, 2] {
-                    rayon::set_thread_override(Some(threads));
-                    set_split_depth_override(Some(depth));
-                    let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
-                    rayon::set_thread_override(None);
-                    set_split_depth_override(None);
-                    assert_eq!(
-                        got, reference,
-                        "output must be byte-identical for {text} at \
-                         MQ_THREADS={threads}, MQ_SPLIT_DEPTH={depth}"
-                    );
-                }
+                rayon::set_thread_override(Some(threads));
+                let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
+                rayon::set_thread_override(None);
+                assert_eq!(
+                    got, reference,
+                    "output must be byte-identical for {text} at MQ_THREADS={threads}"
+                );
             }
         }
     }

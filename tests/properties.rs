@@ -196,17 +196,26 @@ proptest! {
         prop_assert!(is_fully_reduced(&bindings));
     }
 
-    /// Yannakakis counting equals backtracking counting on acyclic CQs.
+    /// Yannakakis counting equals backtracking counting on acyclic CQs:
+    /// a chain, a pair sharing two variables (a join-tree edge keyed on
+    /// two columns) and a 3-star.
     #[test]
     fn acyclic_count_correct(
         p in relation_strategy(),
         q in relation_strategy(),
+        h in relation_strategy(),
+        shape in 0usize..3,
     ) {
-        let db = build_db(&p, &q, &[]);
-        let cq = metaquery::cq::Cq::new(vec![
-            metaquery::cq::Atom::vars_atom(db.rel_id("p").unwrap(), &[VarId(0), VarId(1)]),
-            metaquery::cq::Atom::vars_atom(db.rel_id("q").unwrap(), &[VarId(1), VarId(2)]),
-        ]);
+        let db = build_db(&p, &q, &h);
+        let atom = |name: &str, a: u32, b: u32| {
+            metaquery::cq::Atom::vars_atom(db.rel_id(name).unwrap(), &[VarId(a), VarId(b)])
+        };
+        let atoms = match shape {
+            0 => vec![atom("p", 0, 1), atom("q", 1, 2)],
+            1 => vec![atom("p", 0, 1), atom("q", 1, 0), atom("h", 0, 2)],
+            _ => vec![atom("p", 0, 1), atom("q", 0, 2), atom("h", 0, 3)],
+        };
+        let cq = metaquery::cq::Cq::new(atoms);
         prop_assert_eq!(
             metaquery::cq::acyclic_count(&db, &cq).unwrap(),
             metaquery::cq::count_homomorphisms(&db, &cq)

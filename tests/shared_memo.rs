@@ -3,27 +3,23 @@
 //! The shared memo service (`mq-store`'s `ShardedMemo` under
 //! `mq_core::engine::memo`) lets every scheduler worker read and publish
 //! into one global memo. These tests hammer a single search's memo from
-//! a forced 4-worker pool at both split depths and assert the contract
-//! the service must keep: `find_rules` output is **byte-identical** to
-//! the sequential engine for every `MQ_SPLIT_DEPTH` × `MQ_THREADS`
-//! combination.
+//! a forced 4-worker pool and assert the contract the service must keep:
+//! `find_rules` output is **byte-identical** to the sequential engine.
 //!
-//! Overrides (`set_thread_override`, `set_split_depth_override`) are
-//! process-global atomics, so every test in this binary serializes on
-//! [`override_lock`].
+//! The thread override (`set_thread_override`) is a process-global
+//! atomic, so every test in this binary serializes on [`override_lock`].
 
 use metaquery::core::engine::find_rules::{find_rules, find_rules_instrumented, find_rules_seq};
 use metaquery::core::engine::memo::SharedMemos;
-use metaquery::core::engine::parallel::set_split_depth_override;
 use metaquery::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Serializes the process-global override knobs across the tests in
+/// Serializes the process-global override knob across the tests in
 /// this binary (libtest runs them on concurrent threads by default).
 fn override_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    // A panicking test poisons the mutex; the knobs are still fine to
-    // take (every test restores them on its happy path).
+    // A panicking test poisons the mutex; the knob is still fine to
+    // take (every test restores it on its happy path).
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -46,10 +42,11 @@ fn stress_db(rels: &[(&str, usize)], rows: usize, dom: i64) -> Database {
     db
 }
 
-/// Four workers hammer one shared memo, at both split depths, across
-/// metaquery shapes that exercise single-atom plans, multi-atom λ labels
-/// (width 2) and shared predicate variables. Every configuration must
-/// reproduce the sequential answers byte-identically.
+/// Four workers hammer one shared memo across metaquery shapes that
+/// exercise single-atom plans, multi-atom λ labels (width 2) and shared
+/// predicate variables. Every round must reproduce the sequential
+/// answers byte-identically. (The name keeps the split-depth axis the
+/// scheduler had when its depth was a knob.)
 #[test]
 fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
     let _guard = override_lock();
@@ -65,23 +62,18 @@ fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
             Thresholds::all(Frac::new(1, 10), Frac::new(1, 10), Frac::new(1, 10)),
         ] {
             let reference = find_rules_seq(&db, &mq, InstType::Zero, th).unwrap();
-            for depth in [1usize, 2] {
-                rayon::set_thread_override(Some(4));
-                set_split_depth_override(Some(depth));
-                // Several rounds: the first warms the memo inside one
-                // call; later calls re-create the service and re-race
-                // the publication paths from a cold start.
-                for round in 0..3 {
-                    let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
-                    assert_eq!(
-                        got, reference,
-                        "shared-memo answers diverged for {text} at \
-                         depth={depth}, round={round}"
-                    );
-                }
-                rayon::set_thread_override(None);
-                set_split_depth_override(None);
+            rayon::set_thread_override(Some(4));
+            // Several rounds: the first warms the memo inside one call;
+            // later calls re-create the service and re-race the
+            // publication paths from a cold start.
+            for round in 0..3 {
+                let got = find_rules(&db, &mq, InstType::Zero, th).unwrap();
+                assert_eq!(
+                    got, reference,
+                    "shared-memo answers diverged for {text} at round={round}"
+                );
             }
+            rayon::set_thread_override(None);
         }
     }
 }
