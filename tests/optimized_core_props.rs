@@ -466,8 +466,9 @@ fn head_counts_stream_each_body_row_once_per_key() {
 /// byte-identical `find_rules` output for `MQ_THREADS ∈ {1, 2, 4}` (set
 /// via the process-global override — env mutation is unsound under
 /// concurrent reads), on shapes whose enumeration actually spans
-/// multiple patterns and a shared predicate variable. (The name keeps
-/// the split-depth axis the scheduler had when its depth was a knob.)
+/// multiple patterns and a shared predicate variable. The split depth
+/// is the constant `parallel::SPLIT_DEPTH`, so only the thread count
+/// varies.
 #[test]
 fn find_rules_deterministic_across_threads_and_split_depths() {
     use mq_relation::ints;

@@ -45,8 +45,8 @@ fn stress_db(rels: &[(&str, usize)], rows: usize, dom: i64) -> Database {
 /// Four workers hammer one shared memo across metaquery shapes that
 /// exercise single-atom plans, multi-atom λ labels (width 2) and shared
 /// predicate variables. Every round must reproduce the sequential
-/// answers byte-identically. (The name keeps the split-depth axis the
-/// scheduler had when its depth was a knob.)
+/// answers byte-identically. The split depth is the constant
+/// `parallel::SPLIT_DEPTH`.
 #[test]
 fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
     let _guard = override_lock();
