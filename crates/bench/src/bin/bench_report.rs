@@ -197,7 +197,8 @@ fn measure(
         match sweep.first() {
             Some(&t) => {
                 // The thread override is the shim-rayon knob the scheduler
-                // tests use; it avoids unsound env mutation.
+                // tests use; it avoids unsound env mutation and applies
+                // to searches started on this thread.
                 rayon::set_thread_override(Some(t));
                 let out = median_secs(n, measured);
                 rayon::set_thread_override(None);
@@ -405,7 +406,7 @@ fn bench_net_load() -> Option<NetLoadReport> {
         expected: Some(expected),
         ..LoadConfig::default()
     };
-    // Scope the fault plan to the load run (it is process-global).
+    // Limit the fault plan to the load run (it is process-global).
     mq_service::set_plan_override(fault_plan);
     let load = run_load(server.local_addr(), &cfg);
     let faults = mq_service::faults::fired_counts();

@@ -21,17 +21,15 @@
 //! Sound because every memo value is a deterministic function of its
 //! key and publication is first-writer-wins.
 //!
-//! Count-only work runs here too: [`Executor::exec_count`] interprets
-//! [`CountPlan`]s (support counts), and [`Executor::exec_head_counts`]
-//! is `findHeads`' head-count op — cover and confidence of every head in
-//! one pass over a body join given as its last two join inputs, never
-//! built, against the search's [`HeadTable`]
-//! ([`Executor::build_head_table`]).
+//! `findHeads`' counting runs here too: [`Executor::exec_head_counts`]
+//! is the head-count op — cover and confidence of every head in one pass
+//! over a body join given as its last two join inputs, never built,
+//! against the search's [`HeadTable`] ([`Executor::build_head_table`]).
+//! The support counts have no memo to consult, so the engine calls the
+//! kernels (`semijoin_count`, `count_distinct`) directly.
 
 use crate::engine::memo::{PlanKey, SharedMemos};
-use crate::plan::{
-    build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanNodeId, PlanOp,
-};
+use crate::plan::{build_node_plan_ordered, AtomKey, JoinAtomStats, PlanNodeId, PlanOp};
 use mq_obs::profile::{NodeStat, PhaseStat, SearchProfile};
 use mq_relation::{Bindings, Database, HeadScratch, HeadTable, VarId};
 use std::sync::atomic::Ordering;
@@ -238,16 +236,6 @@ impl<'a> Executor<'a> {
         // A racing worker's first-published result wins — byte-identical
         // either way, since node execution is deterministic.
         self.memos.results.publish(id, out)
-    }
-
-    /// Execute a count-only plan over the given input slots — the
-    /// `enoughSupport` semijoin counts and the Yannakakis support counts
-    /// run through here.
-    pub(crate) fn exec_count(&self, plan: &CountPlan, inputs: &[&Bindings]) -> usize {
-        match &plan.op {
-            CountOp::SemijoinCount { left, right } => inputs[*left].semijoin_count(inputs[*right]),
-            CountOp::CountDistinct { input, vars } => inputs[*input].count_distinct(vars),
-        }
     }
 
     /// Evaluate every head atom (memoized) and merge them, in order,

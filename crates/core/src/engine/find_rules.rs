@@ -42,11 +42,12 @@
 //!   and λ-atom statistics to a hash-consed [`crate::plan::PlanOp`] DAG;
 //! * **Executor** (`engine::exec`) — interprets plan nodes against
 //!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
-//!   result memo); the count-only cvr/cnf/sup paths (the head-count op
-//!   and the `CountPlan`s) run through it too;
+//!   result memo); cover, confidence and `|b|` come from its head-count
+//!   op, while the support counts call the kernels' `semijoin_count` and
+//!   `count_distinct` directly;
 //! * **Scheduler** ([`super::parallel`]) — splits the search over
 //!   instantiation prefixes of [`super::parallel::SPLIT_DEPTH`]
-//!   patterns and drains the task deque with work-stealing workers,
+//!   patterns, which scoped worker threads claim off a shared counter,
 //!   merging results in enumeration order so answers are
 //!   byte-identical to [`find_rules_seq`].
 //!
@@ -55,14 +56,14 @@
 //! per-search `Engine` (assignment stacks, node relations, executor)
 //! driving the three phases.
 
-use crate::ast::{Metaquery, Pred, PredVarId};
+use crate::ast::{LiteralScheme, Metaquery, Pred, PredVarId};
 use crate::engine::exec::Executor;
 use crate::engine::{MqAnswer, MqProblem, Thresholds};
 use crate::index::IndexValues;
 use crate::instantiate::{
     check_fixed_schemes, pattern_candidates, InstError, InstType, Instantiation, PatternMap,
 };
-use crate::plan::{AtomKey, CountPlan};
+use crate::plan::AtomKey;
 use mq_cq::hypertree::{hypertree_width_of_sets, Hypertree};
 use mq_relation::{Bindings, Database, Frac, HeadScratch, HeadTable, RelId, Term, VarId};
 use std::collections::{BTreeSet, HashMap};
@@ -72,7 +73,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Find all type-`ty` instantiations whose indices clear `thresholds`,
-/// using the Figure 4 algorithm with the search run on the work-stealing
+/// using the Figure 4 algorithm with the search run on the parallel
 /// scheduler ([`super::parallel`]). Answers match
 /// [`crate::engine::naive`] exactly (including the degenerate
 /// no-thresholds case) and are returned in sorted order.
@@ -339,9 +340,6 @@ pub(crate) struct Setup<'a> {
     head_table: OnceLock<HeadTable>,
     /// The unit relation: a body built whole is counted as `b ⋈ unit`.
     unit: Bindings,
-    /// The count-only plan `|inputs[0] ⋉ inputs[1]|` behind
-    /// `enoughSupport` (`[atom, s[home]]`).
-    semijoin_count_plan: CountPlan,
     /// The cross-worker shared memo service (atoms, plans, node
     /// results), created once per search — or supplied by the serving
     /// layer, possibly seeded with a persistent cross-search atom cache
@@ -521,7 +519,6 @@ impl<'a> Setup<'a> {
             body_vars,
             head_table: OnceLock::new(),
             unit: Bindings::unit(),
-            semijoin_count_plan: CountPlan::semijoin_count(0, 1),
             shared_memos: memos.unwrap_or_default(),
             deadline: None,
             profile: None,
@@ -579,7 +576,7 @@ impl Setup<'_> {
         if pats.is_empty() {
             return tasks;
         }
-        let mut locked: HashMap<PredVarId, (RelId, usize)> = HashMap::new();
+        let mut locked = PvLocks::new();
         let mut cur: Vec<PrefixAssign> = Vec::with_capacity(pats.len());
         self.gen_prefix(&pats, 0, &mut locked, &mut cur, &mut tasks);
         tasks
@@ -589,7 +586,7 @@ impl Setup<'_> {
         &self,
         pats: &[usize],
         k: usize,
-        locked: &mut HashMap<PredVarId, (RelId, usize)>,
+        locked: &mut PvLocks,
         cur: &mut Vec<PrefixAssign>,
         out: &mut Vec<Vec<PrefixAssign>>,
     ) {
@@ -600,29 +597,62 @@ impl Setup<'_> {
         let pidx = pats[k];
         let pv = self.pattern_pv[pidx];
         for &rel in self.rels(pidx, locked.get(&pv).map(|&(r, _)| r)) {
-            locked
-                .entry(pv)
-                .and_modify(|e| e.1 += 1)
-                .or_insert((rel, 1));
+            pin(locked, pv, rel);
             for slots in &self.candidates[pidx][&rel] {
                 cur.push((pidx, rel, slots.clone()));
                 self.gen_prefix(pats, k + 1, locked, cur, out);
                 cur.pop();
             }
-            match locked.get_mut(&pv) {
-                Some(e) if e.1 == 1 => {
-                    locked.remove(&pv);
-                }
-                Some(e) => e.1 -= 1,
-                None => {}
-            }
+            unpin(locked, pv);
         }
     }
 }
 
+/// Predicate variable -> (relation, how many patterns pinned it).
+type PvLocks = HashMap<PredVarId, (RelId, usize)>;
+
+/// Lock `pv` to `rel` for one more pattern (the caller has checked that
+/// `rel` agrees with any existing lock).
+fn pin(locks: &mut PvLocks, pv: PredVarId, rel: RelId) {
+    locks.entry(pv).and_modify(|e| e.1 += 1).or_insert((rel, 1));
+}
+
+/// Undo one [`pin`] of `pv`, releasing the lock with the last pattern.
+fn unpin(locks: &mut PvLocks, pv: PredVarId) {
+    if let Some(e) = locks.get_mut(&pv) {
+        if e.1 == 1 {
+            locks.remove(&pv);
+        } else {
+            e.1 -= 1;
+        }
+    }
+}
+
+/// The exact support `max_i |π_vars(A_i)(over(i))| / |A_i|` over the
+/// non-empty body atoms `A_i` (`body_atoms`), where `over(i)` is a
+/// relation whose projection onto `A_i`'s variables equals the body
+/// join's. When `over(i)` ranges over exactly those variables the count
+/// is its length (bindings hold no duplicate rows).
+fn support<'r>(body_atoms: &[Arc<Bindings>], over: impl Fn(usize) -> &'r Bindings) -> Frac {
+    let mut sup = Frac::ZERO;
+    for (bi, ra) in body_atoms.iter().enumerate() {
+        if ra.is_empty() {
+            continue;
+        }
+        let rel = over(bi);
+        let num = if rel.vars() == ra.vars() {
+            rel.len()
+        } else {
+            rel.count_distinct(ra.vars())
+        };
+        sup = sup.max(Frac::ratio_or_zero(num as u64, ra.len() as u64));
+    }
+    sup
+}
+
 /// Per-search mutable state: assignment stacks, node relations, and the
 /// plan executor with its memos. Cheap to construct — one per worker,
-/// reused across every task the worker steals (so memo slices accumulate).
+/// reused across every task the worker claims (so memo slices accumulate).
 pub(crate) struct Engine<'a, 'b, F> {
     setup: &'b Setup<'a>,
     exec: Executor<'a>,
@@ -630,7 +660,7 @@ pub(crate) struct Engine<'a, 'b, F> {
     /// Search state: per-pattern assignment.
     assign: Vec<Option<PatternMap>>,
     /// Predicate variable -> (relation, how many patterns pinned it).
-    pv_rel: HashMap<PredVarId, (RelId, usize)>,
+    pv_rel: PvLocks,
     /// Per postorder position: the reduced node relation `r[i]`.
     r: Vec<Option<Bindings>>,
     /// The head-count op's buffers, reused across bodies; holds the
@@ -680,18 +710,14 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     /// scheduler's partition points). Mirrors one iteration of the
     /// `enum_node` candidate loop, including the shared-`pv` lock count.
     fn preassign(&mut self, pidx: usize, rel: RelId, slots: Vec<Option<usize>>) {
-        let pv = self.setup.pattern_pv[pidx];
-        self.pv_rel
-            .entry(pv)
-            .and_modify(|e| e.1 += 1)
-            .or_insert((rel, 1));
+        pin(&mut self.pv_rel, self.setup.pattern_pv[pidx], rel);
         self.assign[pidx] = Some(PatternMap { rel, slots });
     }
 
     /// Undo a [`Engine::preassign`].
     fn unassign(&mut self, pidx: usize) {
         self.assign[pidx] = None;
-        self.unpin(self.setup.pattern_pv[pidx]);
+        unpin(&mut self.pv_rel, self.setup.pattern_pv[pidx]);
     }
 
     /// Run one scheduler task: pin the prefix, search the remainder,
@@ -710,12 +736,13 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         self.exec.eval_atom((rel, terms))
     }
 
-    /// Instantiated terms for body scheme `bi` under the current (partial)
-    /// assignment. Only called when the scheme is fixed or assigned.
-    fn body_atom_terms(&self, bi: usize) -> AtomKey {
+    /// The instantiated atom of `scheme` (a body or negated literal whose
+    /// pattern index is `pattern`, `None` when fixed) under the current
+    /// (partial) assignment. Only called when the scheme is fixed or
+    /// assigned.
+    fn atom_terms(&self, scheme: &LiteralScheme, pattern: Option<usize>) -> AtomKey {
         let setup = self.setup;
-        let scheme = &setup.mq.body[bi];
-        match setup.body_pattern[bi] {
+        match pattern {
             None => {
                 let name = match &scheme.pred {
                     Pred::Rel(n) => n,
@@ -741,7 +768,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     }
 
     fn eval_body_atom(&mut self, bi: usize) -> Arc<Bindings> {
-        let (rel, terms) = self.body_atom_terms(bi);
+        let setup = self.setup;
+        let (rel, terms) = self.atom_terms(&setup.mq.body[bi], setup.body_pattern[bi]);
         self.eval_atom(rel, terms)
     }
 
@@ -749,38 +777,12 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     /// instantiated keys and hand them to the executor, which plans
     /// (memoized by `(χ, atoms)`) and executes (memoized by plan-node id).
     fn eval_node_join(&mut self, node: usize, lambda: &[usize]) -> Arc<Bindings> {
-        let keys: Vec<AtomKey> = lambda.iter().map(|&bi| self.body_atom_terms(bi)).collect();
-        self.exec.node_join(&self.setup.chi_sorted[node], keys)
-    }
-
-    /// Instantiated terms for negated body scheme `ni` (must be fixed or
-    /// assigned).
-    fn neg_atom_terms(&self, ni: usize) -> AtomKey {
         let setup = self.setup;
-        let scheme = &setup.mq.neg_body[ni];
-        match setup.neg_pattern[ni] {
-            None => {
-                let name = match &scheme.pred {
-                    Pred::Rel(n) => n,
-                    Pred::Var(_) => unreachable!(),
-                };
-                let rel = setup.db.rel_id(name).expect("checked in setup");
-                (rel, scheme.args.iter().map(|&v| Term::Var(v)).collect())
-            }
-            Some(pidx) => {
-                let map = self.assign[pidx].as_ref().expect("assigned");
-                let terms = map
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .map(|(j, slot)| match slot {
-                        Some(i) => Term::Var(scheme.args[*i]),
-                        None => Term::Var(setup.fresh_slots[pidx][j]),
-                    })
-                    .collect();
-                (map.rel, terms)
-            }
-        }
+        let keys: Vec<AtomKey> = lambda
+            .iter()
+            .map(|&bi| self.atom_terms(&setup.mq.body[bi], setup.body_pattern[bi]))
+            .collect();
+        self.exec.node_join(&setup.chi_sorted[node], keys)
     }
 
     /// The paper's `findBodies(i, σb)`.
@@ -847,10 +849,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         let pv = setup.pattern_pv[pidx];
         let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
         for &rel in setup.rels(pidx, locked) {
-            self.pv_rel
-                .entry(pv)
-                .and_modify(|e| e.1 += 1)
-                .or_insert((rel, 1));
+            pin(&mut self.pv_rel, pv, rel);
             for slots in &setup.candidates[pidx][&rel] {
                 self.assign[pidx] = Some(PatternMap {
                     rel,
@@ -859,23 +858,13 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let flow = self.enum_node(i, node, lambda, to_assign, depth + 1);
                 self.assign[pidx] = None;
                 if flow.is_break() {
-                    self.unpin(pv);
+                    unpin(&mut self.pv_rel, pv);
                     return ControlFlow::Break(());
                 }
             }
-            self.unpin(pv);
+            unpin(&mut self.pv_rel, pv);
         }
         ControlFlow::Continue(())
-    }
-
-    fn unpin(&mut self, pv: PredVarId) {
-        if let Some(e) = self.pv_rel.get_mut(&pv) {
-            if e.1 == 1 {
-                self.pv_rel.remove(&pv);
-            } else {
-                e.1 -= 1;
-            }
-        }
     }
 
     /// Second half of the full reducer, `enoughSupport`, and `findHeads`.
@@ -916,8 +905,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let reduced = if s_home.vars() == ra.vars() {
                     s_home.len()
                 } else {
-                    self.exec
-                        .exec_count(&setup.semijoin_count_plan, &[ra, s_home])
+                    ra.semijoin_count(s_home)
                 };
                 if Frac::ratio_or_zero(reduced as u64, ra.len() as u64) > ksup {
                     enough = true;
@@ -943,32 +931,6 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 s[home] = s[home].join(&ra.semijoin_indexed(&s[home]));
             }
         }
-
-        // With no negated literals, the exact support is available from
-        // the calibrated vertex relations: projection composes, so
-        // `π_vars(b) = π_vars(s[home])` and the support count runs over
-        // the (small) vertex relation, never the body join; when the
-        // variables are *exactly* the vertex's, the count is `|s[home]|`.
-        let sup_hint: Option<Frac> = if setup.mq.neg_body.is_empty() {
-            let mut sup = Frac::ZERO;
-            for (bi, ra) in body_atoms.iter().enumerate() {
-                if ra.is_empty() {
-                    continue;
-                }
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                let vars = self.mq_body_atom_vars(bi);
-                let num = if s_home.vars() == vars.as_slice() {
-                    s_home.len()
-                } else {
-                    self.exec
-                        .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
-                };
-                sup = sup.max(Frac::ratio_or_zero(num as u64, ra.len() as u64));
-            }
-            Some(sup)
-        } else {
-            None
-        };
 
         // b := J(σb(body(MQ))). Every vertex relation is calibrated, so
         // joining them along the decomposition reconstructs `b` exactly:
@@ -998,17 +960,23 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 }
             }
         }
-        let Some(l) = last else {
-            return self.enum_neg(0, prefix, &body_atoms, sup_hint);
-        };
-        if let Some(sup) = sup_hint {
-            return self.find_heads(&prefix, &s[l], sup);
+        if setup.mq.neg_body.is_empty() {
+            // The exact support comes from the calibrated vertex
+            // relations: projection composes, so `π_vars(b) =
+            // π_vars(s[home])` and the count runs over the (small) vertex
+            // relation, never the body join.
+            let sup = support(&body_atoms, |bi| &s[setup.pos_of[setup.ht.atom_home[bi]]]);
+            let right = last.map_or(&setup.unit, |l| &s[l]);
+            return self.find_heads(&prefix, right, sup);
         }
-        let b = prefix.join(&s[l]);
+        let b = match last {
+            Some(l) => prefix.join(&s[l]),
+            None => prefix,
+        };
         if b.is_empty() && !setup.zero_ok {
             return ControlFlow::Continue(());
         }
-        self.enum_neg(0, b, &body_atoms, sup_hint)
+        self.enum_neg(0, b, &body_atoms)
     }
 
     /// Assign negated patterns (agreeing with σb) and apply their
@@ -1021,86 +989,54 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         ni: usize,
         b: Bindings,
         body_atoms: &[Arc<Bindings>],
-        sup_hint: Option<Frac>,
     ) -> ControlFlow<()> {
         let setup = self.setup;
         if ni == setup.mq.neg_body.len() {
-            // Exact support values for reporting, on the filtered join
-            // (or precomputed from the reduced tree when no negated atom
-            // filtered it — see `second_half_and_heads`).
-            let sup = match sup_hint {
-                Some(s) => s,
-                None => {
-                    let mut sup = Frac::ZERO;
-                    for (bi, ra) in body_atoms.iter().enumerate() {
-                        if ra.is_empty() {
-                            continue;
-                        }
-                        let vars = self.mq_body_atom_vars(bi);
-                        let num = self
-                            .exec
-                            .exec_count(&CountPlan::count_distinct(0, vars), &[&b])
-                            as u64;
-                        let f = Frac::ratio_or_zero(num, ra.len() as u64);
-                        if f > sup {
-                            sup = f;
-                        }
-                    }
-                    sup
-                }
-            };
+            // Exact support values for reporting, on the filtered join.
+            let sup = support(body_atoms, |_| &b);
             return self.find_heads(&b, &setup.unit, sup);
         }
-        match setup.neg_pattern[ni].filter(|&pidx| self.assign[pidx].is_none()) {
-            None => {
-                // Fixed atom or already-assigned pattern: filter and go on.
-                let (rel, terms) = self.neg_atom_terms(ni);
-                let jn = self.eval_atom(rel, terms);
-                let filtered = b.antijoin(&jn);
-                if filtered.is_empty() && !setup.zero_ok {
-                    return ControlFlow::Continue(());
+        let Some(pidx) = setup.neg_pattern[ni].filter(|&pidx| self.assign[pidx].is_none()) else {
+            // Fixed atom or already-assigned pattern: filter and go on.
+            return self.filter_neg(ni, &b, body_atoms);
+        };
+        let pv = setup.pattern_pv[pidx];
+        let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
+        for &rel in setup.rels(pidx, locked) {
+            pin(&mut self.pv_rel, pv, rel);
+            for slots in &setup.candidates[pidx][&rel] {
+                self.assign[pidx] = Some(PatternMap {
+                    rel,
+                    slots: slots.clone(),
+                });
+                let flow = self.filter_neg(ni, &b, body_atoms);
+                self.assign[pidx] = None;
+                if flow.is_break() {
+                    unpin(&mut self.pv_rel, pv);
+                    return ControlFlow::Break(());
                 }
-                self.enum_neg(ni + 1, filtered, body_atoms, sup_hint)
             }
-            Some(pidx) => {
-                let pv = setup.pattern_pv[pidx];
-                let locked = self.pv_rel.get(&pv).map(|&(r, _)| r);
-                for &rel in setup.rels(pidx, locked) {
-                    self.pv_rel
-                        .entry(pv)
-                        .and_modify(|e| e.1 += 1)
-                        .or_insert((rel, 1));
-                    for slots in &setup.candidates[pidx][&rel] {
-                        self.assign[pidx] = Some(PatternMap {
-                            rel,
-                            slots: slots.clone(),
-                        });
-                        let (nrel, terms) = self.neg_atom_terms(ni);
-                        let jn = self.eval_atom(nrel, terms);
-                        let filtered = b.antijoin(&jn);
-                        let flow = if filtered.is_empty() && !setup.zero_ok {
-                            ControlFlow::Continue(())
-                        } else {
-                            self.enum_neg(ni + 1, filtered, body_atoms, sup_hint)
-                        };
-                        self.assign[pidx] = None;
-                        if flow.is_break() {
-                            self.unpin(pv);
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    self.unpin(pv);
-                }
-                ControlFlow::Continue(())
-            }
+            unpin(&mut self.pv_rel, pv);
         }
+        ControlFlow::Continue(())
     }
 
-    /// Distinct variables of instantiated body atom `bi` (including
-    /// padding).
-    fn mq_body_atom_vars(&self, bi: usize) -> Vec<VarId> {
-        let (_, terms) = self.body_atom_terms(bi);
-        mq_relation::distinct_vars(&terms)
+    /// Antijoin negated literal `ni` (fixed or assigned) out of `b`, then
+    /// go on with the next negated literal unless the filtered join is
+    /// empty and empty joins are pruned.
+    fn filter_neg(
+        &mut self,
+        ni: usize,
+        b: &Bindings,
+        body_atoms: &[Arc<Bindings>],
+    ) -> ControlFlow<()> {
+        let setup = self.setup;
+        let (rel, terms) = self.atom_terms(&setup.mq.neg_body[ni], setup.neg_pattern[ni]);
+        let filtered = b.antijoin(&self.eval_atom(rel, terms));
+        if filtered.is_empty() && !setup.zero_ok {
+            return ControlFlow::Continue(());
+        }
+        self.enum_neg(ni + 1, filtered, body_atoms)
     }
 
     /// The paper's `findHeads(σb)` for the body `b = left ⋈ right` with
@@ -1356,9 +1292,9 @@ mod tests {
     fn parallel_matches_sequential_order() {
         // The scheduler must return byte-identical, identically ordered
         // answers to the sequential engine. Force a multi-worker pool
-        // even on single-core machines so the fan-out actually runs (an
-        // atomic override — env mutation is unsound under concurrent
-        // reads).
+        // even on single-core machines so the fan-out actually runs (a
+        // thread-local override — env mutation is unsound under
+        // concurrent reads).
         rayon::set_thread_override(Some(3));
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..6 {

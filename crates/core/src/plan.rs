@@ -17,13 +17,11 @@
 //! `u32` lookup instead of re-hashing the whole prefix, and prefixes are
 //! still shared across decomposition vertices whose λ labels overlap.
 //!
-//! Count-only evaluations (the `enoughSupport` semijoin counts and the
-//! Yannakakis support counts) are tiny [`CountPlan`]s over input slots,
-//! interpreted by the same executor. The cover/confidence pair of
-//! `findHeads` is the executor's head-count op instead: it counts every
-//! head of the search against one body join through the search's
-//! [`mq_relation::HeadTable`], whose state outlives a single count,
-//! which an input-slot plan cannot carry.
+//! Counting is not in the IR. The cover/confidence pair of `findHeads`
+//! is the executor's head-count op: it counts every head of the search
+//! against one body join through the search's
+//! [`mq_relation::HeadTable`]. The `enoughSupport` semijoin counts and
+//! the support counts call the kernels directly.
 
 use mq_relation::{RelId, Term, VarId};
 use std::cmp::Ordering;
@@ -341,56 +339,6 @@ pub fn build_node_plan_ordered(
         });
     }
     cur.expect("at least one planned step").0
-}
-
-/// A count-only terminal: the index computations of `findRules` never
-/// materialize rows, so their plans are a single counting op over input
-/// slots resolved at execution time (slot 0 = first input, etc.).
-///
-/// Cover and confidence are not a `CountOp`: `findHeads` answers both
-/// with the executor's head-count op (`Executor::exec_head_counts`),
-/// which streams the body join's last two inputs once against one table
-/// of every head ([`mq_relation::HeadTable`]) without building the join.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum CountOp {
-    /// `|inputs[left] ⋉ inputs[right]|` — `enoughSupport`'s atom counts.
-    SemijoinCount {
-        /// Slot of the counted (left) side.
-        left: usize,
-        /// Slot of the probe (right) side.
-        right: usize,
-    },
-    /// `|π_vars(inputs[input])|` — the Yannakakis support counts.
-    CountDistinct {
-        /// Slot of the counted input.
-        input: usize,
-        /// Variables projected before counting.
-        vars: Vec<VarId>,
-    },
-}
-
-/// A count-only plan (one terminal op). Kept as a struct so the executor
-/// entry point mirrors the relational plans' shape.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct CountPlan {
-    /// The terminal counting operator.
-    pub op: CountOp,
-}
-
-impl CountPlan {
-    /// `|inputs[left] ⋉ inputs[right]|`.
-    pub fn semijoin_count(left: usize, right: usize) -> Self {
-        CountPlan {
-            op: CountOp::SemijoinCount { left, right },
-        }
-    }
-
-    /// `|π_vars(inputs[input])|`.
-    pub fn count_distinct(input: usize, vars: Vec<VarId>) -> Self {
-        CountPlan {
-            op: CountOp::CountDistinct { input, vars },
-        }
-    }
 }
 
 #[cfg(test)]

@@ -116,8 +116,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MQ_THREADS",
         default: "CPU count",
-        purpose:
-            "Worker-thread cap for the scheduler pool (rayon shim); `1` runs searches sequentially",
+        purpose: "Worker-thread cap for the findRules scheduler's scoped threads; `1` runs searches sequentially",
     },
     Knob {
         name: "MQ_TRACE",

@@ -464,7 +464,7 @@ fn head_counts_stream_each_body_row_once_per_key() {
 
 /// The scheduler must be deterministic across thread counts:
 /// byte-identical `find_rules` output for `MQ_THREADS ∈ {1, 2, 4}` (set
-/// via the process-global override — env mutation is unsound under
+/// via the thread-local override — env mutation is unsound under
 /// concurrent reads), on shapes whose enumeration actually spans
 /// multiple patterns and a shared predicate variable. The split depth
 /// is the constant `parallel::SPLIT_DEPTH`, so only the thread count

@@ -6,22 +6,13 @@
 //! a forced 4-worker pool and assert the contract the service must keep:
 //! `find_rules` output is **byte-identical** to the sequential engine.
 //!
-//! The thread override (`set_thread_override`) is a process-global
-//! atomic, so every test in this binary serializes on [`override_lock`].
+//! The thread override (`set_thread_override`) is thread-local: each
+//! test sets it on its own thread, so the tests need no lock.
 
 use metaquery::core::engine::find_rules::{find_rules, find_rules_instrumented, find_rules_seq};
 use metaquery::core::engine::memo::SharedMemos;
 use metaquery::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serializes the process-global override knob across the tests in
-/// this binary (libtest runs them on concurrent threads by default).
-fn override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A panicking test poisons the mutex; the knob is still fine to
-    // take (every test restores it on its happy path).
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// A deterministic pseudo-random database over `rels` (no RNG dep).
 fn stress_db(rels: &[(&str, usize)], rows: usize, dom: i64) -> Database {
@@ -49,7 +40,6 @@ fn stress_db(rels: &[(&str, usize)], rows: usize, dom: i64) -> Database {
 /// `parallel::SPLIT_DEPTH`.
 #[test]
 fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
-    let _guard = override_lock();
     let db = stress_db(&[("p", 2), ("q", 2), ("r", 2)], 24, 6);
     for text in [
         "R(X,Z) <- P(X,Y), Q(Y,Z)",
@@ -84,7 +74,6 @@ fn four_workers_hammer_one_shared_memo_at_both_split_depths() {
 /// exactly this search — no drain-the-globals dance.
 #[test]
 fn shared_memo_counters_record_hits() {
-    let _guard = override_lock();
     let db = stress_db(&[("p", 2), ("q", 2)], 16, 4);
     let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
     let memos = Arc::new(SharedMemos::new());
