@@ -25,8 +25,9 @@
 //! is the head-count op — cover and confidence of every head in one pass
 //! over a body join given as its last two join inputs, never built,
 //! against the search's [`HeadTable`] ([`Executor::build_head_table`]).
-//! The support counts have no memo to consult, so the engine calls the
-//! kernels (`semijoin_count`, `count_distinct`) directly.
+//! The reducer and support counts have no memo to consult, so the
+//! engine calls the kernels (`semijoin_count`, `count_distinct`)
+//! directly.
 
 use crate::engine::memo::{PlanKey, SharedMemos};
 use crate::plan::{build_node_plan_ordered, AtomKey, JoinAtomStats, PlanNodeId, PlanOp};

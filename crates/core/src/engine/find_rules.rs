@@ -9,12 +9,22 @@
 //!    `r[i] := π_χ(J(σi(λ(p_ν(i)))))`, semijoins it with the children's
 //!    `r[·]` (the *first half* of a full reducer, interleaved with the
 //!    search), and prunes the branch when `r[i]` is empty.
-//! 2. At the root, the *second half* of the full reducer produces globally
-//!    consistent reduced relations `s[·]`, from which `enoughSupport`
-//!    evaluates `sup(σb(body)) > k_sup` exactly and cheaply.
+//! 2. At the root, the *second half* of the full reducer reduces every
+//!    vertex top-down, `s[j] = r[j] ⋉ s[parent]`, so that
+//!    `s[j] = π_χ(b)` for the body join `b`. Nothing is gathered unless
+//!    a later step reads its rows: a reduction is gathered only for its
+//!    children's reductions, a type-2 padding join, or the support count
+//!    of an atom not ranging over exactly χ, and is otherwise a
+//!    `semijoin_count` (as is the bottom-up reduction of a root with a
+//!    single child it does not cover: that child reads it unreduced,
+//!    which shows it the same keys). Since
+//!    `|π_vars(A)(s[home])| = |π_vars(A)(b)|`, one count per atom gives
+//!    the exact support, which `enoughSupport` tests against `k_sup`.
 //! 3. **findHeads** — the body join `b = J(σb(body(MQ)))` is assembled
-//!    from the reduced relations; every head instantiation `σh` that
-//!    agrees with `σb` is checked with two semijoin counts,
+//!    from the first-half relations `r[j]`, not their reductions: the
+//!    prefix a vertex joins into already holds its calibrated parent,
+//!    so `prefix ⋈ r[j] = prefix ⋈ s[j]`. Every head instantiation `σh`
+//!    that agrees with `σb` is checked with two semijoin counts,
 //!    `cvr = |h ⋉ b| / |h|` and `cnf = |b ⋉ h| / |b|`. The heads are the
 //!    same atoms for every body, so the first `findHeads` of a search
 //!    merges all of them into one [`mq_relation::HeadTable`] (distinct
@@ -24,7 +34,7 @@
 //!    key filter, yielding `|b|` and cover and confidence for every head
 //!    at once. Every body is assembled one way: a type-2 atom padded
 //!    with variables outside every χ is first joined into its home
-//!    vertex, so the vertex relations stay calibrated; then, with no
+//!    vertex's reduction, which the joins then read; then, with no
 //!    negated literal, `b` is never built: the op is handed the join of
 //!    every vertex but the last and the last vertex relation, and
 //!    streams their join row pair by row pair without gathering a
@@ -43,8 +53,8 @@
 //! * **Executor** (`engine::exec`) — interprets plan nodes against
 //!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
 //!   result memo); cover, confidence and `|b|` come from its head-count
-//!   op, while the support counts call the kernels' `semijoin_count` and
-//!   `count_distinct` directly;
+//!   op, while the reducer and support counts call the kernels'
+//!   `semijoin_count` and `count_distinct` directly;
 //! * **Scheduler** ([`super::parallel`]) — splits the search over
 //!   instantiation prefixes of [`super::parallel::SPLIT_DEPTH`]
 //!   patterns, which scoped worker threads claim off a shared counter,
@@ -306,6 +316,12 @@ pub(crate) struct Setup<'a> {
     /// Per node: its χ label as a sorted variable list (what node joins
     /// project onto).
     chi_sorted: Vec<Vec<VarId>>,
+    /// Whether the root has a single child that it does not cover. Such
+    /// a root only counts its bottom-up semijoin: its child sees the
+    /// same keys in the unreduced root, and the body joins filter the
+    /// root's rows anyway. A covered child would be skipped by the body
+    /// joins, which relies on its parent having been reduced by it.
+    counted_root: bool,
 
     /// Global pattern count and scheme info. Pattern index 0 is the head
     /// pattern when the head is a pattern; body patterns follow in order.
@@ -385,6 +401,11 @@ impl<'a> Setup<'a> {
             .iter()
             .map(|n| n.chi.iter().copied().collect())
             .collect();
+        let root = post[post.len() - 1];
+        let counted_root = match ht.children[root][..] {
+            [child] => !ht.nodes[child].chi.is_subset(&ht.nodes[root].chi),
+            _ => false,
+        };
 
         // Global pattern bookkeeping (head first, as in rep(MQ)).
         let head_is_pattern = mq.head.is_pattern();
@@ -507,6 +528,7 @@ impl<'a> Setup<'a> {
             post,
             pos_of,
             chi_sorted,
+            counted_root,
             head_is_pattern,
             body_pattern,
             neg_pattern,
@@ -549,6 +571,23 @@ impl Setup<'_> {
             Some(Ok(i)) => &rels[i..=i],
             Some(Err(_)) => &[],
         }
+    }
+
+    /// Whether the vertex at postorder position `j` reduces its children
+    /// top-down with its own rows, so its reduction `s[j]` is gathered.
+    /// The counted root does not: its only child reads it unreduced.
+    fn reduces_children(&self, j: usize) -> bool {
+        if self.counted_root && j + 1 == self.post.len() {
+            return false;
+        }
+        !self.ht.children[self.post[j]].is_empty()
+    }
+
+    /// Whether `atom` ranges over exactly the χ of the vertex at postorder
+    /// position `j`; then `|atom ⋉ s[j]| = |s[j]|`.
+    fn spans_chi(&self, atom: &Bindings, j: usize) -> bool {
+        let chi = &self.chi_sorted[self.post[j]];
+        atom.vars().len() == chi.len() && atom.vars().iter().all(|v| chi.binary_search(v).is_ok())
     }
 
     /// The heads `findHeads` checks when the head's predicate variable
@@ -628,26 +667,30 @@ fn unpin(locks: &mut PvLocks, pv: PredVarId) {
     }
 }
 
-/// The exact support `max_i |π_vars(A_i)(over(i))| / |A_i|` over the
-/// non-empty body atoms `A_i` (`body_atoms`), where `over(i)` is a
-/// relation whose projection onto `A_i`'s variables equals the body
-/// join's. When `over(i)` ranges over exactly those variables the count
-/// is its length (bindings hold no duplicate rows).
-fn support<'r>(body_atoms: &[Arc<Bindings>], over: impl Fn(usize) -> &'r Bindings) -> Frac {
+/// The exact support `max_i |π_vars(A_i)(b)| / |A_i|` of a body join
+/// `b` built whole, over the non-empty body atoms `A_i`. When `b` ranges
+/// over exactly an atom's variables the count is its length (bindings
+/// hold no duplicate rows).
+fn support(body_atoms: &[Arc<Bindings>], b: &Bindings) -> Frac {
     let mut sup = Frac::ZERO;
-    for (bi, ra) in body_atoms.iter().enumerate() {
-        if ra.is_empty() {
-            continue;
-        }
-        let rel = over(bi);
-        let num = if rel.vars() == ra.vars() {
-            rel.len()
+    for ra in body_atoms.iter().filter(|ra| !ra.is_empty()) {
+        let num = if b.vars() == ra.vars() {
+            b.len()
         } else {
-            rel.count_distinct(ra.vars())
+            b.count_distinct(ra.vars())
         };
         sup = sup.max(Frac::ratio_or_zero(num as u64, ra.len() as u64));
     }
     sup
+}
+
+/// A vertex's first-half relation `r[i]` and its length. `rel` is
+/// `π_χ(J(σi(λ)))` semijoined with every child's `r` — except at the
+/// counted root, whose `rel` stays unreduced and whose `len` counts the
+/// semijoin with its only child.
+struct FirstHalf {
+    rel: Arc<Bindings>,
+    len: usize,
 }
 
 /// Per-search mutable state: assignment stacks, node relations, and the
@@ -661,8 +704,8 @@ pub(crate) struct Engine<'a, 'b, F> {
     assign: Vec<Option<PatternMap>>,
     /// Predicate variable -> (relation, how many patterns pinned it).
     pv_rel: PvLocks,
-    /// Per postorder position: the reduced node relation `r[i]`.
-    r: Vec<Option<Bindings>>,
+    /// Per postorder position: the first-half relation `r[i]`.
+    r: Vec<Option<FirstHalf>>,
     /// The head-count op's buffers, reused across bodies; holds the
     /// last body's counts per head.
     head_scratch: HeadScratch,
@@ -685,7 +728,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             f,
             assign: vec![None; n_patterns],
             pv_rel: HashMap::new(),
-            r: vec![None; n_pos],
+            r: (0..n_pos).map(|_| None).collect(),
             head_scratch: HeadScratch::new(),
             ticks: 0,
         }
@@ -820,25 +863,36 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             // planned and executed by the executor, memoized so sibling
             // instantiations that only differ elsewhere share it.
             let projected = self.eval_node_join(node, lambda);
-            // One fused sweep over all children: same probe count as
-            // folded binary semijoins, but survivors materialize once.
-            let children = &self.setup.ht.children[node];
-            let r_i = if children.is_empty() {
-                (*projected).clone()
-            } else {
-                let child_rs: Vec<&Bindings> = children
-                    .iter()
-                    .map(|&child| {
-                        let cpos = self.setup.pos_of[child];
-                        self.r[cpos].as_ref().expect("children visited first")
-                    })
-                    .collect();
-                projected.semijoin_all(&child_rs)
+            let setup = self.setup;
+            let children = &setup.ht.children[node];
+            let child_r = |child: &usize| {
+                let r = self.r[setup.pos_of[*child]].as_ref();
+                &*r.expect("children visited first").rel
             };
-            if r_i.is_empty() && !self.setup.zero_ok {
+            let half = if children.is_empty() {
+                FirstHalf {
+                    len: projected.len(),
+                    rel: projected,
+                }
+            } else if setup.counted_root && i + 1 == setup.post.len() {
+                FirstHalf {
+                    len: projected.semijoin_count(child_r(&children[0])),
+                    rel: projected,
+                }
+            } else {
+                // One fused sweep over all children: same probe count as
+                // folded binary semijoins, but survivors materialize once.
+                let child_rs: Vec<&Bindings> = children.iter().map(child_r).collect();
+                let rel = projected.semijoin_all(&child_rs);
+                FirstHalf {
+                    len: rel.len(),
+                    rel: Arc::new(rel),
+                }
+            };
+            if half.len == 0 && !setup.zero_ok {
                 return ControlFlow::Continue(()); // prune this branch
             }
-            self.r[i] = Some(r_i);
+            self.r[i] = Some(half);
             let flow = self.find_bodies(i + 1);
             self.r[i] = None;
             return flow;
@@ -871,106 +925,137 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
     fn second_half_and_heads(&mut self) -> ControlFlow<()> {
         let setup = self.setup;
         let n = setup.post.len();
-        // s[j] for postorder positions; root is position n-1.
-        let mut s: Vec<Bindings> = Vec::with_capacity(n);
-        for j in 0..n {
-            s.push(self.r[j].as_ref().expect("all nodes computed").clone());
+        let body_atoms: Vec<Arc<Bindings>> = (0..setup.mq.body.len())
+            .map(|bi| self.eval_body_atom(bi))
+            .collect();
+        let r: Vec<&FirstHalf> = self
+            .r
+            .iter()
+            .map(|h| h.as_ref().expect("all nodes computed"))
+            .collect();
+        let home = |bi: usize| setup.pos_of[setup.ht.atom_home[bi]];
+
+        // s[j] := r[j] ⋉ s[parent], top-down (postorder positions descend
+        // root-first). Its rows are gathered only when a later step reads
+        // them: its children's reductions, a type-2 padding join, or an
+        // atom over other variables than χ counted against it. Every
+        // other s[j] is only counted.
+        let mut gather: Vec<bool> = (0..n).map(|j| setup.reduces_children(j)).collect();
+        for (bi, ra) in body_atoms.iter().enumerate() {
+            if !setup.spans_chi(ra, home(bi)) {
+                gather[home(bi)] = true;
+            }
+        }
+        let mut s: Vec<Option<Arc<Bindings>>> = vec![None; n];
+        let mut s_len = vec![0usize; n];
+        let root = &r[n - 1];
+        s_len[n - 1] = root.len;
+        if gather[n - 1] {
+            s[n - 1] = Some(if setup.counted_root {
+                let child = setup.pos_of[setup.ht.children[setup.post[n - 1]][0]];
+                Arc::new(root.rel.semijoin_all(&[&*r[child].rel]))
+            } else {
+                Arc::clone(&root.rel)
+            });
         }
         for j in (0..n.saturating_sub(1)).rev() {
             let node = setup.post[j];
             let parent = setup.ht.parent[node].expect("non-root has parent");
             let ppos = setup.pos_of[parent];
-            // `s[j]` is still the pristine `r[j]` here (each node is
-            // reduced exactly once, top-down), so its index cache is the
-            // long-lived one shared with the executor's memoized value —
-            // index that side, probe the small already-reduced parent.
-            s[j] = s[j].semijoin_indexed(&s[ppos]);
+            // A parent that is not gathered is the counted root, which
+            // its only child may read unreduced.
+            let parent_rows = s[ppos].as_deref().unwrap_or(&r[ppos].rel);
+            // Index r[j] — its cache is long-lived: the executor's memoized
+            // value, or for a plain atom the relation's own — and probe
+            // the parent.
+            if gather[j] {
+                let s_j = r[j].rel.semijoin_indexed(parent_rows);
+                s_len[j] = s_j.len();
+                s[j] = Some(Arc::new(s_j));
+            } else {
+                s_len[j] = r[j].rel.semijoin_count(parent_rows);
+            }
         }
 
-        // enoughSupport (exact: sup > k iff some atom's fraction > k).
-        let mut body_atoms: Vec<Arc<Bindings>> = Vec::with_capacity(setup.mq.body.len());
-        for bi in 0..setup.mq.body.len() {
-            body_atoms.push(self.eval_body_atom(bi));
+        // The body joins read the first-half relations r[j]: the prefix
+        // a vertex joins into already holds its calibrated parent, so
+        // `prefix ⋈ r[j] = prefix ⋈ s[j]`.
+        //
+        // Type-2 instantiations can pad an atom with fresh variables that
+        // occur in that atom alone and in no χ. Join each such atom into
+        // its (gathered) home: `π_{χ ∪ pad}(b) = s[home] ⋈ ra`, because
+        // the padding extends a row of `b` independently of everything
+        // else, and the joins read the padded relation. Index the stable
+        // atom side (cached across bodies by the executor's atom memo),
+        // probe the small reduced side.
+        let mut rels: Vec<Arc<Bindings>> = r.iter().map(|h| Arc::clone(&h.rel)).collect();
+        for (bi, ra) in body_atoms.iter().enumerate() {
+            let j = home(bi);
+            let Some(s_home) = &s[j] else {
+                continue; // every atom homed here spans χ
+            };
+            if ra.vars().iter().any(|v| s_home.position(*v).is_none()) {
+                let padded = Arc::new(s_home.join(&ra.semijoin_indexed(s_home)));
+                rels[j] = Arc::clone(&padded);
+                s[j] = Some(padded);
+            }
+        }
+
+        // enoughSupport, exact: every s[home] is now `π(b)` onto its
+        // variables, which include the atom's, so one count per atom,
+        // `|π_vars(A)(s[home])| = |π_vars(A)(b)|`, gives the support. An
+        // atom ranging over exactly χ counts |s[home]| itself (before
+        // any padding).
+        let mut sup = Frac::ZERO;
+        for (bi, ra) in body_atoms.iter().enumerate() {
+            let j = home(bi);
+            let count = match &s[j] {
+                Some(s_home) if !setup.spans_chi(ra, j) => s_home.count_distinct(ra.vars()),
+                _ => s_len[j],
+            };
+            sup = sup.max(Frac::ratio_or_zero(count as u64, ra.len() as u64));
         }
         if let Some(ksup) = setup.thresholds.sup {
-            let mut enough = false;
-            for (bi, ra) in body_atoms.iter().enumerate() {
-                if ra.is_empty() {
-                    continue;
-                }
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                // When s[home] ranges over exactly the atom's variables it
-                // is itself the reduced atom (every s-row is an ra-row and
-                // reduction only drops rows), so |ra ⋉ s| = |s|.
-                let reduced = if s_home.vars() == ra.vars() {
-                    s_home.len()
-                } else {
-                    ra.semijoin_count(s_home)
-                };
-                if Frac::ratio_or_zero(reduced as u64, ra.len() as u64) > ksup {
-                    enough = true;
-                    break;
-                }
-            }
-            if !enough {
+            if sup <= ksup {
                 return ControlFlow::Continue(());
             }
         }
 
-        // Type-2 instantiations can pad an atom with fresh variables that
-        // occur in that atom alone and in no χ. Join each such atom into
-        // its home vertex: `π_{χ ∪ pad}(b) = s[home] ⋈ ra`, because the
-        // padding extends a row of `b` independently of everything else.
-        // The tree stays calibrated — `s[j] = π_vars(s[j])(b)` for every
-        // vertex — and every atom's variables now sit inside its home.
-        // Index the stable atom side (cached across bodies by the
-        // executor's atom memo), probe the small reduced side.
-        for (bi, ra) in body_atoms.iter().enumerate() {
-            let home = setup.pos_of[setup.ht.atom_home[bi]];
-            if ra.vars().iter().any(|v| s[home].position(*v).is_none()) {
-                s[home] = s[home].join(&ra.semijoin_indexed(&s[home]));
-            }
-        }
-
-        // b := J(σb(body(MQ))). Every vertex relation is calibrated, so
-        // joining them along the decomposition reconstructs `b` exactly:
-        // every atom's constraint is already inside its home's s[j], the
+        // b := J(σb(body(MQ))), joined along the decomposition: every
+        // atom's constraint is inside its home's relation, the
         // χ-connectedness condition keeps every join keyed when parents
-        // join before children (postorder positions descend root-first),
-        // and a vertex whose variables are already covered satisfies
-        // `b ⋉ s[j] = b` and is skipped outright. With no negated literal
-        // to filter `b`, its last join is never built: every vertex but
-        // the last uncovered one joins into a prefix, and `findHeads`
-        // streams `prefix ⋈ s[last]` against the head table, which also
-        // yields `|b|` (a body with negated literals joins the last
-        // vertex too, then filters).
-        let mut prefix = s[n - 1].clone();
+        // join before children, and a vertex whose variables are already
+        // bound adds nothing — its parent's r was reduced by its r — and
+        // is skipped outright. With no negated literal to filter `b`, its
+        // last join is never built: every vertex but the last uncovered
+        // one joins into a prefix, and `findHeads` streams
+        // `prefix ⋈ rels[last]` against the head table, which also yields
+        // `|b|` (a body with negated literals joins the last vertex too,
+        // then filters).
+        let mut prefix: Bindings = (*rels[n - 1]).clone();
         let mut last: Option<usize> = None;
         for j in (0..n.saturating_sub(1)).rev() {
             let bound = |v: &VarId| {
-                prefix.position(*v).is_some() || last.is_some_and(|l| s[l].position(*v).is_some())
+                prefix.position(*v).is_some()
+                    || last.is_some_and(|l| rels[l].position(*v).is_some())
             };
-            if s[j].vars().iter().all(bound) {
-                continue; // covered: s[j] = π_vars(s[j])(b) adds nothing
+            if rels[j].vars().iter().all(bound) {
+                continue;
             }
             if let Some(l) = last.replace(j) {
-                prefix = prefix.join(&s[l]);
+                prefix = prefix.join(&rels[l]);
                 if prefix.is_empty() && !setup.zero_ok {
                     return ControlFlow::Continue(());
                 }
             }
         }
+        let last = last.map(|l| Arc::clone(&rels[l]));
         if setup.mq.neg_body.is_empty() {
-            // The exact support comes from the calibrated vertex
-            // relations: projection composes, so `π_vars(b) =
-            // π_vars(s[home])` and the count runs over the (small) vertex
-            // relation, never the body join.
-            let sup = support(&body_atoms, |bi| &s[setup.pos_of[setup.ht.atom_home[bi]]]);
-            let right = last.map_or(&setup.unit, |l| &s[l]);
+            let right = last.as_deref().unwrap_or(&setup.unit);
             return self.find_heads(&prefix, right, sup);
         }
-        let b = match last {
-            Some(l) => prefix.join(&s[l]),
+        let b = match &last {
+            Some(l) => prefix.join(l),
             None => prefix,
         };
         if b.is_empty() && !setup.zero_ok {
@@ -993,7 +1078,7 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         let setup = self.setup;
         if ni == setup.mq.neg_body.len() {
             // Exact support values for reporting, on the filtered join.
-            let sup = support(body_atoms, |_| &b);
+            let sup = support(body_atoms, &b);
             return self.find_heads(&b, &setup.unit, sup);
         }
         let Some(pidx) = setup.neg_pattern[ni].filter(|&pidx| self.assign[pidx].is_none()) else {

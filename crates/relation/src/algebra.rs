@@ -172,8 +172,10 @@ pub struct Bindings {
     cols: ColumnarRows<Value>,
     /// Lazily built group indexes per key-column set
     /// ([`mq_store::ColIndexCache`]: hashed lookup, thread-safe). Shared
-    /// by clones (which share the storage, keeping the indexes valid);
-    /// rebuilt from scratch by any operation producing new rows.
+    /// by clones (which share the storage, keeping the indexes valid)
+    /// and, for a plain atom, with its relation
+    /// ([`Bindings::from_atom`]); rebuilt from scratch by any operation
+    /// producing new rows.
     indexes: Arc<ColIndexCache<GroupIndex>>,
 }
 
@@ -208,11 +210,10 @@ impl Bindings {
     }
 
     /// The cached group index over `cols`, if one exists. Never builds —
-    /// the cost-only probe-direction choices ([`Bindings::semijoin_count`])
-    /// peek here to avoid indexing an operand that will never be probed
-    /// again. (`findHeads`' cover/confidence counts go further and never
-    /// build the body join at all: see [`crate::head_table`].)
-    fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
+    /// the cost-only probe-direction choices ([`Bindings::semijoin_count`]
+    /// and the head-count op's pairing, [`crate::head_table`]) peek here
+    /// to avoid indexing an operand that will never be probed again.
+    pub(crate) fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
         self.indexes.get(cols)
     }
 
@@ -274,8 +275,13 @@ impl Bindings {
     /// receive equal values; the result's columns are the distinct
     /// variables of `terms` in first-occurrence order.
     ///
-    /// When the atom carries constants, the scan probes the relation's
-    /// cached column index instead of visiting every row.
+    /// A *plain* atom — distinct variables, no constant — is the
+    /// relation itself with its columns renamed: the result shares the
+    /// relation's column storage and its index cache, so evaluating it
+    /// is O(1) and every index the relation (or any other plain atom
+    /// over it) has built serves it. When the atom carries constants,
+    /// the scan probes the relation's cached column index instead of
+    /// visiting every row.
     ///
     /// # Panics
     /// Panics if `terms.len() != rel.arity()`.
@@ -289,6 +295,15 @@ impl Bindings {
             rel.arity()
         );
         let shape = AtomShape::of(terms);
+        if shape.const_cols.is_empty() && shape.eq_pairs.is_empty() {
+            // Every term is a distinct variable, so column `j` of the
+            // relation is variable `j` of the atom.
+            return Bindings {
+                vars: shape.vars,
+                cols: rel.columnar(),
+                indexes: Arc::clone(rel.index_cache()),
+            };
+        }
         // Column-wise evaluation: select matching row ids against the
         // relation's columns, then gather the variable columns.
         let store = rel.columnar();
@@ -902,8 +917,9 @@ impl Bindings {
     }
 
     /// `|self ⋉ other|` without materializing the surviving rows — pure
-    /// index probing. `findRules` counts `enoughSupport` (an atom
-    /// against its reduced home vertex) with it; the cover/confidence
+    /// index probing. `findRules` counts with it every reducer step whose
+    /// rows nothing reads, and the support (an atom against its reduced
+    /// home vertex); the cover/confidence
     /// pair of `findHeads` runs through [`crate::HeadTable`] instead,
     /// which answers both directions for every head from one pass over
     /// the body join.

@@ -20,10 +20,12 @@
 //!   hash's high bits (the table's slots use the low bits);
 //! * the body arrives as the two inputs of its last join,
 //!   `b = left ⋈ right`, and is **streamed, not built**:
-//!   [`HeadTable::count`] pairs the rows through the smaller side's
-//!   cached group index on the shared variables (the one
-//!   [`Bindings::join`] builds) and gathers no output column. A body
-//!   that is already one relation is counted as `b ⋈ unit`;
+//!   [`HeadTable::count`] pairs the rows through whichever side already
+//!   has a group index on the shared variables cached — both sides'
+//!   indexes pair group against group, one probe per distinct key —
+//!   building the smaller side's only when neither has one, and gathers
+//!   no output column. A body that is already one relation is counted
+//!   as `b ⋈ unit`;
 //! * each row pair's key hash resumes a per-row partial hash state of
 //!   the side holding the key's leading variables and folds in the
 //!   rest, bit-identical to hashing `b`'s key columns; a pair whose
@@ -188,6 +190,7 @@ impl KeyTable {
     fn count(&self, join: &Join, scratch: &mut HeadScratch) {
         let HeadScratch {
             groups,
+            matched,
             loc,
             cols,
             states,
@@ -245,13 +248,13 @@ impl KeyTable {
                 .unwrap_or(NONE)
             }));
             if home_probe {
-                join.for_each_probe(groups, |pi, fanout| {
+                join.for_each_probe(groups, matched, |pi, fanout| {
                     if ents[pi] != NONE {
                         bump(ents[pi], fanout);
                     }
                 });
             } else {
-                join.for_each_pair(groups, |bi, _| {
+                join.for_each_pair(groups, matched, |bi, _| {
                     if ents[bi] != NONE {
                         bump(ents[bi], 1);
                     }
@@ -265,7 +268,7 @@ impl KeyTable {
                 // One away value per pair — a chain's head key — with
                 // its column hoisted out of the pair loop.
                 let away_col = if home_probe { bc.col(c) } else { pc.col(c) };
-                join.for_each_pair(groups, |bi, pi| {
+                join.for_each_pair(groups, matched, |bi, pi| {
                     let (hr, ar) = if home_probe { (pi, bi) } else { (bi, pi) };
                     let mut h = FxHasher::from_state(states[hr]);
                     away_col[ar].hash(&mut h);
@@ -288,7 +291,7 @@ impl KeyTable {
                         &bc.col(c)[bi]
                     }
                 };
-                join.for_each_pair(groups, |bi, pi| {
+                join.for_each_pair(groups, matched, |bi, pi| {
                     let mut h = FxHasher::from_state(states[if home_probe { pi } else { bi }]);
                     for &l in rest {
                         value(l, bi, pi).hash(&mut h);
@@ -320,22 +323,40 @@ impl KeyTable {
 /// No entry, or no build group.
 const NONE: u32 = u32::MAX;
 
+/// How a [`Join`] pairs its two sides' rows.
+enum Pairing {
+    /// No shared variable: every build row with every probe row.
+    Cross,
+    /// The build side's group index on the shared variables;
+    /// `HeadScratch::groups` holds every probe row's group.
+    Rows(Arc<GroupIndex>),
+    /// Both sides' group indexes on the shared variables (build, probe);
+    /// `HeadScratch::matched` holds the `(build group, probe group)`
+    /// pairs with equal keys.
+    Groups(Arc<GroupIndex>, Arc<GroupIndex>),
+}
+
 /// A body given as the natural join `build ⋈ probe`, paired row by row
 /// but never gathered into output columns.
 struct Join<'b> {
     build: &'b Bindings,
     probe: &'b Bindings,
-    /// The build side's group index on the shared variables — the one
-    /// [`Bindings::join`] builds and caches; `None` for a cross product.
-    index: Option<Arc<GroupIndex>>,
+    pairing: Pairing,
 }
 
 impl<'b> Join<'b> {
-    /// Pair `left ⋈ right` with the smaller side building, as
-    /// [`Bindings::join`] does: fill `scratch.groups` with every probe
-    /// row's build group and return `|left ⋈ right|`.
+    /// Pair `left ⋈ right` through whichever side already has a cached
+    /// group index on the shared variables, and return `|left ⋈ right|`.
+    ///
+    /// * both sides cached: the side with fewer keys probes the other's
+    ///   index once per distinct key, and `scratch.matched` receives the
+    ///   matching group pairs — no row is hashed;
+    /// * one side cached: that side builds and every row of the other
+    ///   probes it, filling `scratch.groups`;
+    /// * neither: the smaller side builds (and caches) its index, as
+    ///   [`Bindings::join`] does.
     fn pair(left: &'b Bindings, right: &'b Bindings, scratch: &mut HeadScratch) -> (Self, usize) {
-        let (build, probe) = if left.len() > right.len() {
+        let (mut build, mut probe) = if left.len() > right.len() {
             (right, left)
         } else {
             (left, right)
@@ -345,6 +366,7 @@ impl<'b> Join<'b> {
             probe_cols,
             hashes,
             groups,
+            matched,
             ..
         } = scratch;
         cols.clear();
@@ -356,15 +378,44 @@ impl<'b> Join<'b> {
             }
         }
         groups.clear();
+        matched.clear();
         if cols.is_empty() {
             let join = Join {
                 build,
                 probe,
-                index: None,
+                pairing: Pairing::Cross,
             };
             return (join, build.len() * probe.len());
         }
-        let index = build.binding_index(cols);
+        let index = match (build.cached_index(cols), probe.cached_index(probe_cols)) {
+            (Some(bi), Some(pi)) => {
+                // Both keys are in shared-variable order, so a group key
+                // of one index probes the other directly.
+                let build_fewer = bi.num_groups() <= pi.num_groups();
+                let (few, many) = if build_fewer { (&bi, &pi) } else { (&pi, &bi) };
+                let mut rows = 0;
+                for g in 0..few.num_groups() {
+                    if let Some((h, n)) = many.probe_group_key(few.group_key(g)) {
+                        rows += few.group_count(g) * n;
+                        let (g, h) = (g as u32, h as u32);
+                        matched.push(if build_fewer { (g, h) } else { (h, g) });
+                    }
+                }
+                let join = Join {
+                    build,
+                    probe,
+                    pairing: Pairing::Groups(bi, pi),
+                };
+                return (join, rows);
+            }
+            (None, Some(pi)) => {
+                std::mem::swap(&mut build, &mut probe);
+                std::mem::swap(cols, probe_cols);
+                pi
+            }
+            (Some(bi), None) => bi,
+            (None, None) => build.binding_index(cols),
+        };
         let pc = probe.columnar();
         hashjoin::hash_columns_into(pc, probe_cols, hashes);
         let mut rows = 0;
@@ -385,22 +436,34 @@ impl<'b> Join<'b> {
         let join = Join {
             build,
             probe,
-            index: Some(index),
+            pairing: Pairing::Rows(index),
         };
         (join, rows)
     }
 
     /// Visit every probe row that joins, with the number of build rows
-    /// it joins.
+    /// it joins. `groups` and `matched` are the buffers [`Join::pair`]
+    /// filled.
     #[inline]
-    fn for_each_probe(&self, groups: &[u32], mut f: impl FnMut(usize, usize)) {
-        match &self.index {
-            None => (0..self.probe.len()).for_each(|pi| f(pi, self.build.len())),
-            Some(index) => {
+    fn for_each_probe(
+        &self,
+        groups: &[u32],
+        matched: &[(u32, u32)],
+        mut f: impl FnMut(usize, usize),
+    ) {
+        match &self.pairing {
+            Pairing::Cross => (0..self.probe.len()).for_each(|pi| f(pi, self.build.len())),
+            Pairing::Rows(index) => {
                 for (pi, &g) in groups.iter().enumerate() {
                     if g != NONE {
                         f(pi, index.group_count(g as usize));
                     }
+                }
+            }
+            Pairing::Groups(build, probe) => {
+                for &(bg, pg) in matched {
+                    let fanout = build.group_count(bg as usize);
+                    probe.group_rows(pg as usize).for_each(|pi| f(pi, fanout));
                 }
             }
         }
@@ -408,17 +471,29 @@ impl<'b> Join<'b> {
 
     /// Visit every joined `(build row, probe row)` pair.
     #[inline]
-    fn for_each_pair(&self, groups: &[u32], mut f: impl FnMut(usize, usize)) {
-        match &self.index {
-            None => {
+    fn for_each_pair(
+        &self,
+        groups: &[u32],
+        matched: &[(u32, u32)],
+        mut f: impl FnMut(usize, usize),
+    ) {
+        match &self.pairing {
+            Pairing::Cross => {
                 for pi in 0..self.probe.len() {
                     (0..self.build.len()).for_each(|bi| f(bi, pi));
                 }
             }
-            Some(index) => {
+            Pairing::Rows(index) => {
                 for (pi, &g) in groups.iter().enumerate() {
                     if g != NONE {
                         index.group_rows(g as usize).for_each(|bi| f(bi, pi));
+                    }
+                }
+            }
+            Pairing::Groups(build, probe) => {
+                for &(bg, pg) in matched {
+                    for pi in probe.group_rows(pg as usize) {
+                        build.group_rows(bg as usize).for_each(|bi| f(bi, pi));
                     }
                 }
             }
@@ -532,6 +607,9 @@ pub struct HeadScratch {
     hashes: Vec<u64>,
     /// Per probe row: its build group, or `NONE`.
     groups: Vec<u32>,
+    /// `(build group, probe group)` pairs with equal keys, when both
+    /// sides of the join had a cached index.
+    matched: Vec<(u32, u32)>,
     /// Per key variable: `(read from the probe side, column)`.
     loc: Vec<(bool, usize)>,
     /// Per home row: its key hash, or its partial state over the key's
@@ -657,6 +735,42 @@ mod tests {
             );
         }
         assert_eq!(materialized, b.len());
+        // The pairing reads whichever side has a group index on the
+        // shared variables cached: fresh copies of the two sides get
+        // neither, only the left's, only the right's, or both.
+        let fresh = |side: &Bindings| Bindings::from_parts(side.vars().to_vec(), side.to_rows());
+        let cache = |side: &Bindings, other: &Bindings| {
+            // Both shared-variable orders, so the pairing finds it
+            // whichever side it takes as the build side.
+            for order in [(side, other), (other, side)] {
+                let cols: Vec<usize> = (order.0.vars().iter())
+                    .filter(|v| order.1.position(**v).is_some())
+                    .map(|v| side.position(*v).expect("shared"))
+                    .collect();
+                if !cols.is_empty() {
+                    side.binding_index(&cols);
+                }
+            }
+        };
+        for (l, r) in [(left, right), (right, left)] {
+            for (cache_l, cache_r) in [(false, false), (true, false), (false, true), (true, true)] {
+                let (l, r) = (fresh(l), fresh(r));
+                if cache_l {
+                    cache(&l, &r);
+                }
+                if cache_r {
+                    cache(&r, &l);
+                }
+                assert_eq!(table.count(&l, &r, &mut scratch), materialized);
+                assert_eq!(
+                    scratch.counts(),
+                    &want[..],
+                    "{:?} ⋈ {:?}, cached: left {cache_l}, right {cache_r}",
+                    l.vars(),
+                    r.vars()
+                );
+            }
+        }
         for (h, got) in heads.iter().zip(&want) {
             let oracle = (
                 baseline::semijoin(h, &b).len(),
@@ -697,6 +811,11 @@ mod tests {
             // Chain P(X,Y), Q(Y,Z).
             let (p, q) = (rel_over(&[0, 1], nl), rel_over(&[1, 2], nr));
             check_streamed(&heads, &p, &q);
+            // The larger side with fewer keys: a group pairing probes
+            // from the larger side's index into the smaller side's.
+            let rows: Vec<[i64; 2]> = (0..24).map(|x| [x, x % 2]).collect();
+            let few_keys = rel(&[0, 1], &rows.iter().map(|r| &r[..]).collect::<Vec<_>>());
+            check_streamed(&heads, &few_keys, &q);
             // Disconnected body P(X), Q(Y): a cross product.
             let (px, qy) = (rel_over(&[0], nl), rel_over(&[1], nr));
             check_streamed(&heads[2..], &px, &qy);

@@ -7,40 +7,34 @@
 //! deterministic iteration.
 //!
 //! The tuples are stored once, column-major, beside a membership table
-//! of row ids. Both are copied on write, so a clone is O(1) in the tuples
-//! and shares every index already built.
+//! of row ids; both are copied on write. A cache of column indexes rides
+//! along and is replaced on write while shared. So a clone is O(1) in
+//! the tuples and shares every index already built — and so does every
+//! plain atom over the relation ([`crate::Bindings::from_atom`]).
 
 use crate::hashjoin::{hash_vals, GroupIndex, RawTable};
 use crate::value::{Tuple, Value};
-use mq_store::lock::{read_recover, write_recover};
-use mq_store::ColumnarRows;
-use std::collections::HashMap;
+use mq_store::{ColIndexCache, ColumnarRows};
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A named relation: a set of tuples of a fixed arity.
+#[derive(Clone)]
 pub struct Relation {
     name: String,
     /// The tuples, in insertion order — the storage every kernel scans.
     cols: ColumnarRows<Value>,
     /// Row hash -> row id, for O(1) membership; keys live in `cols`.
     members: Arc<RawTable>,
-    /// Shared allocation-free column indexes, built lazily behind a lock
-    /// so the algebra can consult them through `&Relation` — including
-    /// concurrently from the parallel `findRules` enumeration. Clones
-    /// share them (same tuples); inserting clears them.
-    group_indexes: RwLock<HashMap<Box<[usize]>, Arc<GroupIndex>>>,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            name: self.name.clone(),
-            cols: self.cols.clone(),
-            members: Arc::clone(&self.members),
-            group_indexes: RwLock::new(read_recover(&self.group_indexes).clone()),
-        }
-    }
+    /// Allocation-free column indexes over `cols`, built lazily behind a
+    /// lock so the algebra can consult them through `&Relation` —
+    /// including concurrently from the parallel `findRules` enumeration.
+    /// Shared by every handle on the same columns: clones, catalog
+    /// snapshots that did not touch the relation, and plain atoms. An
+    /// insert clears the cache only when it is the sole owner and
+    /// installs a fresh one otherwise, so an index of the old columns
+    /// never serves the new ones.
+    indexes: Arc<ColIndexCache<GroupIndex>>,
 }
 
 impl Relation {
@@ -50,7 +44,7 @@ impl Relation {
             name: name.into(),
             cols: ColumnarRows::empty(arity),
             members: Arc::new(RawTable::with_capacity(0)),
-            group_indexes: RwLock::new(HashMap::new()),
+            indexes: Arc::new(ColIndexCache::new()),
         }
     }
 
@@ -118,8 +112,12 @@ impl Relation {
         members.reserve(1);
         members.insert_new(hash, id);
         self.cols.push_row(&row);
-        // Any previously built key indexes are now stale.
-        write_recover(&self.group_indexes).clear();
+        // Any previously built key indexes are now stale. A cache shared
+        // with another handle still serves that handle's (old) columns.
+        match Arc::get_mut(&mut self.indexes) {
+            Some(cache) => cache.clear(),
+            None => self.indexes = Arc::new(ColIndexCache::new()),
+        }
         true
     }
 
@@ -150,18 +148,17 @@ impl Relation {
     /// The index is built at most once per (relation, column-set) and
     /// shared by every join/semijoin that probes it — across the
     /// thousands of instantiations a metaquery engine evaluates, across
-    /// threads, and across clones. Inserting into the relation drops it.
+    /// threads, across clones, and across the plain atoms over the
+    /// relation. Inserting into the relation drops it.
     pub fn group_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
-        if let Some(idx) = read_recover(&self.group_indexes).get(cols) {
-            return Arc::clone(idx);
-        }
-        let built = Arc::new(GroupIndex::build_columnar(&self.cols, cols));
-        // Another thread may have raced us; keep the first one inserted.
-        Arc::clone(
-            write_recover(&self.group_indexes)
-                .entry(cols.into())
-                .or_insert(built),
-        )
+        self.indexes
+            .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
+    }
+
+    /// The relation's index cache, for the plain atoms that share it
+    /// along with the columns.
+    pub(crate) fn index_cache(&self) -> &Arc<ColIndexCache<GroupIndex>> {
+        &self.indexes
     }
 
     /// The relation's column-major tuple storage, as an O(1) handle clone
@@ -192,6 +189,7 @@ impl Eq for Relation {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::{Bindings, Term, VarId};
     use crate::value::ints;
 
     #[test]
@@ -276,6 +274,66 @@ mod tests {
         assert!(c.contains(&ints(&[5, 6])));
         assert!(Arc::ptr_eq(&idx, &r.group_index(&[0, 1])));
         assert_eq!(c.group_index(&[0, 1]).num_groups(), 3);
+    }
+
+    #[test]
+    fn clones_share_indexes_built_after_the_clone() {
+        let r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[3, 4])]);
+        let c = r.clone();
+        let late = c.group_index(&[1]);
+        assert!(Arc::ptr_eq(&late, &r.group_index(&[1])));
+    }
+
+    fn var_terms(vars: &[u32]) -> Vec<Term> {
+        vars.iter().map(|&v| Term::Var(VarId(v))).collect()
+    }
+
+    #[test]
+    fn plain_atoms_share_the_relations_columns_and_indexes() {
+        let r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[1, 3]), ints(&[2, 3])]);
+        let by_first = r.group_index(&[0]);
+        // A plain atom is the relation renamed, in either variable order.
+        let xy = Bindings::from_atom(&r, &var_terms(&[0, 1]));
+        let yx = Bindings::from_atom(&r, &var_terms(&[1, 0]));
+        for atom in [&xy, &yx] {
+            assert!(ColumnarRows::ptr_eq(atom.columnar(), &r.columnar()));
+            assert!(Arc::ptr_eq(&by_first, &atom.binding_index(&[0])));
+        }
+        assert_eq!(yx.vars(), &[VarId(1), VarId(0)]);
+        // An index one atom builds serves the relation and the others.
+        let by_second = xy.binding_index(&[1]);
+        assert!(Arc::ptr_eq(&by_second, &r.group_index(&[1])));
+        assert!(Arc::ptr_eq(&by_second, &yx.binding_index(&[1])));
+        // A repeated variable or a constant filters rows: gathered.
+        let diag = Bindings::from_atom(&r, &var_terms(&[0, 0]));
+        assert!(!ColumnarRows::ptr_eq(diag.columnar(), &r.columnar()));
+        let one = Bindings::from_atom(&r, &[Term::Const(Value::Int(1)), Term::Var(VarId(0))]);
+        assert_eq!(one.len(), 2);
+    }
+
+    #[test]
+    fn a_plain_atom_keeps_its_rows_and_indexes_across_an_insert() {
+        let mut r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[1, 3])]);
+        let atom = Bindings::from_atom(&r, &var_terms(&[0, 1]));
+        let old = r.group_index(&[0]);
+        assert!(r.insert(ints(&[1, 4])));
+        // The atom still reads the old rows through the old index …
+        assert_eq!(atom.len(), 2);
+        assert!(Arc::ptr_eq(&old, &atom.binding_index(&[0])));
+        assert_eq!(old.probe_cols(&ints(&[1]), &[0]).count(), 2);
+        // … and an index it builds now, from the old rows, stays its own.
+        let old_second = atom.binding_index(&[1]);
+        assert_eq!(old_second.num_groups(), 2);
+        // The relation answers from a fresh index over the new rows.
+        let new = r.group_index(&[0]);
+        assert!(!Arc::ptr_eq(&old, &new));
+        assert_eq!(new.probe_cols(&ints(&[1]), &[0]).count(), 3);
+        assert_eq!(r.group_index(&[1]).num_groups(), 3);
+        // A sole owner's cache is cleared in place; it holds no stale index.
+        let mut sole = Relation::from_rows("s", 1, vec![ints(&[1])]);
+        let _ = sole.group_index(&[0]);
+        sole.insert(ints(&[2]));
+        assert_eq!(sole.group_index(&[0]).num_groups(), 2);
     }
 
     #[test]

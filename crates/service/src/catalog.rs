@@ -485,6 +485,41 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_share_untouched_indexes_and_atoms_keep_their_snapshot() {
+        use mq_relation::{Bindings, Term, VarId};
+        let cat = Catalog::new();
+        let old = cat.register("tele", sample_db()).unwrap();
+        let terms = [Term::Var(VarId(0)), Term::Var(VarId(1))];
+        let old_q_atom = Bindings::from_atom(old.database().rel("q"), &terms);
+        let new = cat.append_rows("tele", "q", vec![ints(&[2, 9])]).unwrap();
+        // The untouched relation: its pre-warmed indexes and any built
+        // after the update are one index across both snapshots, and a
+        // plain atom over it reads the same columns.
+        let (old_p, new_p) = (old.database().rel("p"), new.database().rel("p"));
+        assert!(Arc::ptr_eq(
+            &old_p.group_index(&[0]),
+            &new_p.group_index(&[0])
+        ));
+        let late = new_p.group_index(&[0, 1]);
+        assert!(Arc::ptr_eq(&late, &old_p.group_index(&[0, 1])));
+        let p_atom = Bindings::from_atom(new_p, &terms);
+        assert!(ColumnarRows::ptr_eq(p_atom.columnar(), &old_p.columnar()));
+        // The touched relation: the old snapshot and an atom taken from
+        // it keep the old rows and the old index; the new snapshot
+        // answers from a fresh one.
+        let (old_q, new_q) = (old.database().rel("q"), new.database().rel("q"));
+        assert_eq!(old_q_atom.len(), 1);
+        assert!(ColumnarRows::ptr_eq(
+            old_q_atom.columnar(),
+            &old_q.columnar()
+        ));
+        let (old_idx, new_idx) = (old_q.group_index(&[0]), new_q.group_index(&[0]));
+        assert!(!Arc::ptr_eq(&old_idx, &new_idx));
+        assert_eq!(old_idx.probe_cols(&ints(&[2]), &[0]).count(), 1);
+        assert_eq!(new_idx.probe_cols(&ints(&[2]), &[0]).count(), 2);
+    }
+
+    #[test]
     fn replace_swaps_contents() {
         let cat = Catalog::new();
         cat.register("tele", sample_db()).unwrap();

@@ -62,6 +62,13 @@ impl<I> ColIndexCache<I> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Drop every cached index. Takes `&mut self`, so only the cache's
+    /// sole owner can clear it: a cache still shared with another handle
+    /// must be replaced instead, never emptied under that handle's feet.
+    pub fn clear(&mut self) {
+        crate::lock::unpoison(self.map.get_mut()).clear();
+    }
 }
 
 impl<I> Default for ColIndexCache<I> {

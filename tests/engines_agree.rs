@@ -230,3 +230,119 @@ fn telecom_database_full_sweep() {
         }
     }
 }
+
+/// Two relations over disjoint values: every body joining `lo` with
+/// `hi` is empty. Under thresholds that accept all-zero rules, those
+/// bodies are still answered, so the counted reductions must report
+/// them exactly as the naive engine does.
+#[test]
+fn empty_reductions_under_zero_accepting_thresholds() {
+    let mut rng = StdRng::seed_from_u64(700);
+    for round in 0..4 {
+        let mut db = Database::new();
+        let lo = db.add_relation("lo", 2);
+        let hi = db.add_relation("hi", 2);
+        for _ in 0..10 {
+            let (a, b) = (rng.gen_range(0..4), rng.gen_range(0..4));
+            db.insert(lo, mq_relation::ints(&[a, b]));
+            db.insert(hi, mq_relation::ints(&[a + 10, b + 10]));
+        }
+        let mq = metaqueries::chain(2);
+        for ty in InstType::ALL {
+            for th in [
+                Thresholds::none(),
+                Thresholds::all(Frac::ZERO, Frac::ZERO, Frac::ZERO),
+                Thresholds::single(IndexKind::Cvr, Frac::ZERO),
+            ] {
+                assert_agree(&db, &mq, ty, th, &format!("empty round={round} {ty}"));
+            }
+        }
+    }
+}
+
+/// A three-vertex chain of type 1: permuted atoms over one relation
+/// all share that relation's columns and index cache. The search runs
+/// twice on one database, so the second reads every index the first
+/// left in the relations' caches.
+#[test]
+fn three_vertex_chain_type1_on_shared_indexes() {
+    use metaquery::core::engine::find_rules::body_decomposition;
+    let mq = metaqueries::chain(3);
+    assert_eq!(body_decomposition(&mq).vertices, 3);
+    for seed in 0..3 {
+        let db = RandomDbSpec {
+            n_relations: 2,
+            arity: 2,
+            rows: 12,
+            domain: 4,
+            seed,
+        }
+        .generate();
+        for pass in 0..2 {
+            for th in threshold_grid() {
+                assert_agree(
+                    &db,
+                    &mq,
+                    InstType::One,
+                    th,
+                    &format!("chain3 seed={seed} pass={pass}"),
+                );
+            }
+        }
+    }
+}
+
+/// Type-2 bodies whose ternary atoms are padded with a variable outside
+/// every χ: the padding joins into the atom's (gathered) home vertex.
+#[test]
+fn type2_padded_bodies() {
+    let mut rng = StdRng::seed_from_u64(800);
+    for round in 0..3 {
+        let mut db = Database::new();
+        let p = db.add_relation("p", 2);
+        let t = db.add_relation("t", 3);
+        for _ in 0..10 {
+            let v = |rng: &mut StdRng| rng.gen_range(0..4);
+            db.insert(p, mq_relation::ints(&[v(&mut rng), v(&mut rng)]));
+            db.insert(
+                t,
+                mq_relation::ints(&[v(&mut rng), v(&mut rng), v(&mut rng)]),
+            );
+        }
+        let mq = metaqueries::chain(2);
+        for th in threshold_grid() {
+            assert_agree(
+                &db,
+                &mq,
+                InstType::Two,
+                th,
+                &format!("padded round={round}"),
+            );
+        }
+    }
+}
+
+/// Negated bodies build `b` from the same first-half relations, then
+/// antijoin it.
+#[test]
+fn negated_bodies() {
+    for seed in 0..3 {
+        let db = RandomDbSpec {
+            n_relations: 3,
+            arity: 2,
+            rows: 14,
+            domain: 5,
+            seed: 900 + seed,
+        }
+        .generate();
+        for text in [
+            "R(X,Z) <- P(X,Y), Q(Y,Z), not S(X,Z)",
+            "R(X,Z) <- P(X,Y), Q(Y,Z), not P(Z,X)",
+        ] {
+            let mq = parse_metaquery(text).unwrap();
+            for th in threshold_grid() {
+                assert_agree(&db, &mq, InstType::Zero, th, &format!("{text} seed={seed}"));
+            }
+        }
+    }
+}

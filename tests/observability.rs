@@ -39,6 +39,17 @@ fn snap_value(snap: &[(String, u64)], name: &str) -> Option<u64> {
     snap.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
 }
 
+/// Opens the writers' start flag when dropped: after the reader's first
+/// snapshot, or when the reader panics before it, so a failing reader
+/// fails the test instead of leaving the writers waiting.
+struct Gate(Arc<AtomicBool>);
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 #[test]
 fn registry_snapshots_are_torn_free_under_concurrent_writers() {
     let registry = Arc::new(Registry::new());
@@ -46,12 +57,20 @@ fn registry_snapshots_are_torn_free_under_concurrent_writers() {
     let depth = registry.gauge("mq_test_hammer_depth", "hammered gauge");
     let lat = registry.histogram("mq_test_hammer_ns", "hammered histogram");
     let done = Arc::new(AtomicBool::new(false));
+    // The writers start only once the reader has taken its first
+    // snapshot, so a fast machine cannot finish the hammer before the
+    // reader has looked at all.
+    let open = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|s| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|_| {
                 let (total, depth, lat) = (total.clone(), depth.clone(), lat.clone());
+                let open = Arc::clone(&open);
                 s.spawn(move || {
+                    while !open.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     for i in 0..INCS_PER_WRITER {
                         depth.inc();
                         total.inc();
@@ -67,6 +86,7 @@ fn registry_snapshots_are_torn_free_under_concurrent_writers() {
         let reader = {
             let registry = Arc::clone(&registry);
             let done = Arc::clone(&done);
+            let mut gate = Some(Gate(Arc::clone(&open)));
             s.spawn(move || {
                 let cap = WRITERS as u64 * INCS_PER_WRITER;
                 let (mut last_total, mut last_count) = (0u64, 0u64);
@@ -94,6 +114,7 @@ fn registry_snapshots_are_torn_free_under_concurrent_writers() {
                             .expect("mid-hammer rendering must stay parseable");
                     }
                     rounds += 1;
+                    gate.take();
                 }
                 rounds
             })
