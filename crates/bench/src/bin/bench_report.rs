@@ -248,8 +248,6 @@ struct ServiceReport {
     requests: u64,
     executed: u64,
     deduped: u64,
-    /// Cross-search atom-cache traffic (the catalog's persistent cache).
-    atom: MemoStats,
     /// Per-search shared-memo traffic summed over executed searches.
     memo: MemoStats,
     wall_s: f64,
@@ -257,9 +255,9 @@ struct ServiceReport {
 
 /// N concurrent sessions × M metaqueries × R rounds over one fig4-style
 /// database served by `mq-service`: measures what the serving layer adds
-/// over bare `find_rules` — in-flight dedup of identical requests and
-/// cross-search atom-cache hits — while asserting the answers stay
-/// byte-identical to a cold `find_rules_seq` run.
+/// over bare `find_rules` — in-flight dedup of identical requests —
+/// while asserting the answers stay byte-identical to a cold
+/// `find_rules_seq` run.
 fn bench_service() -> Option<ServiceReport> {
     const NAME: &str = "service_concurrent_sessions";
     if let Some(only) = bench_only() {
@@ -307,23 +305,11 @@ fn bench_service() -> Option<ServiceReport> {
         });
     });
     let m = svc.metrics();
-    let atom = svc.atom_cache_stats("fig4").expect("fig4 stats");
-    assert!(
-        atom.hits > 0,
-        "repeated sessions over an unchanged db must hit the \
-         cross-search atom cache, got {atom:?}"
-    );
     assert_eq!(m.requests, (SESSIONS * ROUNDS * MQS.len()) as u64);
     assert_eq!(m.executed + m.deduped, m.requests);
     eprintln!(
-        "{NAME}: {} requests in {wall_s:.3}s — {} executed, {} deduped, \
-         atom cache {:.0}% hit ({} hits / {} misses)",
-        m.requests,
-        m.executed,
-        m.deduped,
-        atom.hit_rate() * 100.0,
-        atom.hits,
-        atom.misses
+        "{NAME}: {} requests in {wall_s:.3}s — {} executed, {} deduped",
+        m.requests, m.executed, m.deduped
     );
     Some(ServiceReport {
         sessions: SESSIONS,
@@ -331,7 +317,6 @@ fn bench_service() -> Option<ServiceReport> {
         requests: m.requests,
         executed: m.executed,
         deduped: m.deduped,
-        atom,
         memo: m.memo,
         wall_s,
     })
@@ -1088,7 +1073,7 @@ fn main() {
         );
     }
 
-    // The serving-layer workload (dedup + cross-search atom cache).
+    // The serving-layer workload (dedup over concurrent sessions).
     let service = bench_service();
 
     // The hardened-TCP workload (tail latency + error/recovery counts).
@@ -1197,17 +1182,12 @@ fn main() {
         json.push_str(&format!(
             "  \"service_concurrent_sessions\": {{\"sessions\": {}, \"rounds\": {}, \
              \"requests\": {}, \"executed\": {}, \"deduped\": {}, \
-             \"atom_cache_hits\": {}, \"atom_cache_misses\": {}, \
-             \"atom_cache_hit_rate\": {:.3}, \"memo_hits\": {}, \
-             \"memo_misses\": {}, \"wall_s\": {:.6}}},\n",
+             \"memo_hits\": {}, \"memo_misses\": {}, \"wall_s\": {:.6}}},\n",
             s.sessions,
             s.rounds,
             s.requests,
             s.executed,
             s.deduped,
-            s.atom.hits,
-            s.atom.misses,
-            s.atom.hit_rate(),
             s.memo.hits,
             s.memo.misses,
             s.wall_s

@@ -106,9 +106,6 @@ impl<'a> Executor<'a> {
     /// Evaluate `rel(terms)` once, memoized.
     pub(crate) fn eval_atom(&mut self, key: AtomKey) -> Arc<Bindings> {
         let db = self.db;
-        // The service consults the search-local atom memo, then (when
-        // seeded by the serving layer) the persistent cross-search cache
-        // under the snapshot's generations.
         self.memos.atom_or_compute(key, |(rel, terms)| {
             Arc::new(Bindings::from_atom(db.relation(*rel), terms))
         })

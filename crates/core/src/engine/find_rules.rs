@@ -100,9 +100,7 @@ pub fn find_rules(
 /// point.
 ///
 /// * `memos` — the memo service the search reads and publishes into.
-///   The serving layer passes one seeded from a catalog's persistent
-///   cross-search [`AtomCache`](super::memo::AtomCache)
-///   (`SharedMemos::with_persistent_atoms`) and reads per-search hit
+///   The serving layer passes a fresh one per search and reads its hit
 ///   rates off the instance afterwards; `None` means a fresh service.
 /// * `max_wall_ms` — a **wall-clock budget**. The search checks the
 ///   deadline cooperatively (in the engine's enumeration loop and in the
@@ -118,8 +116,8 @@ pub fn find_rules(
 ///
 /// None of these affects answers: every `Ok` is byte-identical to
 /// [`find_rules_seq`], because every memo value is a deterministic
-/// function of its key and the snapshot the generations describe (see
-/// the memo-sharing contract in `ARCHITECTURE.md`).
+/// function of its key and the database snapshot (see the memo-sharing
+/// contract in `ARCHITECTURE.md`).
 #[allow(clippy::too_many_arguments)]
 pub fn find_rules_instrumented(
     db: &Database,
@@ -358,8 +356,7 @@ pub(crate) struct Setup<'a> {
     unit: Bindings,
     /// The cross-worker shared memo service (atoms, plans, node
     /// results), created once per search — or supplied by the serving
-    /// layer, possibly seeded with a persistent cross-search atom cache
-    /// — and handed to every worker's executor.
+    /// layer — and handed to every worker's executor.
     pub(crate) shared_memos: Arc<super::memo::SharedMemos>,
     /// Optional wall-clock budget, polled cooperatively by every engine
     /// and by the scheduler's task loop. `None` (every entry point but
@@ -378,8 +375,8 @@ pub(crate) struct Setup<'a> {
 
 impl<'a> Setup<'a> {
     /// The search state for `mq` over `db`. `memos` is an externally
-    /// supplied memo service (the serving layer's, possibly seeded with
-    /// a persistent atom cache); `None` creates a fresh one.
+    /// supplied memo service (the serving layer's); `None` creates a
+    /// fresh one.
     pub(crate) fn new(
         db: &'a Database,
         mq: &'a Metaquery,

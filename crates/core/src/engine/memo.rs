@@ -1,5 +1,4 @@
-//! The cross-worker **shared memo service** for `findRules`, plus the
-//! cross-**search** persistent atom cache the serving layer builds on.
+//! The cross-worker **shared memo service** for `findRules`.
 //!
 //! Before this layer existed, every scheduler worker owned a private
 //! memo slice (atom cache, plan cache, plan-node results): `Bindings`
@@ -23,23 +22,11 @@
 //! consistent: whichever worker computes a key first, the value is the
 //! one the sequential engine would have computed.
 //!
-//! ## Cross-search persistence: the [`AtomCache`]
-//!
-//! An instantiated atom's bindings depend on nothing but the atom key
-//! and the **contents of its one relation** — so unlike plans (whose
-//! cost-model decisions read relation statistics) and plan-node results
-//! (whose values join several relations), atom bindings can outlive a
-//! single search safely, provided the key says *which version* of the
-//! relation it was computed from. The [`AtomCache`] is exactly that: a
-//! concurrent map keyed by `(relation generation, relation, terms)`,
-//! owned by a catalog entry in the serving layer and surviving across
-//! searches and sessions. [`SharedMemos::with_persistent_atoms`] builds
-//! a per-search memo service that, on a search-local atom miss, probes
-//! the persistent cache under the search's snapshot generations and
-//! publishes what it computes back — so a second session issuing a
-//! similar metaquery over an unchanged database starts warm, and a
-//! database update (which bumps only the touched relation's generation)
-//! cold-starts only that relation's entries.
+//! Nothing here outlives its search. Reuse across searches needs no
+//! cache of its own: a plain atom is its relation's column handle and
+//! shares the relation's index cache, so a second search over the same
+//! relation — in the same database snapshot or in a later one that did
+//! not touch it — finds the columns and the built indexes already there.
 //!
 //! The service is the only memo backing and is attached to every
 //! search, including sequential ones (`find_rules_seq`, 1-thread
@@ -51,9 +38,8 @@
 //!
 //! ## Counters
 //!
-//! Hit/miss counters live **on the instance**: [`SharedMemos::stats`]
-//! for one memo service, [`AtomCache::stats`] for a catalog's persistent
-//! cache. There is deliberately no process-global counter: concurrent
+//! Hit/miss counters live **on the instance** ([`SharedMemos::stats`]).
+//! There is deliberately no process-global counter: concurrent
 //! searches would clobber each other's attribution, so every consumer
 //! (the serving layer's `stats` session command, `bench_report`) reads
 //! the instance it owns.
@@ -69,93 +55,11 @@ use std::sync::{Arc, RwLock};
 /// deterministic plan).
 pub(crate) type PlanKey = (Vec<VarId>, Vec<AtomKey>);
 
-/// Generation tag of one relation inside a catalog entry: bumped by every
-/// update that touches the relation, so `(generation, atom key)` names
-/// the atom's bindings unambiguously across database versions.
-pub type RelGeneration = u64;
-
-/// A **persistent, cross-search** cache of instantiated-atom bindings,
-/// keyed by `(relation generation, relation, terms)`.
-///
-/// Owned by whoever outlives individual searches — in this workspace,
-/// one per catalog entry in `mq-service` — and handed to per-search memo
-/// services via [`SharedMemos::with_persistent_atoms`]. Generation keys
-/// make invalidation free: an update bumps the touched relation's
-/// generation, so new searches simply probe new keys for that relation
-/// (cold start) while every untouched relation's entries keep hitting.
-/// Sessions still running on an older snapshot keep probing the older
-/// generation's keys, so they never observe post-update bindings.
-///
-/// Stale generations are not dropped eagerly (in-flight snapshot
-/// sessions may still be reading them); [`AtomCache::purge_stale`] is
-/// the explicit maintenance sweep.
-pub struct AtomCache {
-    memo: ShardedMemo<(RelGeneration, AtomKey), Arc<Bindings>>,
-}
-
-impl AtomCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        AtomCache {
-            memo: ShardedMemo::new(),
-        }
-    }
-
-    /// Hit/miss counters of the persistent cache itself. Hits here are
-    /// **cross-search** hits: a probe only reaches this cache after
-    /// missing the search-local atom memo.
-    pub fn stats(&self) -> MemoStats {
-        self.memo.stats()
-    }
-
-    /// Reset the hit/miss counters (entries are kept).
-    pub fn reset_stats(&self) {
-        self.memo.reset_stats()
-    }
-
-    /// Number of cached atom bindings (all generations).
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Drop every entry whose generation is not the relation's current
-    /// one (per `current`, indexed by `RelId`). Call only once no
-    /// session is still pinned to an older snapshot; entries of
-    /// relations beyond `current` (unknown to the caller) are dropped
-    /// too.
-    pub fn purge_stale(&self, current: &[RelGeneration]) {
-        self.memo
-            .retain(|(gen, (rel, _)), _| current.get(rel.index()).copied() == Some(*gen));
-    }
-}
-
-impl Default for AtomCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The seed a per-search memo service probes on search-local atom
-/// misses: the persistent cache plus the search snapshot's per-relation
-/// generations.
-struct PersistentAtoms {
-    cache: Arc<AtomCache>,
-    /// Generation per `RelId` of the snapshot this search runs against.
-    gens: Arc<Vec<RelGeneration>>,
-}
-
 /// One search's shared memos: the three executor memo layers plus the
 /// shared plan arena, all `Send + Sync`. Created once per `Setup` and
 /// handed (via `Arc`) to every worker's executor — or supplied
-/// externally by the serving layer ([`SharedMemos::with_persistent_atoms`],
-/// threaded through `find_rules_instrumented`), in which case the atom layer
-/// is seeded from, and publishes back to, a catalog's cross-search
-/// [`AtomCache`].
+/// externally by the serving layer through `find_rules_instrumented`,
+/// which reads the per-search counters off it afterwards.
 pub struct SharedMemos {
     /// Hash-consing arena for plan nodes, shared so node ids agree
     /// across workers. Write-locked only while interning (plan-cache
@@ -167,42 +71,22 @@ pub struct SharedMemos {
     pub(crate) plans: ShardedMemo<PlanKey, PlanNodeId>,
     /// Plan-node results by interned node id.
     pub(crate) results: ShardedMemo<PlanNodeId, Arc<Bindings>>,
-    /// Cross-search atom seed, when the service was built by the serving
-    /// layer. Plans and results never persist: plan choices read
-    /// relation statistics and node results join several relations, so
-    /// neither is a function of a single relation's generation.
-    persistent: Option<PersistentAtoms>,
 }
 
 impl SharedMemos {
-    /// A fresh, unseeded memo service (one search, no cross-search
-    /// persistence).
+    /// A fresh memo service for one search.
     pub fn new() -> Self {
         SharedMemos {
             arena: RwLock::new(PlanArena::new()),
             atoms: ShardedMemo::new(),
             plans: ShardedMemo::new(),
             results: ShardedMemo::new(),
-            persistent: None,
         }
     }
 
-    /// A memo service whose atom layer is seeded from (and publishes
-    /// back to) `cache`, probing it under `gens` — the per-relation
-    /// generations of the database snapshot this search runs against.
-    /// This is the constructor the catalog uses: plans and results stay
-    /// per-service, atoms persist across searches.
-    pub fn with_persistent_atoms(cache: Arc<AtomCache>, gens: Arc<Vec<RelGeneration>>) -> Self {
-        let mut memos = SharedMemos::new();
-        memos.persistent = Some(PersistentAtoms { cache, gens });
-        memos
-    }
-
-    /// Look up atom `key`, consulting the search-local memo, then (when
-    /// seeded) the persistent cross-search cache under the snapshot's
-    /// generation, then computing via `build` and publishing to both.
-    /// First-writer-wins at every layer, so racing searches converge on
-    /// one canonical `Arc`.
+    /// Look up atom `key`, else compute it via `build` and publish it.
+    /// First-writer-wins, so racing workers converge on one canonical
+    /// `Arc`.
     pub(crate) fn atom_or_compute(
         &self,
         key: AtomKey,
@@ -211,21 +95,8 @@ impl SharedMemos {
         if let Some(hit) = self.atoms.get(&key) {
             return hit;
         }
-        match &self.persistent {
-            None => {
-                let built = build(&key);
-                self.atoms.publish(key, built)
-            }
-            Some(p) => {
-                let gen = p.gens.get(key.0.index()).copied().unwrap_or(0);
-                if let Some(hit) = p.cache.memo.get(&(gen, key.clone())) {
-                    return self.atoms.publish(key, hit);
-                }
-                let built = build(&key);
-                let canonical = p.cache.memo.publish((gen, key.clone()), built);
-                self.atoms.publish(key, canonical)
-            }
-        }
+        let built = build(&key);
+        self.atoms.publish(key, built)
     }
 
     /// The operator of node `id` (cloned out of the shared arena).
@@ -266,8 +137,7 @@ impl SharedMemos {
     }
 
     /// Aggregated hit/miss counters of the three memo layers of **this**
-    /// service (the persistent atom seed keeps its own counters — see
-    /// [`AtomCache::stats`]).
+    /// service.
     pub fn stats(&self) -> MemoStats {
         self.atoms
             .stats()
@@ -299,50 +169,6 @@ mod tests {
     fn shared_memos_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedMemos>();
-        assert_send_sync::<AtomCache>();
-    }
-
-    #[test]
-    fn persistent_atoms_survive_across_services() {
-        let cache = Arc::new(AtomCache::new());
-        let gens = Arc::new(vec![1u64, 1]);
-        let first = SharedMemos::with_persistent_atoms(Arc::clone(&cache), Arc::clone(&gens));
-        let built = first.atom_or_compute(key(0, 0), |_| bindings());
-        drop(first);
-        // A second "search" over the same generations hits the cache.
-        let second = SharedMemos::with_persistent_atoms(Arc::clone(&cache), Arc::clone(&gens));
-        let before = cache.stats();
-        let again = second.atom_or_compute(key(0, 0), |_| panic!("must hit persistent cache"));
-        assert!(Arc::ptr_eq(&built, &again), "canonical Arc is shared");
-        let after = cache.stats();
-        assert_eq!(after.hits, before.hits + 1);
-    }
-
-    #[test]
-    fn generation_bump_cold_starts_only_touched_relation() {
-        let cache = Arc::new(AtomCache::new());
-        let old = SharedMemos::with_persistent_atoms(Arc::clone(&cache), Arc::new(vec![1, 1]));
-        let _ = old.atom_or_compute(key(0, 0), |_| bindings());
-        let _ = old.atom_or_compute(key(1, 0), |_| bindings());
-        drop(old);
-        assert_eq!(cache.len(), 2);
-        // Relation 1 is updated: generation bumps to 2.
-        let new_gens = Arc::new(vec![1u64, 2]);
-        let fresh = SharedMemos::with_persistent_atoms(Arc::clone(&cache), Arc::clone(&new_gens));
-        // Untouched relation 0 still hits…
-        let _ = fresh.atom_or_compute(key(0, 0), |_| panic!("untouched relation must hit"));
-        // …while relation 1 recomputes under its new generation.
-        let mut recomputed = false;
-        let _ = fresh.atom_or_compute(key(1, 0), |_| {
-            recomputed = true;
-            bindings()
-        });
-        assert!(recomputed, "bumped relation must cold-start");
-        assert_eq!(cache.len(), 3, "old generation entry is retained");
-        // The maintenance sweep drops the stale generation-1 entry of
-        // relation 1 and keeps everything current.
-        cache.purge_stale(&new_gens);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

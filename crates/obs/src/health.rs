@@ -16,7 +16,8 @@
 //!   one spiky scrape.
 //! * **dedup-starvation** — followers re-joining abandoned dedup slots
 //!   faster than dedup shares results.
-//! * **memo-hit-rate** — the cross-search memo floor under real load.
+//! * **memo-hit-rate** — the per-search memo hit-rate floor, summed
+//!   over every search under real load.
 //! * **writer-queue** — slow-client writer-deadline disconnects, the
 //!   symptom of write-queue growth.
 //!

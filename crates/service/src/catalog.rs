@@ -1,4 +1,4 @@
-//! The database catalog: named, generation-tagged, frozen snapshots.
+//! The database catalog: named, versioned, frozen snapshots.
 //!
 //! A [`Catalog`] owns every database the service can answer metaqueries
 //! over. Each entry is published as an immutable [`DbHandle`] snapshot:
@@ -9,24 +9,22 @@
 //!   are pre-warmed so the first search pays no index build. Protocol
 //!   queries (`dump`, `stats`) read the same relations' columns;
 //! * a `version` (bumped by every update) plus **per-relation
-//!   generations** ([`RelGeneration`]): the tags that key the entry's
-//!   persistent cross-search [`AtomCache`];
-//! * the entry's [`AtomCache`] itself, shared by every snapshot of the
-//!   entry across updates.
+//!   generations**: the version of the update that last touched each
+//!   relation, reported on the wire by `update`, `dump` and `stats`.
 //!
 //! Updates are **copy-on-write**: [`Catalog::append_rows`] /
 //! [`Catalog::replace_relation`] clone the current database, mutate the
 //! clone, bump `version` and the touched relation's generation, and
 //! publish a new snapshot. A relation clone shares its tuples and built
 //! indexes until written, so the update copies only the touched
-//! relation and every other relation keeps its warmed indexes. Sessions pinned to the old handle keep
-//! searching exactly the rows they started with (their memo services
-//! probe the old generations, so they never observe post-update
-//! bindings), while new sessions cold-start only the touched relation's
-//! atom-cache entries — every other relation's persist across the
-//! update.
+//! relation and every other relation keeps its warmed indexes. This
+//! sharing is the only cross-search cache: a search's atoms are handles
+//! onto its snapshot's relations, so later searches — and later
+//! snapshots that did not touch a relation — reuse its columns and
+//! indexes, and nothing outlives the last snapshot that reads them.
+//! Sessions pinned to the old handle keep searching exactly the rows
+//! they started with.
 
-use mq_core::engine::memo::{AtomCache, RelGeneration, SharedMemos};
 use mq_relation::{Database, RelId, Tuple};
 use mq_store::lock::{lock_recover, read_recover, write_recover};
 use std::collections::HashMap;
@@ -97,16 +95,14 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// An immutable snapshot of one catalog entry: the frozen database, its
-/// version and per-relation generations, and the entry's persistent atom
-/// cache. Clones are O(1) (`Arc`
+/// version and per-relation generations. Clones are O(1) (`Arc`
 /// handles); sessions pin the snapshot they were opened against.
 #[derive(Clone)]
 pub struct DbHandle {
     name: Arc<str>,
     db: Arc<Database>,
     version: u64,
-    rel_gens: Arc<Vec<RelGeneration>>,
-    atoms: Arc<AtomCache>,
+    rel_gens: Arc<Vec<u64>>,
 }
 
 impl DbHandle {
@@ -116,13 +112,7 @@ impl DbHandle {
     /// hold their indexes, so after an update only the touched relation
     /// builds any; [`Catalog::update_with`] runs this outside the catalog
     /// map lock so snapshots and queries are never blocked behind it.
-    fn freeze(
-        name: Arc<str>,
-        db: Database,
-        version: u64,
-        rel_gens: Vec<RelGeneration>,
-        atoms: Arc<AtomCache>,
-    ) -> Self {
+    fn freeze(name: Arc<str>, db: Database, version: u64, rel_gens: Vec<u64>) -> Self {
         let _span = mq_obs::trace::SpanGuard::start_always(mq_obs::trace::CATALOG_FREEZE);
         for rel in db.relations() {
             for col in 0..rel.arity() {
@@ -134,7 +124,6 @@ impl DbHandle {
             db: Arc::new(db),
             version,
             rel_gens: Arc::new(rel_gens),
-            atoms,
         }
     }
 
@@ -153,30 +142,10 @@ impl DbHandle {
         self.version
     }
 
-    /// The generation of relation `rel` in this snapshot.
-    pub fn generation(&self, rel: RelId) -> RelGeneration {
+    /// The generation of relation `rel` in this snapshot: the version of
+    /// the update that last touched it (1 when none has).
+    pub fn generation(&self, rel: RelId) -> u64 {
         self.rel_gens.get(rel.index()).copied().unwrap_or(0)
-    }
-
-    /// Per-relation generations, indexed by `RelId`.
-    pub fn generations(&self) -> &Arc<Vec<RelGeneration>> {
-        &self.rel_gens
-    }
-
-    /// The entry's persistent cross-search atom cache (shared by every
-    /// snapshot of the entry, across updates).
-    pub fn atom_cache(&self) -> &Arc<AtomCache> {
-        &self.atoms
-    }
-
-    /// A fresh per-search memo service seeded from the entry's
-    /// persistent atom cache under this snapshot's generations — what
-    /// the session layer hands to `find_rules_instrumented`.
-    pub fn memo_service(&self) -> Arc<SharedMemos> {
-        Arc::new(SharedMemos::with_persistent_atoms(
-            Arc::clone(&self.atoms),
-            Arc::clone(&self.rel_gens),
-        ))
     }
 }
 
@@ -227,13 +196,7 @@ impl Catalog {
             return Err(CatalogError::DuplicateDb(name.to_string()));
         }
         let n_relations = db.num_relations();
-        let handle = DbHandle::freeze(
-            Arc::from(name),
-            db,
-            1,
-            vec![1; n_relations],
-            Arc::new(AtomCache::new()),
-        );
+        let handle = DbHandle::freeze(Arc::from(name), db, 1, vec![1; n_relations]);
         let mut entries = write_recover(&self.entries);
         if entries.contains_key(name) {
             return Err(CatalogError::DuplicateDb(name.to_string()));
@@ -267,8 +230,7 @@ impl Catalog {
     /// database, let `touch` mutate it (returning the touched relation),
     /// bump the entry version and the touched relation's generation, and
     /// publish the new snapshot. Sessions holding the old [`DbHandle`]
-    /// are unaffected; the entry's atom cache keeps every untouched
-    /// relation's entries warm (their generations don't change).
+    /// are unaffected.
     ///
     /// The clone/warm/freeze costs O(touched relation) — untouched
     /// relations share storage and indexes with the old snapshot — and
@@ -311,13 +273,7 @@ impl Catalog {
         if let Some(gen) = rel_gens.get_mut(touched.index()) {
             *gen = version;
         }
-        let handle = DbHandle::freeze(
-            Arc::clone(&current.name),
-            db,
-            version,
-            rel_gens,
-            Arc::clone(&current.atoms),
-        );
+        let handle = DbHandle::freeze(Arc::clone(&current.name), db, version, rel_gens);
         let mut entries = write_recover(&self.entries);
         let entry = entries
             .get_mut(name)
@@ -357,16 +313,6 @@ impl Catalog {
             db.relation_mut(rel).replace_rows(rows);
             Ok(rel)
         })
-    }
-
-    /// Maintenance sweep: drop every atom-cache entry of `name` whose
-    /// generation is no longer current. Only call once no session is
-    /// still pinned to an older snapshot — stale entries are harmless
-    /// (old snapshots *need* them), they just hold memory.
-    pub fn purge_stale(&self, name: &str) -> Result<(), CatalogError> {
-        let handle = self.snapshot(name)?;
-        handle.atoms.purge_stale(&handle.rel_gens);
-        Ok(())
     }
 }
 
@@ -576,36 +522,5 @@ mod tests {
         let h = cat.append_rows("tele", "q", vec![ints(&[9, 9])]).unwrap();
         assert_eq!(h.version(), 2);
         assert_eq!(cat.names(), vec!["tele".to_string()]);
-    }
-
-    #[test]
-    fn purge_stale_drops_only_old_generations() {
-        use mq_core::engine::find_rules::find_rules_instrumented;
-        use mq_core::engine::Thresholds;
-        use mq_core::instantiate::InstType;
-        use mq_core::parse::parse_metaquery;
-
-        let cat = Catalog::new();
-        let h = cat.register("tele", sample_db()).unwrap();
-        let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-        let _ = find_rules_instrumented(
-            h.database(),
-            &mq,
-            InstType::Zero,
-            Thresholds::none(),
-            Some(h.memo_service()),
-            None,
-            None,
-            0,
-        )
-        .unwrap();
-        let cache = Arc::clone(h.atom_cache());
-        let before = cache.len();
-        assert!(before > 0, "the search must have warmed the atom cache");
-        cat.append_rows("tele", "q", vec![ints(&[5, 6])]).unwrap();
-        cat.purge_stale("tele").unwrap();
-        let after = cache.len();
-        assert!(after < before, "stale q entries must be dropped");
-        assert!(after > 0, "untouched p entries must survive");
     }
 }

@@ -5,16 +5,16 @@
 //! sessions over a shared catalog of databases**, reusing work across
 //! searches instead of just across one search's workers:
 //!
-//! * [`Catalog`] / [`DbHandle`] — named, **generation-tagged** frozen
-//!   database snapshots: pre-warmed `group_index`es, and a persistent cross-search atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
-//!   `(relation generation, relation, terms)`). Updates are
+//! * [`Catalog`] / [`DbHandle`] — named, versioned frozen database
+//!   snapshots with pre-warmed `group_index`es. Updates are
 //!   copy-on-write and copy only the touched relation: the entry
-//!   version and only the touched relation's generation bump, running sessions finish on their snapshot, and
-//!   every untouched relation's cache entries stay warm.
+//!   version and the touched relation's generation bump, running
+//!   sessions finish on their snapshot, and every untouched relation
+//!   keeps its columns and built indexes. That shared relation storage
+//!   is the cross-search cache: a search's atoms are handles onto it.
 //! * [`MqService`] / [`Session`] — the session manager: admission
 //!   control (bounded concurrent searches), per-session budgets, and a
-//!   per-search memo service seeded from the catalog's atom cache
-//!   (`find_rules_instrumented`).
+//!   fresh memo service per search (`find_rules_instrumented`).
 //! * [`RequestTable`] — in-flight request dedup: identical concurrent
 //!   requests (same snapshot version, metaquery, type, thresholds,
 //!   budget) coalesce onto **one** running search whose result fans out
@@ -23,8 +23,8 @@
 //!   in-process.
 //!
 //! Everything is answer-preserving: a served request's bytes equal a
-//! cold `find_rules_seq` run over the same snapshot (see the cache
-//! generation contract in `ARCHITECTURE.md`; regression-tested in
+//! cold `find_rules_seq` run over the same snapshot (see the snapshot
+//! contract in `ARCHITECTURE.md`; regression-tested in
 //! `tests/service.rs`).
 
 #![forbid(unsafe_code)]

@@ -8,27 +8,24 @@
 //! most [`ServiceConfig::max_concurrent`] searches execute at once —
 //! excess owners queue on a semaphore; dedup followers never consume a
 //! permit, they only wait for their owner), and runs `find_rules` with a
-//! per-search memo service seeded from the entry's persistent
-//! cross-search atom cache ([`DbHandle::memo_service`]).
+//! fresh per-search memo service.
 //!
 //! A [`Session`] pins one snapshot for its lifetime: every query it
 //! issues sees exactly the rows the session opened with, even while the
-//! catalog publishes updated snapshots underneath — the generation tags
-//! in the memo keys guarantee its cache probes never observe post-update
-//! bindings. Sessions also carry a [`SessionBudget`] applied to every
-//! query they issue.
+//! catalog publishes updated snapshots underneath — its searches read
+//! only the pinned snapshot's relations. Sessions also carry a
+//! [`SessionBudget`] applied to every query they issue.
 //!
 //! Answers are **byte-identical to a cold `find_rules_seq` run** over
-//! the same snapshot, whether a request executed, was coalesced onto a
-//! concurrent twin, or was served from a warm atom cache — every cache
-//! value is a deterministic function of its key and the snapshot
-//! generations (regression-tested in `tests/service.rs`).
+//! the same snapshot, whether a request executed or was coalesced onto
+//! a concurrent twin — every memo value is a deterministic function of
+//! its key and the snapshot (regression-tested in `tests/service.rs`).
 
 use crate::catalog::{panic_message, Catalog, CatalogError, DbHandle};
 use crate::dedup::{Joined, RequestTable, RetryPolicy};
 use crate::faults::CountedSite;
 use mq_core::engine::find_rules::find_rules_instrumented;
-use mq_core::engine::memo::MemoStats;
+use mq_core::engine::memo::{MemoStats, SharedMemos};
 use mq_core::engine::{MqAnswer, Thresholds};
 use mq_core::instantiate::{InstError, InstType};
 use mq_core::parse::parse_metaquery;
@@ -623,8 +620,8 @@ impl MqService {
         }
     }
 
-    /// Execute one search under admission control, with a memo service
-    /// seeded from the snapshot's persistent atom cache.
+    /// Execute one search under admission control, with a fresh memo
+    /// service.
     fn run_search(
         &self,
         handle: &DbHandle,
@@ -641,7 +638,7 @@ impl MqService {
             .admission_wait_ns
             .observe_ns(trace::now_ns().saturating_sub(wait_start));
         self.m.executed.inc();
-        let memos = handle.memo_service();
+        let memos = Arc::new(SharedMemos::new());
         // Always-on totals are two relaxed increments per node; per-node
         // detail only when someone will read it (tracing on, or the
         // slow-query log armed).
@@ -727,7 +724,7 @@ impl MqService {
         req_id: u64,
         wall_ns: u64,
         profile: &SearchProfile,
-        memos: &mq_core::engine::memo::SharedMemos,
+        memos: &SharedMemos,
     ) {
         let Some(thresh_ms) = mq_obs::slow_ms() else {
             return;
@@ -774,9 +771,15 @@ impl MqService {
         }
     }
 
-    /// Hit/miss counters of `name`'s persistent cross-search atom cache.
+    /// Zero hit/miss counters for registered database `name`, and an
+    /// error for an unknown one. The service keeps no cross-search atom
+    /// cache any more: a search's atoms are handles onto its snapshot's
+    /// relations, which share columns and indexes across searches and
+    /// untouched updates. The method stays for callers built against the
+    /// old cache, which now read a zero hit rate.
     pub fn atom_cache_stats(&self, name: &str) -> Result<MemoStats, ServiceError> {
-        Ok(self.catalog.snapshot(name)?.atom_cache().stats())
+        self.catalog.snapshot(name)?;
+        Ok(MemoStats::default())
     }
 }
 

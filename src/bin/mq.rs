@@ -17,9 +17,9 @@
 //! `serve` starts the concurrent metaquery service on stdin/stdout: a
 //! catalog of named databases behind the line protocol of
 //! `mq_service::protocol` (`open`/`mine`/`append`/`replace`/`stats`/
-//! `metrics`/`quit`), with copy-on-write updates, generation-tagged
-//! snapshots, in-flight request dedup and a persistent cross-search atom
-//! cache. `--db NAME=FILE` preloads a database into the catalog.
+//! `metrics`/`quit`), with copy-on-write updates, versioned snapshots
+//! that share untouched relations' columns and indexes, and in-flight
+//! request dedup. `--db NAME=FILE` preloads a database into the catalog.
 //!
 //! `serve --tcp ADDR` serves the same protocol over TCP instead
 //! (thread-per-connection, hardened: per-request deadlines via `--wall

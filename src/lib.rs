@@ -18,9 +18,8 @@
 //! * [`datagen`] — seeded workload generators, including the paper's
 //!   telecom database (Figures 1-2);
 //! * [`service`] — the concurrent multi-session serving layer: a catalog
-//!   of generation-tagged frozen databases, session manager with
-//!   admission control, in-flight request dedup and a cross-search atom
-//!   cache (`mq serve`).
+//!   of versioned frozen databases, session manager with admission
+//!   control and in-flight request dedup (`mq serve`).
 //!
 //! ## Quick start
 //!

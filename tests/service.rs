@@ -5,8 +5,8 @@
 //! — across concurrent sessions hammering one catalog entry, across
 //! in-flight dedup (one search fanned out to many callers), and across
 //! copy-on-write updates (new sessions see the new snapshot, pinned
-//! sessions stay on theirs; the generation-keyed atom cache never leaks
-//! post-update bindings into an old snapshot or vice versa).
+//! sessions stay on theirs, and a superseded relation version is freed
+//! once no snapshot reads it).
 
 use metaquery::core::engine::find_rules::find_rules_seq;
 use metaquery::prelude::*;
@@ -185,8 +185,9 @@ fn generation_bump_never_serves_stale_answers() {
     assert_eq!(fresh.db_version, 2);
     assert_ne!(*fresh.answers, *old_again.answers, "update must be visible");
 
-    // Interleave once more: old and new snapshots answered back to back
-    // against one shared atom cache stay consistent with their own rows.
+    // Interleave once more: old and new snapshots answered back to back,
+    // sharing the untouched relation p, stay consistent with their own
+    // rows.
     let old_final = pinned.query(SHAPES[1], InstType::Zero, th).unwrap();
     assert_eq!(*old_final.answers, seq_reference(&old_db, SHAPES[1], th));
     let new_final = svc
@@ -195,67 +196,32 @@ fn generation_bump_never_serves_stale_answers() {
     assert_eq!(*new_final.answers, seq_reference(&new_db, SHAPES[1], th));
 }
 
-/// The acceptance scenario: a second session issuing an already-answered
-/// metaquery over an unchanged database gets **cross-search atom-cache
-/// hits** and byte-identical answers; an update then cold-starts only
-/// the touched relation's entries (untouched relations keep hitting).
+/// The service keeps no copy of a relation beyond the snapshots that
+/// read it: once an update supersedes a snapshot and its last handle is
+/// dropped, the old relation version — and the indexes a search built
+/// over it — are freed, even though a search ran on it.
 #[test]
-fn second_session_hits_cross_search_atom_cache() {
-    let db = stress_db(&[("p", 2), ("q", 2)], 18, 5);
+fn superseded_relation_versions_are_freed() {
+    let db = stress_db(&[("p", 2), ("q", 2)], 16, 5);
     let svc = MqService::new();
-    svc.register("tele", db.clone()).unwrap();
-    let expected = seq_reference(&db, SHAPES[0], Thresholds::none());
-
-    // Session 1: cold — populates the persistent cache. (No
-    // assertion on cold.hits == 0: under a multi-worker scheduler
-    // two workers racing on one atom key can legitimately record a
-    // persistent hit within the first search.)
-    let first = svc.session("tele").unwrap();
-    let out1 = first
-        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+    let old = svc.register("tele", db).unwrap();
+    svc.query(&MetaqueryRequest::new("tele", SHAPES[0]))
         .unwrap();
-    assert_eq!(*out1.answers, expected);
-    let cold = svc.atom_cache_stats("tele").unwrap();
-    assert!(cold.misses > 0, "first search must populate the atom cache");
-
-    // Session 2 (fresh memo service): the same metaquery's atoms are
-    // answered from the persistent cache.
-    let second = svc.session("tele").unwrap();
-    let out2 = second
-        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+    let old_index = Arc::downgrade(&old.database().rel("q").group_index(&[0]));
+    let new = svc
+        .append_rows("tele", "q", vec![mq_relation::ints(&[100, 100])])
         .unwrap();
-    assert_eq!(*out2.answers, expected, "warm answers must be identical");
-    let warm = svc.atom_cache_stats("tele").unwrap();
-    assert!(
-        warm.hits > cold.hits,
-        "second session must get cross-search atom-cache hits, got {warm:?} after {cold:?}"
-    );
-    assert_eq!(
-        warm.misses, cold.misses,
-        "an unchanged db must add no atom-cache misses"
-    );
-
-    // Update q: its generation bumps, p's does not. The next search
-    // recomputes only q's atoms.
-    svc.append_rows("tele", "q", vec![mq_relation::ints(&[3, 3])])
-        .unwrap();
-    let new_db = (**svc.catalog().snapshot("tele").unwrap().database()).clone();
-    let third = svc.session("tele").unwrap();
-    let out3 = third
-        .query(SHAPES[0], InstType::Zero, Thresholds::none())
+    drop(old);
+    let out = svc
+        .query(&MetaqueryRequest::new("tele", SHAPES[0]))
         .unwrap();
     assert_eq!(
-        *out3.answers,
-        seq_reference(&new_db, SHAPES[0], Thresholds::none())
-    );
-    let after_update = svc.atom_cache_stats("tele").unwrap();
-    assert!(
-        after_update.hits > warm.hits,
-        "untouched relation's atoms must keep hitting across the update"
+        *out.answers,
+        seq_reference(new.database(), SHAPES[0], Thresholds::none())
     );
     assert!(
-        after_update.misses > warm.misses,
-        "the touched relation's atoms must cold-start"
+        old_index.upgrade().is_none(),
+        "the superseded q's index must be freed with its last snapshot"
     );
 }
 
