@@ -117,11 +117,36 @@ pub fn from_schema_chains(db: &Database, len: usize) -> Option<Metaquery> {
 mod tests {
     use super::*;
     use mq_core::engine::find_rules::body_decomposition;
+    use mq_cq::hypertree::hypertree_width_of_sets;
+
+    /// `body(mq)`'s least-width decomposition, searched from the body
+    /// edge sets, one `λ/χ/parent` entry per vertex in vertex order.
+    /// `Setup::enum_order` and the scheduler's split follow this tree, so
+    /// pinning it pins the enumeration order too.
+    fn tree(mq: &Metaquery) -> String {
+        let edges: Vec<_> = mq.body.iter().map(|l| l.var_set()).collect();
+        let (_, ht) = hypertree_width_of_sets(&edges).expect("non-empty body");
+        (0..ht.len())
+            .map(|i| {
+                let chi: Vec<u32> = ht.nodes[i].chi.iter().map(|v| v.0).collect();
+                let parent = ht.parent[i].map_or("-".to_string(), |p| p.to_string());
+                format!("{:?}/{chi:?}/{parent}", ht.nodes[i].lambda)
+            })
+            .collect::<Vec<_>>()
+            .join("  ")
+    }
 
     #[test]
     fn chain_width_one() {
         for m in 1..=5 {
             assert_eq!(body_decomposition(&chain(m)).width, 1, "chain({m})");
+            let path: Vec<String> = (0..m)
+                .map(|i| {
+                    let parent = i.checked_sub(1).map_or("-".to_string(), |p| p.to_string());
+                    format!("[{i}]/[{i}, {}]/{parent}", i + 1)
+                })
+                .collect();
+            assert_eq!(tree(&chain(m)), path.join("  "), "chain({m})");
         }
     }
 
@@ -129,6 +154,13 @@ mod tests {
     fn star_width_one() {
         for m in 1..=5 {
             assert_eq!(body_decomposition(&star(m)).width, 1, "star({m})");
+            let spokes: Vec<String> = (0..m)
+                .map(|i| {
+                    let parent = if i == 0 { "-" } else { "0" };
+                    format!("[{i}]/[0, {}]/{parent}", i + 1)
+                })
+                .collect();
+            assert_eq!(tree(&star(m)), spokes.join("  "), "star({m})");
         }
     }
 
@@ -136,6 +168,10 @@ mod tests {
     fn cycle_width_two() {
         for m in 4..=6 {
             assert_eq!(body_decomposition(&cycle(m)).width, 2, "cycle({m})");
+            let fan: Vec<String> = std::iter::once("[0]/[0, 1]/-".to_string())
+                .chain((1..m - 1).map(|i| format!("[0, {i}]/[0, {i}, {}]/{}", i + 1, i - 1)))
+                .collect();
+            assert_eq!(tree(&cycle(m)), fan.join("  "), "cycle({m})");
         }
     }
 
@@ -143,17 +179,58 @@ mod tests {
     fn hybrid_star_width_three() {
         let mq = hybrid_star(4, "rim");
         assert_eq!(body_decomposition(&mq).width, 3, "K5 has width 3");
+        assert_eq!(
+            tree(&mq),
+            "[0]/[0, 1]/-  [0, 1]/[0, 1, 2]/0  [0, 1, 2]/[0, 1, 2, 3]/1  \
+             [0, 1, 9]/[0, 1, 2, 3, 4]/2"
+        );
         assert_eq!(mq.relation_patterns().len(), 5, "head + 4 spokes");
         assert_eq!(mq.body.len(), 4 + 6, "4 spokes + C(4,2) rim atoms");
         assert!(mq.is_pure());
         // Smaller hybrid: K4 is the width-2 wheel.
         assert_eq!(body_decomposition(&hybrid_star(3, "rim")).width, 2);
+        assert_eq!(
+            tree(&hybrid_star(3, "rim")),
+            "[0]/[0, 1]/-  [0, 1]/[0, 1, 2]/0  [0, 5]/[0, 1, 2, 3]/1"
+        );
     }
 
     #[test]
     fn clique_width_half_n() {
         assert_eq!(body_decomposition(&clique(4)).width, 2);
         assert_eq!(body_decomposition(&clique(6)).width, 3);
+        assert_eq!(
+            tree(&clique(4)),
+            "[0]/[0, 1]/-  [0, 1]/[0, 1, 2]/0  [0, 5]/[0, 1, 2, 3]/1"
+        );
+        assert_eq!(
+            tree(&clique(6)),
+            "[0]/[0, 1]/-  [0, 1]/[0, 1, 2]/0  [0, 1, 2]/[0, 1, 2, 3]/1  \
+             [0, 1, 12]/[0, 1, 2, 3, 4]/2  [0, 9, 14]/[0, 1, 2, 3, 4, 5]/3"
+        );
+    }
+
+    /// Example 4.8's `Qex = {P(A,B), Q(B,C), R(C,D), S(B,D)}` as a
+    /// metaquery body: width 2.
+    #[test]
+    fn example_4_8_width_two() {
+        let mut b = MetaqueryBuilder::new();
+        let x: Vec<_> = ["A", "B", "C", "D"].iter().map(|n| b.var(n)).collect();
+        let head = b.pred_var("H");
+        b.head_pattern(head, vec![x[0], x[3]]);
+        for (name, (i, j)) in ["P", "Q", "R", "S"]
+            .iter()
+            .zip([(0, 1), (1, 2), (2, 3), (1, 3)])
+        {
+            let p = b.pred_var(name);
+            b.body_pattern(p, vec![x[i], x[j]]);
+        }
+        let mq = b.build();
+        assert_eq!(body_decomposition(&mq).width, 2);
+        assert_eq!(
+            tree(&mq),
+            "[0]/[0, 1]/-  [0, 1]/[1, 2]/0  [0, 2]/[1, 2, 3]/1"
+        );
     }
 
     #[test]
