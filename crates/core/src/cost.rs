@@ -18,10 +18,6 @@ use crate::engine::find_rules::body_decomposition;
 use crate::instantiate::InstType;
 use mq_relation::Database;
 
-// The λ-join planner moved to the plan IR module (PR 3); re-exported here
-// for continuity with the PR 2 API.
-pub use crate::plan::{plan_join_order, JoinAtomStats};
-
 /// The six parameters of the §4 analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {

@@ -40,9 +40,11 @@
 //!    streams their join row pair by row pair without gathering a
 //!    column.
 //!
-//! The decomposition is computed once: by Proposition 4.9, applying any
-//! instantiation `σ` to the `λ` labels preserves a width-`c`
-//! decomposition, so one decomposition serves every instantiation.
+//! The decomposition is computed once per search: by Proposition 4.9,
+//! applying any instantiation `σ` to the `λ` labels preserves a
+//! width-`c` decomposition, so one decomposition serves every
+//! instantiation. It depends on `body(MQ)` alone; preparing it once per
+//! metaquery, across searches, is ROADMAP item 4, step 2.
 //!
 //! ## Architecture
 //!
@@ -71,7 +73,8 @@ use crate::engine::exec::Executor;
 use crate::engine::{MqAnswer, MqProblem, Thresholds};
 use crate::index::IndexValues;
 use crate::instantiate::{
-    check_fixed_schemes, pattern_candidates, InstError, InstType, Instantiation, PatternMap,
+    check_body_size, check_fixed_schemes, pattern_candidates, InstError, InstType, Instantiation,
+    PatternMap,
 };
 use crate::plan::AtomKey;
 use mq_cq::hypertree::{hypertree_width_of_sets, Hypertree};
@@ -227,6 +230,7 @@ fn validate(db: &Database, mq: &Metaquery, ty: InstType) -> Result<(), InstError
         return Err(InstError::UnsafeNegation);
     }
     check_fixed_schemes(db, mq)?;
+    check_body_size(mq)?;
     assert!(!mq.body.is_empty(), "metaquery body must be non-empty");
     Ok(())
 }
@@ -242,13 +246,24 @@ pub struct BodyDecomposition {
 }
 
 /// Compute `body(MQ)`'s hypertree width and decomposition size.
+///
+/// # Panics
+///
+/// If the body is empty, or has more literals or distinct variables than
+/// [`check_body_size`] admits.
 pub fn body_decomposition(mq: &Metaquery) -> BodyDecomposition {
-    let edges: Vec<BTreeSet<VarId>> = mq.body.iter().map(|l| l.var_set()).collect();
-    let (width, ht) = hypertree_width_of_sets(&edges).expect("non-empty body");
+    let (width, ht) = body_hypertree(mq);
     BodyDecomposition {
         width,
         vertices: ht.len(),
     }
+}
+
+/// `body(MQ)`'s least-width hypertree decomposition over the body literal
+/// schemes' ordinary variables, with its width.
+fn body_hypertree(mq: &Metaquery) -> (usize, Hypertree) {
+    let edges: Vec<BTreeSet<VarId>> = mq.body.iter().map(|l| l.var_set()).collect();
+    hypertree_width_of_sets(&edges).expect("non-empty body")
 }
 
 /// A cooperative wall-clock deadline shared by every worker of one
@@ -384,10 +399,8 @@ impl<'a> Setup<'a> {
         thresholds: Thresholds,
         memos: Option<Arc<super::memo::SharedMemos>>,
     ) -> Self {
-        // Decomposition of the body literal schemes' ordinary variables.
-        let edges: Vec<BTreeSet<VarId>> = mq.body.iter().map(|l| l.var_set()).collect();
-        let (_, mut ht) = hypertree_width_of_sets(&edges).expect("non-empty body");
-        ht.complete_edges(edges.len());
+        let (_, mut ht) = body_hypertree(mq);
+        ht.complete();
         let post = ht.postorder();
         let mut pos_of = vec![0usize; ht.len()];
         for (i, &n) in post.iter().enumerate() {

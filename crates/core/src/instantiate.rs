@@ -17,9 +17,10 @@
 
 use crate::ast::{LiteralScheme, Metaquery, Pred, PredVarId};
 use crate::rule::Rule;
+use mq_cq::hypertree::MASK_BITS;
 use mq_cq::Atom;
 use mq_relation::{Database, RelId, Term, VarId};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -100,6 +101,14 @@ pub enum InstError {
         /// The budget the search was given, in milliseconds.
         budget_ms: u64,
     },
+    /// The positive body has more literals or distinct variables than the
+    /// hypertree search's masks hold ([`MASK_BITS`] of each).
+    BodyTooLarge {
+        /// Positive body literals.
+        literals: usize,
+        /// Distinct ordinary variables of the positive body.
+        vars: usize,
+    },
 }
 
 impl fmt::Display for InstError {
@@ -125,6 +134,10 @@ impl fmt::Display for InstError {
             InstError::DeadlineExceeded { budget_ms } => {
                 write!(f, "search exceeded its {budget_ms}ms deadline")
             }
+            InstError::BodyTooLarge { literals, vars } => write!(
+                f,
+                "body has {literals} literals over {vars} variables; at most {MASK_BITS} of each are supported"
+            ),
         }
     }
 }
@@ -256,6 +269,22 @@ pub(crate) fn check_fixed_schemes(db: &Database, mq: &Metaquery) -> Result<(), I
                 });
             }
         }
+    }
+    Ok(())
+}
+
+/// Check that `body(MQ)` fits the hypertree search: at most
+/// [`MASK_BITS`] literals and as many distinct variables.
+pub fn check_body_size(mq: &Metaquery) -> Result<(), InstError> {
+    let literals = mq.body.len();
+    let vars = mq
+        .body
+        .iter()
+        .flat_map(|l| l.var_set())
+        .collect::<BTreeSet<_>>()
+        .len();
+    if literals > MASK_BITS || vars > MASK_BITS {
+        return Err(InstError::BodyTooLarge { literals, vars });
     }
     Ok(())
 }

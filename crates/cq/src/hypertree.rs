@@ -3,21 +3,30 @@
 //!
 //! `findRules` (Figure 4) evaluates metaquery bodies along a *complete
 //! hypertree decomposition* of width `c`, achieving the `d^c log d` support
-//! computation bound of Theorem 4.12. This module implements a
+//! computation bound of Theorem 4.12. This module implements the
 //! component-based exact search for decompositions of minimal width
-//! (bounded hypertree-width generalizes semi-acyclicity: `hw(Q) = 1` iff
-//! `Q` is semi-acyclic).
+//! (Gottlob, Leone & Scarcello, JCSS 2002; the search of det-k-decomp):
+//! bounded hypertree-width generalizes semi-acyclicity, `hw(Q) = 1` iff
+//! `Q` is semi-acyclic.
 //!
 //! The candidate construction here always sets
 //! `χ(p) = varo(λ(p)) ∩ (conn ∪ varo(component))`, which makes the
 //! *special condition* (Definition 4.7, item 4) hold automatically — the
 //! produced decompositions are genuine hypertree decompositions, not just
-//! generalized ones; [`Hypertree::validate`] checks all four conditions.
+//! generalized ones; [`Hypertree::validate_sets`] checks all four
+//! conditions, and every search result is checked in debug builds.
+//!
+//! The search runs over `u64` masks. Edge `i` is bit `i`, and each
+//! distinct variable is the bit of its rank in sorted [`VarId`] order, so
+//! a component, a connector, `varo(λ)` and `χ` are one word each and the
+//! memo of failed (component, connector) pairs is keyed by two words. A
+//! hypergraph may thus have at most [`MASK_BITS`] (64) edges and as many
+//! distinct variables. The memo is fresh for every width `k` tried: a
+//! pair with no width-`k` decomposition may have one of width `k + 1`.
 
 use crate::atom::Cq;
-use crate::jointree::JoinTree;
 use mq_relation::{Bindings, Database, VarId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// One vertex of a hypertree decomposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,11 +52,6 @@ pub struct Hypertree {
 }
 
 impl Hypertree {
-    /// The width `max_p |λ(p)|`.
-    pub fn width(&self) -> usize {
-        self.nodes.iter().map(|n| n.lambda.len()).max().unwrap_or(0)
-    }
-
     /// Number of decomposition vertices.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -79,32 +83,23 @@ impl Hypertree {
     /// atom appears in the `λ` of a vertex whose `χ` covers its variables.
     /// May increase the effective width; the width used for complexity
     /// accounting is the pre-completion one.
-    pub fn complete(&mut self, cq: &Cq) {
-        self.complete_edges(cq.atoms.len());
-    }
-
-    /// [`Hypertree::complete`] for decompositions built from raw edge sets:
-    /// `n_edges` is the number of edges the decomposition was built over.
-    pub fn complete_edges(&mut self, n_edges: usize) {
-        for ai in 0..n_edges {
-            let home = self.atom_home[ai];
+    pub fn complete(&mut self) {
+        for (ai, &home) in self.atom_home.iter().enumerate() {
             if !self.nodes[home].lambda.contains(&ai) {
                 self.nodes[home].lambda.push(ai);
             }
         }
     }
 
-    /// Validate Definition 4.7 against `cq`:
+    /// Validate Definition 4.7 against the per-edge variable sets the
+    /// decomposition was built over:
     /// 1. every atom's variables are covered by some vertex's `χ`;
     /// 2. every variable's vertices induce a connected subtree;
     /// 3. `χ(p) ⊆ varo(λ(p))` for every vertex;
     /// 4. the special condition `varo(λ(p)) ∩ χ(T_p) ⊆ χ(p)`.
-    pub fn validate(&self, cq: &Cq) -> Result<(), String> {
-        let edge_vars: Vec<BTreeSet<VarId>> = cq.atoms.iter().map(|a| a.var_set()).collect();
-        self.validate_sets(&edge_vars)
-    }
-
-    /// [`Hypertree::validate`] against raw edge variable sets.
+    ///
+    /// It works on the sets themselves, not on the search's masks, so it
+    /// checks the search independently.
     pub fn validate_sets(&self, edge_vars: &[BTreeSet<VarId>]) -> Result<(), String> {
         // (1)
         for (ai, vs) in edge_vars.iter().enumerate() {
@@ -179,17 +174,6 @@ impl Hypertree {
         Ok(())
     }
 
-    /// The join tree over decomposition vertices (used by `acy()` and the
-    /// full reducer inside `findRules`).
-    pub fn as_join_tree(&self) -> JoinTree {
-        JoinTree {
-            parent: self.parent.clone(),
-            children: self.children.clone(),
-            roots: vec![0],
-            postorder: self.postorder(),
-        }
-    }
-
     /// Materialize the node relation `π_χ(p)(J(λ(p)))` over `db` — the
     /// derived relation of the `acy()` construction (§4, Example 4.11).
     pub fn node_bindings(&self, db: &Database, cq: &Cq, node: usize) -> Bindings {
@@ -204,105 +188,112 @@ impl Hypertree {
     }
 }
 
-/// Raw node used during search.
+/// The most edges, and the most distinct variables, a hypergraph may have
+/// for [`decompose_edge_sets`]: one bit of a `u64` mask each.
+pub const MASK_BITS: usize = u64::BITS as usize;
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// A vertex found by the search, with `λ` and `χ` as masks.
 struct RawNode {
-    lambda: Vec<usize>,
-    chi: BTreeSet<VarId>,
+    lambda: u64,
+    chi: u64,
     children: Vec<RawNode>,
 }
 
+/// The width-`k` search over one hypergraph.
 struct Searcher {
-    edge_vars: Vec<BTreeSet<VarId>>,
-    /// Failed (component, conn) pairs.
-    failed: HashSet<(Vec<usize>, Vec<VarId>)>,
-    /// In-progress pairs, to cut non-productive cycles.
-    visiting: HashSet<(Vec<usize>, Vec<VarId>)>,
-    /// All candidate lambda sets (indices into atoms), |λ| ≤ k.
-    candidates: Vec<Vec<usize>>,
+    /// Per edge: its variables.
+    edges: Vec<u64>,
+    /// Per variable: the edges holding it.
+    var_edges: Vec<u64>,
+    /// Every `λ` of 1 to `k` edges with its `varo(λ)`, in lexicographic
+    /// order of λ's sorted edge list.
+    candidates: Vec<(u64, u64)>,
+    /// (component, connector) pairs with no width-`k` decomposition.
+    failed: HashSet<(u64, u64)>,
+    /// Pairs being decomposed, to cut non-productive cycles.
+    visiting: HashSet<(u64, u64)>,
 }
 
 impl Searcher {
-    fn new(edge_vars: Vec<BTreeSet<VarId>>, k: usize) -> Self {
-        // Enumerate all non-empty subsets of atoms of size ≤ k.
-        let n = edge_vars.len();
-        let mut candidates = Vec::new();
-        let mut current = Vec::new();
-        fn rec(
+    fn new(edges: Vec<u64>, k: usize) -> Self {
+        fn extend(
+            edges: &[u64],
             start: usize,
-            n: usize,
             k: usize,
-            current: &mut Vec<usize>,
-            out: &mut Vec<Vec<usize>>,
+            lam: (u64, u64),
+            out: &mut Vec<(u64, u64)>,
         ) {
-            if !current.is_empty() {
-                out.push(current.clone());
-            }
-            if current.len() == k {
+            if k == 0 {
                 return;
             }
-            for i in start..n {
-                current.push(i);
-                rec(i + 1, n, k, current, out);
-                current.pop();
+            for (i, &vars) in edges.iter().enumerate().skip(start) {
+                let next = (lam.0 | 1 << i, lam.1 | vars);
+                out.push(next);
+                extend(edges, i + 1, k - 1, next, out);
             }
         }
-        rec(0, n, k, &mut current, &mut candidates);
+        let mut candidates = Vec::new();
+        extend(&edges, 0, k, (0, 0), &mut candidates);
+        let mut var_edges = vec![0; MASK_BITS];
+        for (e, &vars) in edges.iter().enumerate() {
+            for v in bits(vars) {
+                var_edges[v] |= 1 << e;
+            }
+        }
         Searcher {
-            edge_vars,
+            edges,
+            var_edges,
+            candidates,
             failed: HashSet::new(),
             visiting: HashSet::new(),
-            candidates,
         }
     }
 
-    fn key(comp: &BTreeSet<usize>, conn: &BTreeSet<VarId>) -> (Vec<usize>, Vec<VarId>) {
-        (
-            comp.iter().copied().collect(),
-            conn.iter().copied().collect(),
-        )
+    /// The variables of the edges in `edges`.
+    fn vars_of(&self, edges: u64) -> u64 {
+        bits(edges).fold(0, |acc, e| acc | self.edges[e])
     }
 
-    /// Split `edges` into connected components linked by variables outside
-    /// `chi`.
-    fn components(&self, edges: &BTreeSet<usize>, chi: &BTreeSet<VarId>) -> Vec<BTreeSet<usize>> {
-        let list: Vec<usize> = edges.iter().copied().collect();
-        let mut comp_id: HashMap<usize, usize> = HashMap::new();
-        let mut comps: Vec<BTreeSet<usize>> = Vec::new();
-        for &e in &list {
-            if comp_id.contains_key(&e) {
-                continue;
+    /// The edges that have a variable in `vars`.
+    fn edges_of(&self, vars: u64) -> u64 {
+        bits(vars).fold(0, |acc, v| acc | self.var_edges[v])
+    }
+
+    /// Split `edges` into the components linked by variables outside
+    /// `chi`, each flood-filled from the lowest edge not yet placed.
+    fn components(&self, mut edges: u64, chi: u64) -> Vec<u64> {
+        let mut comps = Vec::new();
+        while edges != 0 {
+            let mut comp = edges & edges.wrapping_neg();
+            let (mut frontier, mut seen) = (comp, chi);
+            while frontier != 0 {
+                let vars = self.vars_of(frontier) & !seen;
+                seen |= vars;
+                frontier = self.edges_of(vars) & edges & !comp;
+                comp |= frontier;
             }
-            let id = comps.len();
-            let mut comp = BTreeSet::new();
-            let mut stack = vec![e];
-            comp_id.insert(e, id);
-            comp.insert(e);
-            while let Some(x) = stack.pop() {
-                for &y in &list {
-                    if comp_id.contains_key(&y) {
-                        continue;
-                    }
-                    let connected = self.edge_vars[x]
-                        .iter()
-                        .any(|v| !chi.contains(v) && self.edge_vars[y].contains(v));
-                    if connected {
-                        comp_id.insert(y, id);
-                        comp.insert(y);
-                        stack.push(y);
-                    }
-                }
-            }
+            edges &= !comp;
             comps.push(comp);
         }
         comps
     }
 
-    fn decompose(&mut self, comp: &BTreeSet<usize>, conn: &BTreeSet<VarId>) -> Option<RawNode> {
-        let key = Self::key(comp, conn);
-        if self.failed.contains(&key) || self.visiting.contains(&key) {
+    fn decompose(&mut self, comp: u64, conn: u64) -> Option<RawNode> {
+        let key = (comp, conn);
+        if self.failed.contains(&key) || !self.visiting.insert(key) {
             return None;
         }
-        self.visiting.insert(key.clone());
         let result = self.decompose_inner(comp, conn);
         self.visiting.remove(&key);
         if result.is_none() {
@@ -311,63 +302,24 @@ impl Searcher {
         result
     }
 
-    fn decompose_inner(
-        &mut self,
-        comp: &BTreeSet<usize>,
-        conn: &BTreeSet<VarId>,
-    ) -> Option<RawNode> {
-        let comp_vars: BTreeSet<VarId> = comp
-            .iter()
-            .flat_map(|&e| self.edge_vars[e].iter().copied())
-            .collect();
-        let cand_count = self.candidates.len();
-        'cands: for ci in 0..cand_count {
-            let lambda = self.candidates[ci].clone();
-            // λ must cover conn.
-            let lam_vars: BTreeSet<VarId> = lambda
-                .iter()
-                .flat_map(|&e| self.edge_vars[e].iter().copied())
-                .collect();
-            if !conn.iter().all(|v| lam_vars.contains(v)) {
+    fn decompose_inner(&mut self, comp: u64, conn: u64) -> Option<RawNode> {
+        let comp_vars = self.vars_of(comp);
+        'cands: for ci in 0..self.candidates.len() {
+            let (lambda, lam_vars) = self.candidates[ci];
+            // λ must cover conn, and χ must meet the component.
+            let chi = lam_vars & (conn | comp_vars);
+            if conn & !lam_vars != 0 || chi == 0 {
                 continue;
             }
-            // Require relevance: λ intersects the component or covers conn
-            // non-trivially through component variables.
-            let chi: BTreeSet<VarId> = lam_vars
-                .iter()
-                .copied()
-                .filter(|v| conn.contains(v) || comp_vars.contains(v))
-                .collect();
-            if chi.is_empty() && !comp.is_empty() {
-                continue;
+            // Absorb the edges χ covers and split the rest.
+            let remaining = self.edges_of(comp_vars & !chi) & comp;
+            let comps = self.components(remaining, chi);
+            if comps == [comp] && comp_vars & chi == conn {
+                continue; // no progress with this candidate
             }
-            // Absorb edges fully covered by χ.
-            let remaining: BTreeSet<usize> = comp
-                .iter()
-                .copied()
-                .filter(|&e| !self.edge_vars[e].iter().all(|v| chi.contains(v)))
-                .collect();
-            // Progress check: something absorbed or properly split.
-            let absorbed = remaining.len() < comp.len();
-            let comps = self.components(&remaining, &chi);
-            if !absorbed && comps.len() == 1 {
-                let sub_conn: BTreeSet<VarId> = comps[0]
-                    .iter()
-                    .flat_map(|&e| self.edge_vars[e].iter().copied())
-                    .filter(|v| chi.contains(v))
-                    .collect();
-                if comps[0] == *comp && sub_conn == *conn {
-                    continue; // no progress with this candidate
-                }
-            }
-            let mut children = Vec::new();
-            for sub in &comps {
-                let sub_conn: BTreeSet<VarId> = sub
-                    .iter()
-                    .flat_map(|&e| self.edge_vars[e].iter().copied())
-                    .filter(|v| chi.contains(v))
-                    .collect();
-                match self.decompose(sub, &sub_conn) {
+            let mut children = Vec::with_capacity(comps.len());
+            for sub in comps {
+                match self.decompose(sub, self.vars_of(sub) & chi) {
                     Some(child) => children.push(child),
                     None => continue 'cands,
                 }
@@ -382,95 +334,88 @@ impl Searcher {
     }
 }
 
+impl Hypertree {
+    /// Append `raw`'s subtree in preorder below `parent`, mapping χ bits
+    /// back through `vars` and keeping each vertex's χ mask in `chis`.
+    fn push(&mut self, raw: RawNode, parent: Option<usize>, vars: &[VarId], chis: &mut Vec<u64>) {
+        let id = self.nodes.len();
+        self.nodes.push(HtNode {
+            chi: bits(raw.chi).map(|b| vars[b]).collect(),
+            lambda: bits(raw.lambda).collect(),
+        });
+        self.parent.push(parent);
+        self.children.push(Vec::new());
+        if let Some(p) = parent {
+            self.children[p].push(id);
+        }
+        chis.push(raw.chi);
+        for child in raw.children {
+            self.push(child, Some(id), vars, chis);
+        }
+    }
+}
+
 /// Search for a width-`k` hypertree decomposition of a hypergraph given as
 /// per-edge variable sets (for conjunctive queries these are the atoms'
 /// ordinary-variable sets; for metaqueries, the body literal schemes').
 /// Returns `None` if no width-`k` decomposition exists.
+///
+/// # Panics
+///
+/// If the hypergraph has more than [`MASK_BITS`] edges or distinct
+/// variables.
 pub fn decompose_edge_sets(edge_vars: &[BTreeSet<VarId>], k: usize) -> Option<Hypertree> {
     if edge_vars.is_empty() {
         return None;
     }
-    let mut searcher = Searcher::new(edge_vars.to_vec(), k);
-    let all: BTreeSet<usize> = (0..edge_vars.len()).collect();
-    let raw = searcher.decompose(&all, &BTreeSet::new())?;
+    let mut vars: Vec<VarId> = edge_vars.iter().flatten().copied().collect();
+    vars.sort_unstable();
+    vars.dedup();
+    assert!(
+        edge_vars.len() <= MASK_BITS && vars.len() <= MASK_BITS,
+        "hypertree search takes at most {MASK_BITS} edges and {MASK_BITS} variables"
+    );
+    let bit = |v: &VarId| {
+        1 << vars
+            .binary_search(v)
+            .expect("every edge variable is ranked")
+    };
+    let edges: Vec<u64> = edge_vars
+        .iter()
+        .map(|vs| vs.iter().fold(0, |acc, v| acc | bit(v)))
+        .collect();
+    let all = u64::MAX >> (MASK_BITS - edges.len());
+    let raw = Searcher::new(edges.clone(), k).decompose(all, 0)?;
 
-    // Flatten to arrays.
-    let mut nodes = Vec::new();
-    let mut parent = Vec::new();
-    let mut children: Vec<Vec<usize>> = Vec::new();
-    fn flatten(
-        raw: RawNode,
-        par: Option<usize>,
-        nodes: &mut Vec<HtNode>,
-        parent: &mut Vec<Option<usize>>,
-        children: &mut Vec<Vec<usize>>,
-    ) -> usize {
-        let id = nodes.len();
-        nodes.push(HtNode {
-            chi: raw.chi,
-            lambda: raw.lambda,
-        });
-        parent.push(par);
-        children.push(Vec::new());
-        if let Some(p) = par {
-            children[p].push(id);
-        }
-        for c in raw.children {
-            flatten(c, Some(id), nodes, parent, children);
-        }
-        id
-    }
-    flatten(raw, None, &mut nodes, &mut parent, &mut children);
-
-    // Atom (edge) homes.
-    let mut atom_home = Vec::with_capacity(edge_vars.len());
-    for vs in edge_vars {
-        let home = (0..nodes.len())
-            .find(|&i| vs.iter().all(|v| nodes[i].chi.contains(v)))
-            .expect("decomposition covers every atom (condition 1)");
-        atom_home.push(home);
-    }
-
-    Some(Hypertree {
-        nodes,
-        parent,
-        children,
-        atom_home,
-    })
-}
-
-/// Search for a width-`k` hypertree decomposition of `cq`'s atoms
-/// (variables = ordinary variables). Returns `None` if none exists.
-pub fn decompose_width(cq: &Cq, k: usize) -> Option<Hypertree> {
-    let edge_vars: Vec<BTreeSet<VarId>> = cq.atoms.iter().map(|a| a.var_set()).collect();
-    let ht = decompose_edge_sets(&edge_vars, k)?;
+    let mut ht = Hypertree {
+        nodes: Vec::new(),
+        parent: Vec::new(),
+        children: Vec::new(),
+        atom_home: Vec::new(),
+    };
+    let mut chis = Vec::new();
+    ht.push(raw, None, &vars, &mut chis);
+    ht.atom_home = edges
+        .iter()
+        .map(|&e| {
+            chis.iter()
+                .position(|&chi| e & !chi == 0)
+                .expect("decomposition covers every atom (condition 1)")
+        })
+        .collect();
     debug_assert!(
-        ht.validate(cq).is_ok(),
+        ht.validate_sets(edge_vars).is_ok(),
         "search produced invalid decomposition"
     );
     Some(ht)
 }
 
 /// The least `k` admitting a decomposition of the given edge sets, with a
-/// witness decomposition.
+/// witness decomposition. Each `k` searches afresh: a (component,
+/// connector) pair with no width-`k` decomposition may have one of width
+/// `k + 1`.
 pub fn hypertree_width_of_sets(edge_vars: &[BTreeSet<VarId>]) -> Option<(usize, Hypertree)> {
-    for k in 1..=edge_vars.len().max(1) {
-        if let Some(ht) = decompose_edge_sets(edge_vars, k) {
-            return Some((k, ht));
-        }
-    }
-    None
-}
-
-/// The hypertree width of `cq`: the least `k` admitting a decomposition,
-/// together with a witness decomposition. Searches `k = 1..=atoms`.
-pub fn hypertree_width(cq: &Cq) -> Option<(usize, Hypertree)> {
-    for k in 1..=cq.atoms.len().max(1) {
-        if let Some(ht) = decompose_width(cq, k) {
-            return Some((k, ht));
-        }
-    }
-    None
+    (1..=edge_vars.len().max(1)).find_map(|k| Some((k, decompose_edge_sets(edge_vars, k)?)))
 }
 
 #[cfg(test)]
@@ -481,6 +426,10 @@ mod tests {
 
     fn v(i: u32) -> VarId {
         VarId(i)
+    }
+
+    fn edges(cq: &Cq) -> Vec<BTreeSet<VarId>> {
+        cq.atoms.iter().map(|a| a.var_set()).collect()
     }
 
     fn db_with(arities: &[(&str, usize)]) -> Database {
@@ -502,10 +451,13 @@ mod tests {
             Atom::vars_atom(db.rel_id("R").unwrap(), &[v(2), v(3)]), // R(C,D)
             Atom::vars_atom(db.rel_id("S").unwrap(), &[v(1), v(3)]), // S(B,D)
         ]);
-        assert!(decompose_width(&cq, 1).is_none(), "Qex is not semi-acyclic");
-        let (w, ht) = hypertree_width(&cq).unwrap();
+        assert!(
+            decompose_edge_sets(&edges(&cq), 1).is_none(),
+            "Qex is not semi-acyclic"
+        );
+        let (w, ht) = hypertree_width_of_sets(&edges(&cq)).unwrap();
         assert_eq!(w, 2);
-        ht.validate(&cq).unwrap();
+        ht.validate_sets(&edges(&cq)).unwrap();
     }
 
     /// Chains are width 1 (semi-acyclic).
@@ -517,9 +469,9 @@ mod tests {
             Atom::vars_atom(db.rel_id("Q").unwrap(), &[v(1), v(2)]),
             Atom::vars_atom(db.rel_id("R").unwrap(), &[v(2), v(3)]),
         ]);
-        let (w, ht) = hypertree_width(&cq).unwrap();
+        let (w, ht) = hypertree_width_of_sets(&edges(&cq)).unwrap();
         assert_eq!(w, 1);
-        ht.validate(&cq).unwrap();
+        ht.validate_sets(&edges(&cq)).unwrap();
     }
 
     /// Width-1 decompositions exist exactly for semi-acyclic queries.
@@ -535,8 +487,8 @@ mod tests {
             Atom::vars_atom(e, &[v(2), v(0)]),
         ]);
         assert!(JoinTree::for_cq(&tri).is_none());
-        assert!(decompose_width(&tri, 1).is_none());
-        let (w, _) = hypertree_width(&tri).unwrap();
+        assert!(decompose_edge_sets(&edges(&tri), 1).is_none());
+        let (w, _) = hypertree_width_of_sets(&edges(&tri)).unwrap();
         assert_eq!(w, 2);
         // star: acyclic
         let star = Cq::new(vec![
@@ -545,7 +497,7 @@ mod tests {
             Atom::vars_atom(e, &[v(0), v(3)]),
         ]);
         assert!(JoinTree::for_cq(&star).is_some());
-        assert!(decompose_width(&star, 1).is_some());
+        assert!(decompose_edge_sets(&edges(&star), 1).is_some());
     }
 
     /// 2x2 grid (cycle of length 4) has width 2.
@@ -559,9 +511,9 @@ mod tests {
             Atom::vars_atom(e, &[v(2), v(3)]),
             Atom::vars_atom(e, &[v(3), v(0)]),
         ]);
-        let (w, ht) = hypertree_width(&cq).unwrap();
+        let (w, ht) = hypertree_width_of_sets(&edges(&cq)).unwrap();
         assert_eq!(w, 2);
-        ht.validate(&cq).unwrap();
+        ht.validate_sets(&edges(&cq)).unwrap();
     }
 
     #[test]
@@ -573,15 +525,15 @@ mod tests {
             Atom::vars_atom(db.rel_id("R").unwrap(), &[v(2), v(3)]),
             Atom::vars_atom(db.rel_id("S").unwrap(), &[v(1), v(3)]),
         ]);
-        let (_, mut ht) = hypertree_width(&cq).unwrap();
-        ht.complete(&cq);
+        let (_, mut ht) = hypertree_width_of_sets(&edges(&cq)).unwrap();
+        ht.complete();
         for (ai, _) in cq.atoms.iter().enumerate() {
             let home = ht.atom_home[ai];
             assert!(ht.nodes[home].lambda.contains(&ai));
             let vs = cq.atoms[ai].var_set();
             assert!(vs.iter().all(|v| ht.nodes[home].chi.contains(v)));
         }
-        ht.validate(&cq).unwrap();
+        ht.validate_sets(&edges(&cq)).unwrap();
     }
 
     /// node_bindings materializes π_χ(J(λ)) — check against direct join on
@@ -606,7 +558,7 @@ mod tests {
             Atom::vars_atom(r, &[v(2), v(3)]),
             Atom::vars_atom(s, &[v(1), v(3)]),
         ]);
-        let (_, ht) = hypertree_width(&cq).unwrap();
+        let (_, ht) = hypertree_width_of_sets(&edges(&cq)).unwrap();
         for node in 0..ht.len() {
             let b = ht.node_bindings(&db, &cq, node);
             // Every row must satisfy each lambda atom's relation.
@@ -616,6 +568,24 @@ mod tests {
 
     #[test]
     fn empty_query_has_no_decomposition() {
-        assert!(hypertree_width(&Cq::new(vec![])).is_none());
+        assert!(hypertree_width_of_sets(&[]).is_none());
+    }
+
+    /// The mask holds 64 edges over 64 variables, whatever their ids: 64
+    /// disjoint one-variable edges hang off the first edge's vertex.
+    #[test]
+    fn sixty_four_edges_fit_the_mask() {
+        let sets: Vec<BTreeSet<VarId>> = (0..64).map(|i| BTreeSet::from([v(3 * i + 7)])).collect();
+        let (w, ht) = hypertree_width_of_sets(&sets).unwrap();
+        assert_eq!((w, ht.len()), (1, 64));
+        assert_eq!(ht.nodes[63].chi, BTreeSet::from([v(3 * 63 + 7)]));
+        assert_eq!(ht.atom_home, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 edges")]
+    fn sixty_five_edges_exceed_the_mask() {
+        let sets: Vec<BTreeSet<VarId>> = (0..65).map(|i| BTreeSet::from([v(i % 2)])).collect();
+        decompose_edge_sets(&sets, 1);
     }
 }

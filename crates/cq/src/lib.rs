@@ -25,10 +25,7 @@ pub mod yannakakis;
 pub use atom::{Atom, Cq};
 pub use eval::{count_homomorphisms, join_atoms, satisfiable};
 pub use hypergraph::{Hypergraph, JoinForest};
-pub use hypertree::{
-    decompose_edge_sets, decompose_width, hypertree_width, hypertree_width_of_sets, HtNode,
-    Hypertree,
-};
+pub use hypertree::{decompose_edge_sets, hypertree_width_of_sets, HtNode, Hypertree};
 pub use jointree::JoinTree;
 pub use reducer::{is_fully_reduced, FullReducer, SemijoinStep};
 pub use yannakakis::{acyclic_count, acyclic_satisfiable, full_reduce, Reduced};

@@ -31,6 +31,7 @@
 use metaquery::core::acyclic::classify;
 use metaquery::core::engine::find_rules::body_decomposition;
 use metaquery::core::engine::{find_rules::find_rules, naive};
+use metaquery::core::instantiate::check_body_size;
 use metaquery::prelude::*;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -216,6 +217,10 @@ fn cmd_classify(flags: HashMap<String, String>) -> ExitCode {
     println!("pure      : {}", mq.is_pure());
     println!("safe      : {}", mq.is_safe());
     println!("class     : {:?}", classify(&mq));
+    if let Err(e) = check_body_size(&mq) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let d = body_decomposition(&mq);
     println!(
         "body      : hypertree width {} ({} decomposition vertices)",

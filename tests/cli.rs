@@ -159,6 +159,21 @@ fn classify_reports_structure() {
 }
 
 #[test]
+fn classify_rejects_a_body_beyond_the_mask() {
+    let mq = metaquery::datagen::metaqueries::chain(65).to_string();
+    let out = Command::new(mq_bin())
+        .args(["classify", "--metaquery", &mq])
+        .output()
+        .expect("run mq");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: body has 65 literals over 66 variables"),
+        "got: {stderr}"
+    );
+}
+
+#[test]
 fn stats_reports_parameters() {
     let db = write_db(DEMO);
     let out = Command::new(mq_bin())

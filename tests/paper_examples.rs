@@ -6,7 +6,7 @@
 //! 4.3, 4.5, 4.8, 4.10, 4.11).
 
 use metaquery::core::acyclic::{classify, MqClass};
-use metaquery::cq::{hypertree_width, Atom, Cq, FullReducer, JoinTree};
+use metaquery::cq::{hypertree_width_of_sets, Atom, Cq, FullReducer, JoinTree};
 use metaquery::datagen::telecom;
 use metaquery::prelude::*;
 use mq_relation::VarId;
@@ -157,9 +157,10 @@ fn examples_4_8_and_4_10_hypertree_width() {
         Atom::vars_atom(s, &[v(1), v(3)]),
     ]);
     assert!(JoinTree::for_cq(&cq).is_none(), "Qex is not semi-acyclic");
-    let (w, ht) = hypertree_width(&cq).unwrap();
+    let edges: Vec<_> = cq.atoms.iter().map(|a| a.var_set()).collect();
+    let (w, ht) = hypertree_width_of_sets(&edges).unwrap();
     assert_eq!(w, 2, "Example 4.10: hw(Qex) = 2");
-    ht.validate(&cq).unwrap();
+    ht.validate_sets(&edges).unwrap();
 }
 
 /// Example 4.11: the acy() construction — node relations of the width-2
@@ -186,8 +187,9 @@ fn example_4_11_acy_construction() {
             Atom::vars_atom(rels[2], &[v(2), v(3)]),
             Atom::vars_atom(rels[3], &[v(1), v(3)]),
         ]);
-        let (_, mut ht) = hypertree_width(&cq).unwrap();
-        ht.complete(&cq);
+        let edges: Vec<_> = cq.atoms.iter().map(|a| a.var_set()).collect();
+        let (_, mut ht) = hypertree_width_of_sets(&edges).unwrap();
+        ht.complete();
         // Join of all node bindings == direct join of the query (over all
         // query variables).
         let mut derived = mq_relation::Bindings::unit();

@@ -102,3 +102,42 @@ fn streaming_budget_pattern() {
     .unwrap();
     assert_eq!(collected.len(), budget);
 }
+
+/// A body past the hypertree search's 64-bit masks is a structured error
+/// before any decomposition, from the library and from a served `mine`
+/// (whose 64 KiB line limit admits such a body).
+#[test]
+fn body_beyond_the_mask_is_an_engine_error() {
+    use metaquery::core::instantiate::InstError;
+    use metaquery::service::{MqService, NetConfig, NetServer};
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::Arc;
+
+    let mq = metaquery::datagen::metaqueries::chain(65);
+    let err = find_rules(&demo_db(), &mq, InstType::Zero, Thresholds::none()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            InstError::BodyTooLarge {
+                literals: 65,
+                vars: 66
+            }
+        ),
+        "got {err:?}"
+    );
+
+    let svc = Arc::new(MqService::new());
+    svc.register("demo", demo_db()).unwrap();
+    let mut server = NetServer::bind(svc, NetConfig::default()).unwrap();
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let line = format!("mine demo :: {mq}\n");
+    assert!(line.len() < NetConfig::default().max_line_len);
+    conn.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(conn.try_clone().unwrap())
+        .read_line(&mut reply)
+        .unwrap();
+    assert!(reply.starts_with("err engine "), "got: {reply}");
+    drop(conn);
+    server.shutdown();
+}
