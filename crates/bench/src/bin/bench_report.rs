@@ -450,8 +450,8 @@ struct NodeProfileReport {
 }
 
 /// One detailed-profile run of the width-2 cycle workload (the most
-/// plan-diverse fig4 shape: scans, projections, hash joins and
-/// semijoins all appear): attributes wall time, executions, memo hits
+/// plan-diverse fig4 shape: scans, hash joins, semijoins and
+/// projections that drop a variable all appear): attributes wall time, executions, memo hits
 /// and row traffic to hash-consed plan-node ids and reports the top
 /// nodes with their rendered labels. This is the per-plan-node view the
 /// slow-query log serves online; surfacing it in the bench report gives

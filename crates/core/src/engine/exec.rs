@@ -4,9 +4,10 @@
 //! worker). It owns handles to the three memo layers that make repeated
 //! plan execution cheap:
 //!
-//! * **atom cache** — instantiated-atom bindings keyed by
-//!   `(relation, terms)`: instantiations overwhelmingly share atom
-//!   evaluations, so each distinct instantiated atom is evaluated once;
+//! * **atom memo** (`SharedMemos::atoms`) — instantiated-atom
+//!   bindings keyed by `(relation, terms)`: instantiations overwhelmingly
+//!   share atom evaluations, so each distinct instantiated atom is
+//!   evaluated once;
 //! * **plan cache** — `(χ, λ atom keys) → plan root`, so re-visiting a
 //!   vertex under the same λ assignment skips re-planning entirely;
 //! * **result memo** — plan-node id → bindings, keyed by the
@@ -157,11 +158,12 @@ impl<'a> Executor<'a> {
     /// Execute plan node `id`, memoized per node id. Recursion depth is
     /// the plan's atom count (plans are left-deep chains).
     ///
-    /// Empty intermediates short-circuit: joins and semijoins both
-    /// preserve emptiness, so the remaining pipeline is skipped and the
-    /// empty intermediate itself is the node's (memoized) result — its
-    /// columns are the prefix's kept variables, exactly like the engine
-    /// before this refactor.
+    /// Empty intermediates short-circuit: joins, semijoins and
+    /// projections all preserve emptiness, so the remaining pipeline is
+    /// skipped and the empty intermediate itself is the node's (memoized)
+    /// result. Its columns are the prefix's, which may lack variables the
+    /// node would have bound; every consumer reads an empty relation the
+    /// same whatever its columns.
     ///
     /// Profiling: memo hits and kernel executions bump worker-local
     /// counters unconditionally (two integer adds); wall time and row

@@ -53,7 +53,7 @@
 //! * **Planner** ([`crate::plan`]) — a pure function from a vertex's χ
 //!   and λ-atom statistics to a hash-consed [`crate::plan::PlanOp`] DAG;
 //! * **Executor** (`engine::exec`) — interprets plan nodes against
-//!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
+//!   [`Bindings`], memoizing per plan-node id (atom memo, plan cache,
 //!   result memo); cover, confidence and `|b|` come from its head-count
 //!   op, while the reducer and support counts call the kernels'
 //!   `semijoin_count` and `count_distinct` directly;
@@ -678,13 +678,14 @@ fn unpin(locks: &mut PvLocks, pv: PredVarId) {
 }
 
 /// The exact support `max_i |π_vars(A_i)(b)| / |A_i|` of a body join
-/// `b` built whole, over the non-empty body atoms `A_i`. When `b` ranges
-/// over exactly an atom's variables the count is its length (bindings
-/// hold no duplicate rows).
+/// `b` built whole, over the non-empty body atoms `A_i`. Every atom's
+/// variables are among `b`'s, so when `b` has no more columns than an
+/// atom, in whatever order, the count is its length (bindings hold no
+/// duplicate rows).
 fn support(body_atoms: &[Arc<Bindings>], b: &Bindings) -> Frac {
     let mut sup = Frac::ZERO;
     for ra in body_atoms.iter().filter(|ra| !ra.is_empty()) {
-        let num = if b.vars() == ra.vars() {
+        let num = if b.vars().len() == ra.vars().len() {
             b.len()
         } else {
             b.count_distinct(ra.vars())

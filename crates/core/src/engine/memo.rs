@@ -1,7 +1,7 @@
 //! The cross-worker **shared memo service** for `findRules`.
 //!
 //! Before this layer existed, every scheduler worker owned a private
-//! memo slice (atom cache, plan cache, plan-node results): `Bindings`
+//! memo slice (atom memo, plan cache, plan-node results): `Bindings`
 //! rows lived behind `Rc` and could not cross threads, so each worker
 //! re-derived — and re-joined — intermediates its siblings had already
 //! computed. With frozen, `Arc`-shared storage (`mq_store::ColumnarRows`)

@@ -4,8 +4,9 @@
 //! implicitly — interleaved with execution inside the engine. This module
 //! reifies it as a first-class IR: a hash-consed DAG of relational
 //! operators ([`PlanOp`]) interned in a [`PlanArena`]. The planner
-//! ([`build_node_plan`]) is a pure function from a vertex's χ variables
-//! and its λ atoms' statistics to a plan root; the executor
+//! ([`build_node_plan_ordered`]) is a pure function from a vertex's χ
+//! variables, its λ atoms' statistics and their join order
+//! ([`plan_join_order`]) to a plan root; the executor
 //! (`crate::engine::exec`) interprets plan nodes against [`mq_relation::Bindings`]
 //! values and memoizes results **per plan-node id**.
 //!
@@ -28,7 +29,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 /// An instantiated atom — relation plus argument terms. The unit of
-/// sharing for the atom cache and for plan-node identity.
+/// sharing for the atom memo and for plan-node identity.
 pub type AtomKey = (RelId, Vec<Term>);
 
 /// Identifier of an interned plan node (dense, per [`PlanArena`]).
@@ -54,7 +55,7 @@ pub enum PlanOp {
         left: PlanNodeId,
         /// Right input atom.
         atom: AtomKey,
-        /// Shared variables joined on.
+        /// Shared variables joined on, in `VarId` order.
         keys: Vec<VarId>,
     },
     /// Filter the left plan node by an atom that contributes no needed
@@ -65,16 +66,16 @@ pub enum PlanOp {
         left: PlanNodeId,
         /// Filtering atom.
         atom: AtomKey,
-        /// Shared variables probed on.
+        /// Shared variables probed on, in `VarId` order.
         keys: Vec<VarId>,
     },
     /// Project the left plan node onto `vars` (with deduplication) —
-    /// the "keep only `χ ∪ vars(remaining atoms)`" step between joins.
+    /// the "keep only `χ ∪ vars(remaining atoms)`" step.
+    /// Planned only where it drops a variable, never to reorder columns.
     Project {
         /// Input node.
         left: PlanNodeId,
-        /// Variables kept (missing ones are ignored, as in
-        /// [`mq_relation::Bindings::project`]).
+        /// Variables kept: a strict subset of the left node's variables.
         vars: Vec<VarId>,
     },
 }
@@ -206,36 +207,25 @@ pub fn plan_join_order(
     order
 }
 
-/// Build the physical plan for one node join `π_χ(J(atoms))` — the pure
+/// Build the physical plan for one node join `π_χ(J(atoms))`, joining
+/// the λ atoms in `order` (decided by [`plan_join_order`]) — the pure
 /// "decide" half of what used to be `Engine::plan_node_join`.
 ///
-/// The λ atoms are joined in a planned order ([`plan_join_order`]); each
-/// intermediate is projected onto the variables still *needed*
-/// (`χ ∪ vars(remaining atoms)`), and an atom contributing no needed
-/// variable becomes a [`PlanOp::Semijoin`] instead of a join. Every step
-/// interns `(join|semijoin) → project` node pairs, so the executor's
-/// per-node-id memo makes sibling plans resume from shared prefixes.
+/// An atom contributing no variable still *needed* (`χ ∪ vars(remaining
+/// atoms)`) becomes a [`PlanOp::Semijoin`] instead of a join, and a step
+/// whose result holds a variable no longer needed is followed by a
+/// [`PlanOp::Project`] onto the needed ones. Column order is free —
+/// every operator addresses columns by variable — so a step that drops
+/// nothing gets no `Project`, and a single atom over exactly χ plans as
+/// a bare [`PlanOp::Scan`]. Every step interns its nodes, so the
+/// executor's per-node-id memo makes sibling plans resume from shared
+/// prefixes.
 ///
-/// `stats[i]` must describe the evaluated atom `atom_keys[i]`; the
-/// `expansion` estimate is the planner's fan-out oracle (see
-/// [`plan_join_order`]). Returns the root node id.
-pub fn build_node_plan(
-    arena: &mut PlanArena,
-    chi: &[VarId],
-    atom_keys: &[AtomKey],
-    stats: &[JoinAtomStats],
-    expansion: impl FnMut(usize, &[VarId]) -> f64,
-) -> PlanNodeId {
-    let order = plan_join_order(stats, expansion);
-    build_node_plan_ordered(arena, chi, atom_keys, stats, &order)
-}
-
-/// [`build_node_plan`] with the join order already decided — the
-/// costing half split from the interning half. The cost model probes
-/// row statistics (an O(rows) index build per uncached column set), so
-/// callers sharing one arena across workers run [`plan_join_order`]
-/// **outside** the arena lock and only intern — pure, allocation-light
-/// work — under it.
+/// The costing half ([`plan_join_order`]) probes row statistics (an
+/// O(rows) index build per uncached column set), so callers sharing one
+/// arena across workers run it **outside** the arena lock and only
+/// intern — pure, allocation-light work — under it. `stats[i]` must
+/// describe the evaluated atom `atom_keys[i]`. Returns the root node id.
 pub fn build_node_plan_ordered(
     arena: &mut PlanArena,
     chi: &[VarId],
@@ -246,13 +236,6 @@ pub fn build_node_plan_ordered(
     assert!(!atom_keys.is_empty(), "λ labels are non-empty");
     assert_eq!(atom_keys.len(), stats.len());
     assert_eq!(atom_keys.len(), order.len());
-    if let [key] = atom_keys {
-        let scan = arena.intern(PlanOp::Scan { atom: key.clone() });
-        return arena.intern(PlanOp::Project {
-            left: scan,
-            vars: chi.to_vec(),
-        });
-    }
     // needed[k]: variables the pipeline still requires after step k —
     // χ plus everything a later-planned atom joins on.
     let mut needed: Vec<BTreeSet<VarId>> = Vec::with_capacity(order.len());
@@ -263,79 +246,43 @@ pub fn build_node_plan_ordered(
     }
     needed.reverse();
 
-    let mut covered: BTreeSet<VarId> = BTreeSet::new();
-    // (node id, the exact column variables of its result) — tracking the
-    // result columns at plan time lets the executor skip shared-variable
-    // discovery (the `keys` are precomputed here).
+    // (node id, the variables of its result): they give each step's
+    // join keys and show which steps drop a variable.
     let mut cur: Option<(PlanNodeId, Vec<VarId>)> = None;
     for (k, &ai) in order.iter().enumerate() {
-        covered.extend(stats[ai].vars.iter().copied());
-        let kept: Vec<VarId> = covered
-            .iter()
-            .copied()
-            .filter(|v| needed[k].contains(v))
-            .collect();
-        cur = Some(match cur {
-            None => {
-                let scan = arena.intern(PlanOp::Scan {
-                    atom: atom_keys[ai].clone(),
-                });
-                let proj = arena.intern(PlanOp::Project {
-                    left: scan,
-                    vars: kept.clone(),
-                });
-                // kept ⊆ covered = the atom's vars, so the projection
-                // keeps exactly `kept`.
-                (proj, kept)
-            }
-            Some((left, lvars)) => {
-                let keys: Vec<VarId> = lvars
+        let atom = atom_keys[ai].clone();
+        let atom_vars = &stats[ai].vars;
+        let (node, vars) = match cur {
+            None => (arena.intern(PlanOp::Scan { atom }), atom_vars.clone()),
+            Some((left, mut vars)) => {
+                let mut keys: Vec<VarId> = atom_vars
                     .iter()
                     .copied()
-                    .filter(|v| stats[ai].vars.contains(v))
+                    .filter(|v| vars.contains(v))
                     .collect();
-                let adds_needed = stats[ai]
-                    .vars
+                keys.sort_unstable();
+                let fresh: Vec<VarId> = atom_vars
                     .iter()
-                    .any(|v| !lvars.contains(v) && needed[k].contains(v));
-                let (stepped, stepped_vars) = if adds_needed {
-                    let mut joined_vars = lvars.clone();
-                    joined_vars.extend(
-                        stats[ai]
-                            .vars
-                            .iter()
-                            .copied()
-                            .filter(|v| !lvars.contains(v)),
-                    );
-                    (
-                        arena.intern(PlanOp::HashJoin {
-                            left,
-                            atom: atom_keys[ai].clone(),
-                            keys,
-                        }),
-                        joined_vars,
-                    )
+                    .copied()
+                    .filter(|v| !vars.contains(v))
+                    .collect();
+                if fresh.iter().any(|v| needed[k].contains(v)) {
+                    vars.extend(fresh);
+                    (arena.intern(PlanOp::HashJoin { left, atom, keys }), vars)
                 } else {
-                    (
-                        arena.intern(PlanOp::Semijoin {
-                            left,
-                            atom: atom_keys[ai].clone(),
-                            keys,
-                        }),
-                        lvars,
-                    )
-                };
-                let proj = arena.intern(PlanOp::Project {
-                    left: stepped,
-                    vars: kept.clone(),
-                });
-                let cur_vars: Vec<VarId> = kept
-                    .iter()
-                    .copied()
-                    .filter(|v| stepped_vars.contains(v))
-                    .collect();
-                (proj, cur_vars)
+                    (arena.intern(PlanOp::Semijoin { left, atom, keys }), vars)
+                }
             }
+        };
+        cur = Some(if vars.iter().all(|v| needed[k].contains(v)) {
+            (node, vars)
+        } else {
+            let kept: Vec<VarId> = vars.into_iter().filter(|v| needed[k].contains(v)).collect();
+            let proj = arena.intern(PlanOp::Project {
+                left: node,
+                vars: kept.clone(),
+            });
+            (proj, kept)
         });
     }
     cur.expect("at least one planned step").0
@@ -401,6 +348,17 @@ mod tests {
         assert!(plan_join_order(&stats(&[]), flat).is_empty());
     }
 
+    /// Order with [`plan_join_order`] under [`flat`], then intern.
+    fn plan(
+        arena: &mut PlanArena,
+        chi: &[VarId],
+        keys: &[AtomKey],
+        s: &[JoinAtomStats],
+    ) -> PlanNodeId {
+        let order = plan_join_order(s, flat);
+        build_node_plan_ordered(arena, chi, keys, s, &order)
+    }
+
     fn key(rel: u32, vars: &[u32]) -> AtomKey {
         (
             RelId(rel),
@@ -416,14 +374,14 @@ mod tests {
         let keys_a = [key(0, &[0, 1]), key(1, &[1, 2]), key(2, &[2, 0])];
         let keys_b = [key(0, &[0, 1]), key(1, &[1, 2]), key(3, &[2, 0])];
         let s = stats(&[(5, &[0, 1]), (10, &[1, 2]), (20, &[2, 0])]);
-        let ra = build_node_plan(&mut arena, &chi, &keys_a, &s, flat);
+        let ra = plan(&mut arena, &chi, &keys_a, &s);
         let n_after_a = arena.len();
-        let ra2 = build_node_plan(&mut arena, &chi, &keys_a, &s, flat);
+        let ra2 = plan(&mut arena, &chi, &keys_a, &s);
         assert_eq!(ra, ra2, "identical plans intern to the same root");
         assert_eq!(arena.len(), n_after_a, "no new nodes for a re-plan");
         // A sibling differing only in the last-planned atom adds only the
-        // final join+project pair.
-        let rb = build_node_plan(&mut arena, &chi, &keys_b, &s, flat);
+        // final semijoin+project pair.
+        let rb = plan(&mut arena, &chi, &keys_b, &s);
         assert_ne!(ra, rb);
         assert_eq!(
             arena.len(),
@@ -432,14 +390,14 @@ mod tests {
         );
     }
 
-    /// Single-atom plans are scan + project onto χ.
+    /// A single atom over more than χ plans as scan + project onto χ.
     #[test]
     fn single_atom_plan_is_scan_project() {
         let mut arena = PlanArena::new();
         let chi = [VarId(0)];
         let keys = [key(0, &[0, 1])];
         let s = stats(&[(5, &[0, 1])]);
-        let root = build_node_plan(&mut arena, &chi, &keys, &s, flat);
+        let root = plan(&mut arena, &chi, &keys, &s);
         match arena.op(root) {
             PlanOp::Project { left, vars } => {
                 assert_eq!(vars, &[VarId(0)]);
@@ -458,7 +416,7 @@ mod tests {
         let chi = [VarId(0)];
         let keys = [key(0, &[0, 1]), key(1, &[1])];
         let s = stats(&[(5, &[0, 1]), (50, &[1])]);
-        let root = build_node_plan(&mut arena, &chi, &keys, &s, flat);
+        let root = plan(&mut arena, &chi, &keys, &s);
         let PlanOp::Project { left, .. } = arena.op(root) else {
             panic!("root must project");
         };
@@ -467,5 +425,109 @@ mod tests {
             "filter-only atom must semijoin, got {:?}",
             arena.op(*left)
         );
+    }
+
+    /// Column order is free: a single atom over exactly χ, in another
+    /// order than χ's, plans as a bare scan.
+    #[test]
+    fn single_atom_over_chi_plans_as_bare_scan() {
+        let mut arena = PlanArena::new();
+        let chi = [VarId(0), VarId(1)];
+        let root = plan(
+            &mut arena,
+            &chi,
+            &[key(0, &[1, 0])],
+            &stats(&[(5, &[1, 0])]),
+        );
+        assert!(
+            matches!(arena.op(root), PlanOp::Scan { .. }),
+            "expected a bare scan, got {:?}",
+            arena.op(root)
+        );
+        assert_eq!(arena.len(), 1);
+    }
+
+    /// A join whose columns come out unsorted — e(2,1) first, then f(1,0)
+    /// appends 0 — keeps every variable of χ and needs no `Project`.
+    #[test]
+    fn unsorted_join_plans_no_project() {
+        let mut arena = PlanArena::new();
+        let chi = [VarId(0), VarId(1), VarId(2)];
+        let keys = [key(0, &[2, 1]), key(1, &[1, 0])];
+        let root = plan(
+            &mut arena,
+            &chi,
+            &keys,
+            &stats(&[(5, &[2, 1]), (10, &[1, 0])]),
+        );
+        match arena.op(root) {
+            PlanOp::HashJoin { left, keys, .. } => {
+                assert_eq!(keys, &[VarId(1)]);
+                assert!(matches!(arena.op(*left), PlanOp::Scan { .. }));
+            }
+            other => panic!("expected a hash-join root, got {other:?}"),
+        }
+        assert_eq!(arena.len(), 2);
+    }
+
+    /// The variables of node `id`'s result, as a set.
+    fn node_vars(arena: &PlanArena, id: PlanNodeId) -> BTreeSet<VarId> {
+        let atom_vars = |(_, terms): &AtomKey| {
+            terms
+                .iter()
+                .filter_map(|t| t.as_var())
+                .collect::<BTreeSet<_>>()
+        };
+        match arena.op(id) {
+            PlanOp::Scan { atom } => atom_vars(atom),
+            PlanOp::HashJoin { left, atom, .. } => {
+                let mut vars = node_vars(arena, *left);
+                vars.extend(atom_vars(atom));
+                vars
+            }
+            PlanOp::Semijoin { left, .. } => node_vars(arena, *left),
+            PlanOp::Project { vars, .. } => vars.iter().copied().collect(),
+        }
+    }
+
+    /// Over a seeded batch of λ/χ shapes, every root ranges over exactly
+    /// χ and every interned `Project` keeps only columns of its input and
+    /// drops at least one of them.
+    #[test]
+    fn every_project_drops_a_column() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut arena = PlanArena::new();
+        for _ in 0..300 {
+            let n_atoms = rng.gen_range(1..=4usize);
+            let mut keys = Vec::with_capacity(n_atoms);
+            let mut atoms = Vec::with_capacity(n_atoms);
+            for _ in 0..n_atoms {
+                let mut vars: Vec<u32> = (0..6).collect();
+                vars.shuffle(&mut rng);
+                vars.truncate(rng.gen_range(1..=3usize));
+                keys.push(key(rng.gen_range(0..4u32), &vars));
+                atoms.push(JoinAtomStats {
+                    len: rng.gen_range(1..50usize),
+                    vars: vars.into_iter().map(VarId).collect(),
+                });
+            }
+            let all: BTreeSet<VarId> = atoms.iter().flat_map(|a| a.vars.clone()).collect();
+            let chi: Vec<VarId> = all.into_iter().filter(|_| rng.gen_bool(0.5)).collect();
+            let root = plan(&mut arena, &chi, &keys, &atoms);
+            assert_eq!(node_vars(&arena, root), chi.iter().copied().collect());
+        }
+        let mut projects = 0;
+        for id in (0..arena.len() as u32).map(PlanNodeId) {
+            if let PlanOp::Project { left, vars } = arena.op(id) {
+                let input = node_vars(&arena, *left);
+                assert!(
+                    vars.len() < input.len() && vars.iter().all(|v| input.contains(v)),
+                    "project {vars:?} over {input:?} drops nothing"
+                );
+                projects += 1;
+            }
+        }
+        assert!(projects > 0, "the batch plans some projections");
     }
 }

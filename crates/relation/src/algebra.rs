@@ -359,16 +359,9 @@ impl Bindings {
 
     /// Natural join keeping `self`'s columns first (build side = `self`).
     fn join_ordered(&self, probe: &Bindings) -> Bindings {
-        let shared: Vec<VarId> = self
-            .vars
-            .iter()
-            .copied()
-            .filter(|v| probe.position(*v).is_some())
-            .collect();
-        let build_pos: Vec<usize> = shared.iter().map(|&v| self.position(v).unwrap()).collect();
-        let probe_pos: Vec<usize> = shared.iter().map(|&v| probe.position(v).unwrap()).collect();
+        let (build_pos, probe_pos) = self.shared_positions(probe);
         let extra: Vec<usize> = (0..probe.vars.len())
-            .filter(|&i| !shared.contains(&probe.vars[i]))
+            .filter(|i| !probe_pos.contains(i))
             .collect();
         self.join_gathered(probe, &build_pos, &probe_pos, &extra)
     }
@@ -436,74 +429,36 @@ impl Bindings {
 
     /// Natural join on a **pre-planned** key set — the plan executor's
     /// entry point. `keys` must be exactly the variables shared by the
-    /// two sides (the planner computes them once per plan node instead of
-    /// re-discovering them per execution); column and row order of the
-    /// result are identical to [`Bindings::join`].
+    /// two sides (checked in debug builds); the result is
+    /// [`Bindings::join`]'s, keyed like every other kernel on the shared
+    /// variables in [`VarId`] order.
     pub fn join_on(&self, other: &Bindings, keys: &[VarId]) -> Bindings {
         debug_assert!(
-            {
-                let (sp, _) = self.semijoin_positions(other);
-                sp.len() == keys.len() && keys.iter().all(|k| self.position(*k).is_some())
-            },
+            self.shares_exactly(other, keys),
             "join_on keys must be the shared variables"
         );
-        if keys.is_empty() || self.vars.is_empty() || other.vars.is_empty() {
-            return self.join(other);
-        }
-        // Smaller side builds, as in `join`.
-        if self.len() > other.len() {
-            other.join_on_ordered(self, keys)
-        } else {
-            self.join_on_ordered(other, keys)
-        }
-    }
-
-    /// Keyed natural join keeping `self`'s columns first (build side =
-    /// `self`). Key positions are taken in build-column order so the
-    /// probe hits the same cached [`GroupIndex`] a derived join builds.
-    fn join_on_ordered(&self, probe: &Bindings, keys: &[VarId]) -> Bindings {
-        let build_pos: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| keys.contains(&self.vars[i]))
-            .collect();
-        let probe_pos: Vec<usize> = build_pos
-            .iter()
-            .map(|&i| probe.position(self.vars[i]).expect("key on both sides"))
-            .collect();
-        let extra: Vec<usize> = (0..probe.vars.len())
-            .filter(|&i| self.position(probe.vars[i]).is_none())
-            .collect();
-        self.join_gathered(probe, &build_pos, &probe_pos, &extra)
+        self.join(other)
     }
 
     /// Semijoin on a **pre-planned** key set — the plan executor's
-    /// filtering entry point; result is identical to
-    /// [`Bindings::semijoin`] given `keys` = the shared variables.
+    /// filtering entry point; `keys` must be exactly the shared
+    /// variables (checked in debug builds), and the result is
+    /// [`Bindings::semijoin`]'s.
     pub fn semijoin_on(&self, other: &Bindings, keys: &[VarId]) -> Bindings {
         debug_assert!(
-            {
-                let (sp, _) = self.semijoin_positions(other);
-                sp.len() == keys.len() && keys.iter().all(|k| self.position(*k).is_some())
-            },
+            self.shares_exactly(other, keys),
             "semijoin_on keys must be the shared variables"
         );
-        if keys.is_empty() {
-            return self.semijoin(other);
-        }
-        let self_pos: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| keys.contains(&self.vars[i]))
-            .collect();
-        let other_pos: Vec<usize> = self_pos
-            .iter()
-            .map(|&i| other.position(self.vars[i]).expect("key on both sides"))
-            .collect();
-        self.semijoin_filtered(other, &self_pos, &other_pos)
+        self.semijoin(other)
     }
 
-    /// Shared semijoin body: keep rows of `self` whose key (columns
-    /// `self_pos`) hits a group of `other`'s cached index over
-    /// `other_pos`. Two passes so a no-op semijoin shares storage.
-    fn semijoin_filtered(&self, other: &Bindings, self_pos: &[usize], other_pos: &[usize]) -> Self {
-        self.filter_by_index(&other.binding_index(other_pos), self_pos, true)
+    /// Whether `keys` are exactly the variables `self` and `other` share.
+    fn shares_exactly(&self, other: &Bindings, keys: &[VarId]) -> bool {
+        let (shared, _) = self.shared_positions(other);
+        shared.len() == keys.len()
+            && keys
+                .iter()
+                .all(|k| shared.iter().any(|&i| self.vars[i] == *k))
     }
 
     /// Keep the rows of `self` whose key at `self_pos` hits (`keep_hits`)
@@ -711,17 +666,32 @@ impl Bindings {
         self.binding_index(&cols).num_groups()
     }
 
-    /// Shared-variable positions of `self` and `other`, for semijoins.
-    fn semijoin_positions(&self, other: &Bindings) -> (Vec<usize>, Vec<usize>) {
-        let cap = self.vars.len().min(other.vars.len());
-        let mut self_pos = Vec::with_capacity(cap);
-        let mut other_pos = Vec::with_capacity(cap);
-        for (i, v) in self.vars.iter().enumerate() {
-            if let Some(j) = other.position(*v) {
-                self_pos.push(i);
-                other_pos.push(j);
-            }
-        }
+    /// Column positions, on `self` and on `other`, of the variables the
+    /// two share, ordered by [`VarId`] — the one key order of every keyed
+    /// kernel. A `Bindings`' cached [`GroupIndex`] for a variable set
+    /// therefore has one key whatever the column order of the partner
+    /// it was built against.
+    pub(crate) fn shared_positions_into(
+        &self,
+        other: &Bindings,
+        self_pos: &mut Vec<usize>,
+        other_pos: &mut Vec<usize>,
+    ) {
+        self_pos.clear();
+        self_pos.extend((0..self.vars.len()).filter(|&i| other.position(self.vars[i]).is_some()));
+        self_pos.sort_unstable_by_key(|&i| self.vars[i]);
+        other_pos.clear();
+        other_pos.extend(
+            self_pos
+                .iter()
+                .map(|&i| other.position(self.vars[i]).expect("shared")),
+        );
+    }
+
+    /// [`Bindings::shared_positions_into`] into fresh vectors.
+    fn shared_positions(&self, other: &Bindings) -> (Vec<usize>, Vec<usize>) {
+        let (mut self_pos, mut other_pos) = (Vec::new(), Vec::new());
+        self.shared_positions_into(other, &mut self_pos, &mut other_pos);
         (self_pos, other_pos)
     }
 
@@ -729,7 +699,7 @@ impl Bindings {
     /// projection appears in `other`. With no shared variables this keeps
     /// all rows iff `other` is non-empty.
     pub fn semijoin(&self, other: &Bindings) -> Bindings {
-        let (self_pos, other_pos) = self.semijoin_positions(other);
+        let (self_pos, other_pos) = self.shared_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
                 Bindings::empty(self.vars.clone())
@@ -737,7 +707,7 @@ impl Bindings {
                 self.clone()
             };
         }
-        self.semijoin_filtered(other, &self_pos, &other_pos)
+        self.filter_by_index(&other.binding_index(&other_pos), &self_pos, true)
     }
 
     /// Semijoin `self` with every relation in `others` in one pass:
@@ -757,7 +727,7 @@ impl Bindings {
         }
         let mut probes: Vec<(Arc<GroupIndex>, Vec<usize>)> = Vec::with_capacity(others.len());
         for o in others {
-            let (self_pos, other_pos) = self.semijoin_positions(o);
+            let (self_pos, other_pos) = self.shared_positions(o);
             if !self_pos.is_empty() {
                 probes.push((o.binding_index(&other_pos), self_pos));
             }
@@ -805,7 +775,7 @@ impl Bindings {
     /// reduced vertex relations, so indexing the atom side turns every
     /// sweep after the first into pure probing of the small side.
     pub fn semijoin_indexed(&self, other: &Bindings) -> Bindings {
-        let (self_pos, other_pos) = self.semijoin_positions(other);
+        let (self_pos, other_pos) = self.shared_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
                 Bindings::empty(self.vars.clone())
@@ -932,7 +902,7 @@ impl Bindings {
     /// worth indexing (the build is cached, so re-counting the same
     /// large operand against many small ones pays it once).
     pub fn semijoin_count(&self, other: &Bindings) -> usize {
-        let (self_pos, other_pos) = self.semijoin_positions(other);
+        let (self_pos, other_pos) = self.shared_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() { 0 } else { self.len() };
         }
@@ -956,7 +926,7 @@ impl Bindings {
     /// rows iff `other` is empty (negation-as-failure on a closed
     /// condition). Used by the negated-literal extension of metaqueries.
     pub fn antijoin(&self, other: &Bindings) -> Bindings {
-        let (self_pos, other_pos) = self.semijoin_positions(other);
+        let (self_pos, other_pos) = self.shared_positions(other);
         if self_pos.is_empty() {
             return if other.is_empty() {
                 self.clone()
@@ -1320,6 +1290,39 @@ mod tests {
         let s = xy.semijoin(&yz);
         // rows of e(X,Y) with an outgoing edge from Y: (1,2),(2,3)
         assert_eq!(s.len(), 2);
+    }
+
+    /// Every keyed kernel keys an index by the shared variables in
+    /// `VarId` order, so the index `semijoin_all` builds on a partner is
+    /// the one `semijoin_count` finds when a column-permuted twin probes
+    /// the same partner: no second index is built.
+    #[test]
+    fn shared_key_index_ignores_partner_column_order() {
+        let other = Bindings::from_parts(
+            vec![v(1), v(2), v(0)],
+            vec![ints(&[10, 5, 1]), ints(&[20, 6, 2]), ints(&[30, 7, 3])],
+        );
+        let xy = Bindings::from_parts(
+            vec![v(0), v(1)],
+            vec![ints(&[1, 10]), ints(&[2, 99]), ints(&[3, 30])],
+        );
+        let yx = Bindings::from_parts(
+            vec![v(1), v(0)],
+            vec![ints(&[10, 1]), ints(&[99, 2]), ints(&[30, 3])],
+        );
+        assert_eq!(xy.semijoin_all(&[&other]).len(), 2);
+        assert_eq!(other.indexes.len(), 1);
+        let (_, other_pos) = yx.shared_positions(&other);
+        assert!(
+            other.cached_index(&other_pos).is_some(),
+            "semijoin_count's key misses the index semijoin_all built"
+        );
+        assert_eq!(yx.semijoin_count(&other), 2);
+        assert_eq!(
+            other.indexes.len(),
+            1,
+            "a permuted partner built a second index"
+        );
     }
 
     #[test]

@@ -369,14 +369,7 @@ impl<'b> Join<'b> {
             matched,
             ..
         } = scratch;
-        cols.clear();
-        probe_cols.clear();
-        for (i, &v) in build.vars().iter().enumerate() {
-            if let Some(p) = probe.position(v) {
-                cols.push(i);
-                probe_cols.push(p);
-            }
-        }
+        build.shared_positions_into(probe, cols, probe_cols);
         groups.clear();
         matched.clear();
         if cols.is_empty() {
@@ -740,16 +733,10 @@ mod tests {
         // neither, only the left's, only the right's, or both.
         let fresh = |side: &Bindings| Bindings::from_parts(side.vars().to_vec(), side.to_rows());
         let cache = |side: &Bindings, other: &Bindings| {
-            // Both shared-variable orders, so the pairing finds it
-            // whichever side it takes as the build side.
-            for order in [(side, other), (other, side)] {
-                let cols: Vec<usize> = (order.0.vars().iter())
-                    .filter(|v| order.1.position(**v).is_some())
-                    .map(|v| side.position(*v).expect("shared"))
-                    .collect();
-                if !cols.is_empty() {
-                    side.binding_index(&cols);
-                }
+            let (mut cols, mut other_cols) = (Vec::new(), Vec::new());
+            side.shared_positions_into(other, &mut cols, &mut other_cols);
+            if !cols.is_empty() {
+                side.binding_index(&cols);
             }
         };
         for (l, r) in [(left, right), (right, left)] {

@@ -130,15 +130,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMemo<K, V> {
         self.publish(key, v)
     }
 
-    /// Keep only the entries for which `keep` returns `true` (write-locks
-    /// each shard in turn). Used for maintenance sweeps — e.g. dropping
-    /// cache entries whose generation tag went stale; counters are kept.
-    pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
-        for shard in &self.shards {
-            write_recover(shard).retain(|k, v| keep(k, v));
-        }
-    }
-
     /// Total number of cached entries (sums the shards; O(shards)).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| read_recover(s).len()).sum()
@@ -206,18 +197,6 @@ mod tests {
             assert_eq!(v, 99);
         }
         assert_eq!(computes.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn retain_drops_only_rejected_entries() {
-        let memo: ShardedMemo<u32, u32> = ShardedMemo::new();
-        for k in 0..20 {
-            memo.publish(k, k * 10);
-        }
-        memo.retain(|&k, _| k % 2 == 0);
-        assert_eq!(memo.len(), 10);
-        assert_eq!(memo.get(&4), Some(40));
-        assert_eq!(memo.get(&5), None);
     }
 
     /// Many threads hammering overlapping keys must converge on one
