@@ -11,9 +11,10 @@
 //!
 //! Run: `cargo run --release -p mq-bench --bin bench_report`
 //!
-//! Also enforces the width-2 regression guard: `fig4_width2_cycle4` must
-//! stay within a sane factor of `fig4_width1_chain2` (the PR-2 λ-join
-//! planner fix), and the width-3 throughput floor: `fig4_width3_star4`
+//! Also enforces the width-2 regression guard: the plan nodes of one
+//! single-thread `fig4_width2_cycle4` search must output at most a fixed
+//! number of rows (a cross-product join order in the λ-join planner
+//! multiplies it), and the width-3 throughput floor: `fig4_width3_star4`
 //! must sustain `MQ_BENCH_MIN_WIDTH3_RPS` rows/sec (default 4000 — the
 //! columnar-kernel floor), so the CI bench smoke run fails if the
 //! planner or the columnar kernels regress.
@@ -22,8 +23,7 @@
 //! workload; `MQ_BENCH_ONLY=<substring>` restricts the run to
 //! workloads whose name contains the substring (single-series runs;
 //! guards needing absent workloads are skipped); `MQ_BENCH_OUT`
-//! overrides the output path; `MQ_BENCH_MAX_WIDTH2_LAG` (default 30)
-//! the guard threshold; `MQ_BENCH_THREADS=1,2,4` additionally times the
+//! overrides the output path; `MQ_BENCH_THREADS=1,2,4` additionally times the
 //! optimized core at each listed worker count (via the scheduler's
 //! thread override — the first entry is the primary measurement the
 //! guards use), so memo scaling shows up in the perf trajectory
@@ -513,6 +513,52 @@ fn bench_node_profile() -> Option<NodeProfileReport> {
     })
 }
 
+/// The width-2 guard's bound on [`bench_width2_rows`]: the rows every
+/// plan node of one `fig4_width2_cycle4` search outputs, summed. The
+/// planned search outputs 8 706; the same search with cross products
+/// joined first outputs 24 775.
+const WIDTH2_MAX_ROWS_OUT: u64 = 13_000;
+
+/// The width-2 regression guard: one detailed-profile search of
+/// `fig4_width2_cycle4` on one thread with a fresh memo service, whose
+/// plan nodes' output rows (`NodeStat::rows_out`, summed) must stay
+/// within [`WIDTH2_MAX_ROWS_OUT`]. The count is exact, so unlike a time
+/// ratio it needs no slack for noise: a planner that lets a cross
+/// product into a multi-atom node join multiplies it. Returns the
+/// count; skipped when `MQ_BENCH_ONLY` filters the workload out.
+fn bench_width2_rows() -> Option<u64> {
+    const WORKLOAD: &str = "fig4_width2_cycle4";
+    if let Some(only) = bench_only() {
+        if !WORKLOAD.contains(&only) {
+            eprintln!("width2_rows_out: skipped (MQ_BENCH_ONLY={only})");
+            return None;
+        }
+    }
+    let w = cycle_workload(2, 120, 18, 4);
+    let profile = Arc::new(mq_obs::SearchProfile::detailed());
+    rayon::set_thread_override(Some(1));
+    find_rules_instrumented(
+        &w.db,
+        &w.mq,
+        InstType::Zero,
+        mid_thresholds(),
+        Some(Arc::new(SharedMemos::new())),
+        None,
+        Some(Arc::clone(&profile)),
+        0,
+    )
+    .unwrap();
+    rayon::set_thread_override(None);
+    let rows_out: u64 = profile.nodes_snapshot().iter().map(|n| n.rows_out).sum();
+    eprintln!("width2_rows_out: {WORKLOAD} plan nodes output {rows_out} rows (bound {WIDTH2_MAX_ROWS_OUT})");
+    assert!(
+        rows_out <= WIDTH2_MAX_ROWS_OUT,
+        "width-2 regression: {WORKLOAD}'s plan nodes output {rows_out} rows, \
+         over the bound of {WIDTH2_MAX_ROWS_OUT}"
+    );
+    Some(rows_out)
+}
+
 /// Results of the `head_count_phase` workload.
 struct HeadCountReport {
     workload: &'static str,
@@ -525,6 +571,8 @@ struct HeadCountReport {
     calls: u64,
     /// Body rows streamed per search.
     rows: u64,
+    /// Head-table probes (filter passes) per search.
+    probes: u64,
     /// Head-count time over search wall time, summed over the searches.
     share: f64,
 }
@@ -549,7 +597,7 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
     let searches = samples().max(9);
     let mut walls = Vec::with_capacity(searches);
     let mut phases = Vec::with_capacity(searches);
-    let (mut calls, mut rows) = (0, 0);
+    let (mut calls, mut rows, mut probes) = (0, 0, 0);
     rayon::set_thread_override(Some(1));
     for _ in 0..searches {
         let profile = Arc::new(mq_obs::SearchProfile::detailed());
@@ -572,6 +620,7 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
         phases.push(phase.wall_ns);
         calls = phase.calls;
         rows = phase.rows;
+        probes = phase.probes;
     }
     rayon::set_thread_override(None);
     assert!(calls > 0, "{NAME}: {WORKLOAD} ran no head-count op");
@@ -581,7 +630,7 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
     let (search_ns, phase_ns) = (walls[searches / 2], phases[searches / 2]);
     eprintln!(
         "{NAME}: {WORKLOAD} — head counts {:.3} ms of a {:.3} ms search ({:.1}%), \
-         {calls} calls, {rows} body rows streamed per search",
+         {calls} calls, {rows} body rows streamed and {probes} table probes per search",
         phase_ns as f64 / 1e6,
         search_ns as f64 / 1e6,
         share * 100.0
@@ -593,6 +642,7 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
         phase_ns,
         calls,
         rows,
+        probes,
         share,
     })
 }
@@ -1085,6 +1135,9 @@ fn main() {
     // The findHeads head-count op's share of a fig4 chain search.
     let head_counts = bench_head_count_phase();
 
+    // The width-2 regression guard: cycle4's plan-node output rows.
+    let width2_rows = bench_width2_rows();
+
     // The instrumentation-cost guard (traced vs untraced medians).
     let trace_overhead = bench_trace_overhead();
 
@@ -1097,38 +1150,19 @@ fn main() {
             || net_load.is_some()
             || node_profile.is_some()
             || head_counts.is_some()
+            || width2_rows.is_some()
             || trace_overhead.is_some()
             || scrape_overhead.is_some(),
         "MQ_BENCH_ONLY matched no workload — nothing to report"
     );
 
-    // Width-2 regression guard: the cycle workload must stay within a sane
-    // factor of the width-1 chain at the same d. Before the λ-join planner
-    // the lag was ~41× (an unplanned cross-product intermediate in every
-    // multi-atom node join); with it the medians sit around 20× — the
-    // cycle genuinely does more work (16 body instantiations × a ~2k-row
-    // body join) but no longer pathologically so. CI runs this binary, so
-    // a planner regression fails the bench smoke step. Overridable for
-    // exotic hardware via MQ_BENCH_MAX_WIDTH2_LAG; skipped when
-    // MQ_BENCH_ONLY filtered either side out.
+    // Informational only: cycle4's time over chain2's. It moves whenever
+    // either side's speed does (a faster chain shrinks the denominator),
+    // so the width-2 guard bounds cycle4's own work instead.
     let chain2 = rows.iter().find(|r| r.name == "fig4_width1_chain2");
     let cycle4 = rows.iter().find(|r| r.name == "fig4_width2_cycle4");
     let width2_lag = match (chain2, cycle4) {
-        (Some(c2), Some(c4)) => {
-            let lag = c4.median_opt_s / c2.median_opt_s.max(1e-12);
-            let max_lag: f64 = std::env::var("MQ_BENCH_MAX_WIDTH2_LAG")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(30.0);
-            assert!(
-                lag <= max_lag,
-                "width-2 regression: fig4_width2_cycle4 ({:.5}s) is {lag:.1}x slower than \
-                 fig4_width1_chain2 ({:.5}s); limit {max_lag}x (MQ_BENCH_MAX_WIDTH2_LAG)",
-                c4.median_opt_s,
-                c2.median_opt_s,
-            );
-            Some(lag)
-        }
+        (Some(c2), Some(c4)) => Some(c4.median_opt_s / c2.median_opt_s.max(1e-12)),
         _ => None,
     };
 
@@ -1177,6 +1211,12 @@ fn main() {
     }
     if let Some(lag) = width2_lag {
         json.push_str(&format!("  \"width2_lag_vs_chain\": {lag:.3},\n"));
+    }
+    if let Some(rows_out) = width2_rows {
+        json.push_str(&format!(
+            "  \"width2_rows_out\": {{\"workload\": \"fig4_width2_cycle4\", \
+             \"rows_out\": {rows_out}, \"bound\": {WIDTH2_MAX_ROWS_OUT}}},\n"
+        ));
     }
     if let Some(s) = &service {
         json.push_str(&format!(
@@ -1249,8 +1289,8 @@ fn main() {
         json.push_str(&format!(
             "  \"head_count_phase\": {{\"workload\": \"{}\", \"searches\": {}, \
              \"search_ns\": {}, \"head_count_ns\": {}, \"calls\": {}, \"rows_streamed\": {}, \
-             \"share\": {:.4}}},\n",
-            h.workload, h.searches, h.search_ns, h.phase_ns, h.calls, h.rows, h.share
+             \"table_probes\": {}, \"share\": {:.4}}},\n",
+            h.workload, h.searches, h.search_ns, h.phase_ns, h.calls, h.rows, h.probes, h.share
         ));
     }
     if let Some(t) = &trace_overhead {

@@ -261,9 +261,9 @@ impl<'a> Executor<'a> {
     /// `b = left ⋈ right` once against `table` without building it,
     /// leaving `(|h ⋉ b|, |b ⋉ h|)` for every head in `scratch` (see
     /// [`mq_relation::head_table`]), and return `|b|`. Under a detailed
-    /// profile the op's wall time, calls (bodies) and body rows streamed
-    /// (`|b|` per key with a head row) accumulate worker-locally;
-    /// otherwise the cost is this one branch.
+    /// profile the op's wall time, calls (bodies), body rows streamed
+    /// (`|b|` per key with a head row) and head-table probes accumulate
+    /// worker-locally; otherwise the cost is this one branch.
     pub(crate) fn exec_head_counts(
         &mut self,
         table: &HeadTable,
@@ -280,6 +280,7 @@ impl<'a> Executor<'a> {
         phase.wall_ns += mq_obs::trace::now_ns().saturating_sub(t0);
         phase.calls += 1;
         phase.rows += (body_len * table.live_keys()) as u64;
+        phase.probes += scratch.probes();
         body_len
     }
 }

@@ -39,11 +39,6 @@ pub const KNOBS: &[Knob] = &[
         purpose: "Bench guard: max % slowdown of the traced vs untraced fig4 run",
     },
     Knob {
-        name: "MQ_BENCH_MAX_WIDTH2_LAG",
-        default: "30",
-        purpose: "Bench guard: max allowed `fig4_width2_cycle4` / `fig4_width1_chain2` ratio",
-    },
-    Knob {
         name: "MQ_BENCH_MIN_WIDTH3_RPS",
         default: "4000",
         purpose: "Bench guard: min `fig4_width3_star4` optimized rows/sec (columnar floor)",

@@ -18,8 +18,8 @@
 //! the `findHeads` head-count op (cover and confidence numerators of
 //! every head against each body join), as wall time (the search's
 //! head-table build plus per-body streaming of the body's last join),
-//! calls (bodies counted) and body rows streamed in a [`PhaseStat`]
-//! merged once per worker ([`SearchProfile::merge_head_counts`]).
+//! calls (bodies counted), body rows streamed and head-table probes in a
+//! [`PhaseStat`] merged once per worker ([`SearchProfile::merge_head_counts`]).
 //!
 //! Wall time per node is **self time**: the clock runs only around a
 //! node's own kernel (scan/probe/build), not its children's recursion,
@@ -63,6 +63,8 @@ pub struct PhaseStat {
     pub calls: u64,
     /// Rows the op streamed.
     pub rows: u64,
+    /// Hash-table probes the op made (the head-count op's filter passes).
+    pub probes: u64,
 }
 
 /// Profile for one search: always-on totals plus (optionally) per-node
@@ -84,6 +86,7 @@ pub struct SearchProfile {
     head_count_ns: AtomicU64,
     head_count_calls: AtomicU64,
     head_count_rows: AtomicU64,
+    head_count_probes: AtomicU64,
 }
 
 impl SearchProfile {
@@ -140,6 +143,8 @@ impl SearchProfile {
             .fetch_add(local.calls, Ordering::Relaxed);
         self.head_count_rows
             .fetch_add(local.rows, Ordering::Relaxed);
+        self.head_count_probes
+            .fetch_add(local.probes, Ordering::Relaxed);
     }
 
     /// The merged head-count phase (all zero unless detailed).
@@ -148,6 +153,7 @@ impl SearchProfile {
             wall_ns: self.head_count_ns.load(Ordering::Relaxed),
             calls: self.head_count_calls.load(Ordering::Relaxed),
             rows: self.head_count_rows.load(Ordering::Relaxed),
+            probes: self.head_count_probes.load(Ordering::Relaxed),
         }
     }
 
@@ -223,6 +229,7 @@ mod tests {
             wall_ns: 40,
             calls: 2,
             rows: 7,
+            probes: 3,
         };
         let p = SearchProfile::detailed();
         p.merge_head_counts(&local);
@@ -233,6 +240,7 @@ mod tests {
                 wall_ns: 80,
                 calls: 4,
                 rows: 14,
+                probes: 6,
             }
         );
         let off = SearchProfile::new();

@@ -67,33 +67,26 @@ pub fn hash_vals(vals: &[Value]) -> u64 {
 /// Single-column keys hash one dense column slice end to end; wider keys
 /// keep one saved hasher state per row and fold each key column across
 /// the whole batch ([`FxHasher::from_state`]), so the inner loop always
-/// walks contiguous memory instead of hopping row to row.
+/// walks contiguous memory instead of hopping row to row. (The head
+/// table hashes its keys differently, as an XOR of per-position parts
+/// that each side of a body join computes once, see
+/// [`crate::head_table`].)
 pub fn hash_columns_into(store: &ColumnarRows<Value>, cols: &[usize], out: &mut Vec<u64>) {
+    out.clear();
     if let [c] = cols {
-        out.clear();
         out.extend(store.col(*c).iter().map(hash_value));
         return;
     }
-    fold_columns_into(store, cols, out);
-    for s in out.iter_mut() {
-        *s = FxHasher::from_state(*s).finish();
-    }
-}
-
-/// The unfinished half of [`hash_columns_into`]: fill `out` with every
-/// row's raw [`FxHasher::state`] after folding the values at `cols`, in
-/// order. Resuming a state, folding the key's remaining values and
-/// finishing yields exactly the [`hash_cols`] hash of the whole key.
-pub fn fold_columns_into(store: &ColumnarRows<Value>, cols: &[usize], out: &mut Vec<u64>) {
-    out.clear();
     out.resize(store.len(), FxHasher::default().state());
     for &c in cols {
-        let col = store.col(c);
-        for (s, v) in out.iter_mut().zip(col.iter()) {
+        for (s, v) in out.iter_mut().zip(store.col(c)) {
             let mut h = FxHasher::from_state(*s);
             v.hash(&mut h);
             *s = h.state();
         }
+    }
+    for s in out.iter_mut() {
+        *s = FxHasher::from_state(*s).finish();
     }
 }
 

@@ -16,9 +16,13 @@
 //! * a key's table maps each distinct key value to its **members** —
 //!   `(head, rows of that head with the key)` pairs stored CSR-style —
 //!   through an open-addressing table at load ≤ 0.5, fronted by a
-//!   one-bit-per-bucket **filter** of about 8 bits per key, indexed by the
-//!   hash's high bits (the table's slots use the low bits);
-//! * the body arrives as the two inputs of its last join,
+//!   **register-blocked Bloom filter** (Putze, Sanders & Singler, WEA
+//!   2007) of about 16 bits per key: a key sets three bits of one `u64`
+//!   word chosen by the hash's high bits, so a test is one load and one
+//!   compare (the table's slots use the hash's low bits);
+//! * a key's hash is **separable**: the XOR over key positions `i` of
+//!   `part(i, v_i)`, the avalanched FxHash of the value seeded by `i`.
+//!   The body arrives as the two inputs of its last join,
 //!   `b = left ⋈ right`, and is **streamed, not built**:
 //!   [`HeadTable::count`] pairs the rows through whichever side already
 //!   has a group index on the shared variables cached — both sides'
@@ -26,12 +30,18 @@
 //!   building the smaller side's only when neither has one, and gathers
 //!   no output column. A body that is already one relation is counted
 //!   as `b ⋈ unit`;
-//! * each row pair's key hash resumes a per-row partial hash state of
-//!   the side holding the key's leading variables and folds in the
-//!   rest, bit-identical to hashing `b`'s key columns; a pair whose
-//!   filter bit is clear is skipped, the rest probe the table and bump
-//!   the hit entry's multiplicity; each touched entry then folds into
-//!   its members: `body_hits += multiplicity` and
+//! * when one side binds the whole key, each of its rows is hashed and
+//!   probed once and a hit counts every pair the row joins into.
+//!   Otherwise each side XORs the parts it binds once per row, so a row
+//!   pair's hash is one XOR; a pair whose filter bits are not all set
+//!   is skipped, the rest probe the table (which compares the key
+//!   values) and bump the hit entry's multiplicity. When both sides are
+//!   grouped, the pair loop runs block by block: one build group's
+//!   `(part, row)` is gathered once per matched group pair and every
+//!   probe row of the partner group tests the filter over that
+//!   contiguous block, buffering the passing pairs; the table is probed
+//!   for them after the loop. Each touched entry then folds into its
+//!   members: `body_hits += multiplicity` and
 //!   `head_hits += head rows with the key`. Per-pair work is O(1)
 //!   whatever the number of heads;
 //! * a head sharing no variable with the bodies keeps the semijoin
@@ -39,13 +49,13 @@
 //!   symmetrically.
 //!
 //! The table is immutable once built, so every worker of a search shares
-//! one. Each worker owns a [`HeadScratch`] (hashes, groups, partial
-//! states, multiplicities, touched entries, output) reused across
-//! bodies, so counting a body allocates nothing once the scratch has
-//! grown (`tests/no_alloc_kernels.rs`).
+//! one. Each worker owns a [`HeadScratch`] (hashes, groups, per-side
+//! parts, blocks, passing pairs, multiplicities, touched entries,
+//! output) reused across bodies, so counting a body allocates nothing
+//! once the scratch has grown (`tests/no_alloc_kernels.rs`).
 
 use crate::algebra::{Bindings, VarId};
-use crate::hashjoin::{self, FxHasher, GroupIndex, RawTable};
+use crate::hashjoin::{self, ColumnarRows, FxHasher, GroupIndex, RawTable};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -59,13 +69,88 @@ pub struct HeadCounts {
     pub body_hits: usize,
 }
 
+/// The seed of key position `i`'s [`part`]s.
+fn seed(i: usize) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(i);
+    h.state()
+}
+
+/// A key value's share of its key's hash at the position whose
+/// [`seed`] is `seed`: a key hashes to the XOR of its positions' parts.
+#[inline]
+fn part(seed: u64, v: &Value) -> u64 {
+    let mut h = FxHasher::from_state(seed);
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Fill `out` with one word per row of `store`: the XOR of the parts of
+/// its values at the `(key position, column)` pairs `at`. That is the
+/// row's key hash when `at` covers the whole key, and its side's share
+/// of a row pair's hash otherwise.
+fn parts_into(
+    store: &ColumnarRows<Value>,
+    at: impl Iterator<Item = (usize, usize)>,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    out.resize(store.len(), 0);
+    for (i, c) in at {
+        let seed = seed(i);
+        for (o, v) in out.iter_mut().zip(store.col(c)) {
+            *o ^= part(seed, v);
+        }
+    }
+}
+
+/// Filter bits per key, about: the filter has the next power of two at
+/// or above this many bits per entry.
+const FILTER_BITS_PER_ENTRY: usize = 16;
+
+/// A register-blocked Bloom filter: a key sets three bits, picked by its
+/// hash's low 18 bits, of the one `u64` word its high bits pick, so a
+/// test is one load and one compare.
+struct Filter {
+    words: Vec<u64>,
+    /// Word = `hash >> shift`.
+    shift: u32,
+}
+
+impl Filter {
+    fn new(hashes: &[u64]) -> Filter {
+        let words = (hashes.len() * FILTER_BITS_PER_ENTRY)
+            .next_power_of_two()
+            .max(128)
+            / 64;
+        let mut filter = Filter {
+            words: vec![0; words],
+            shift: 64 - words.trailing_zeros(),
+        };
+        for &hash in hashes {
+            filter.words[(hash >> filter.shift) as usize] |= Filter::bits(hash);
+        }
+        filter
+    }
+
+    #[inline]
+    fn bits(hash: u64) -> u64 {
+        1 << (hash & 63) | 1 << (hash >> 6 & 63) | 1 << (hash >> 12 & 63)
+    }
+
+    /// False only if no key hashing to `hash` was added.
+    #[inline]
+    fn may_contain(&self, hash: u64) -> bool {
+        let bits = Filter::bits(hash);
+        self.words[(hash >> self.shift) as usize] & bits == bits
+    }
+}
+
 /// The heads sharing one key, merged: distinct key value → members.
 struct KeyTable {
     /// The shared variables, sorted.
     key: Vec<VarId>,
-    /// Filter buckets, one bit each; bucket = `hash >> filter_shift`.
-    filter: Vec<u64>,
-    filter_shift: u32,
+    filter: Filter,
     /// Key hash → entry id.
     table: RawTable,
     /// Flattened entry keys: entry `e`'s key is `keys[e * k..(e + 1) * k]`.
@@ -98,7 +183,7 @@ impl KeyTable {
                     .map(|&v| h.position(v).expect("head binds its key")),
             );
             let store = h.columnar();
-            hashjoin::hash_columns_into(store, &cols, &mut hashes);
+            parts_into(store, cols.iter().copied().enumerate(), &mut hashes);
             for (i, &hash) in hashes.iter().enumerate() {
                 let found = table.find(hash, |e| {
                     let e = e as usize;
@@ -139,17 +224,9 @@ impl KeyTable {
             members[fill[e as usize] as usize] = (head, n);
             fill[e as usize] += 1;
         }
-        let buckets = (entries * 8).next_power_of_two().max(64);
-        let filter_shift = 64 - buckets.trailing_zeros();
-        let mut filter = vec![0u64; buckets / 64];
-        for &hash in &entry_hashes {
-            let b = (hash >> filter_shift) as usize;
-            filter[b / 64] |= 1 << (b % 64);
-        }
         KeyTable {
             key,
-            filter,
-            filter_shift,
+            filter: Filter::new(&entry_hashes),
             table,
             keys,
             starts,
@@ -162,13 +239,9 @@ impl KeyTable {
     }
 
     /// The entry whose key hashes to `hash` and satisfies `eq` (called
-    /// with the entry's key values, in key order), behind the filter.
+    /// with the entry's key values, in key order). Ask the filter first.
     #[inline]
     fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<u32> {
-        let b = (hash >> self.filter_shift) as usize;
-        if self.filter[b / 64] & (1 << (b % 64)) == 0 {
-            return None;
-        }
         let k = self.key.len();
         self.table.find(hash, |e| {
             eq(&self.keys[e as usize * k..(e as usize + 1) * k])
@@ -178,52 +251,58 @@ impl KeyTable {
     /// Stream the body `join` once, adding every member head's counts
     /// into `scratch.out`.
     ///
-    /// Each key variable is read from the **home** side — the side
-    /// binding the longer leading run of the key — when it binds it, and
-    /// from the other side otherwise. When home binds the whole key, one
-    /// probe per home row decides every row pair it joins into; a probe
-    /// row that hits adds its join fan-out at once. Otherwise home's
-    /// rows carry a partial hash state over the key's leading run, and
-    /// each row pair folds the remaining key values into it, which
-    /// reproduces [`hashjoin::hash_columns_into`] over the body's key
-    /// columns bit for bit.
+    /// When one side binds the whole key (the probe side preferred), one
+    /// probe per row of it decides every row pair the row joins into; a
+    /// probe row that hits adds its join fan-out at once. Otherwise each
+    /// key value is read from the probe side when it binds it and from
+    /// the build side if not, each side's rows carry the XOR of the parts
+    /// they hold, and a row pair's key hash is the XOR of its two rows'.
     fn count(&self, join: &Join, scratch: &mut HeadScratch) {
         let HeadScratch {
             groups,
             matched,
             loc,
-            cols,
-            states,
+            build_parts,
+            probe_parts,
             ents,
+            block,
+            passed,
             mult,
             touched,
             out,
+            probes,
             ..
         } = scratch;
         let (bc, pc) = (join.build.columnar(), join.probe.columnar());
-        let lead = |side: &Bindings| {
-            self.key
-                .iter()
-                .take_while(|&&v| side.position(v).is_some())
-                .count()
-        };
-        let home_probe = lead(join.probe) >= lead(join.build);
-        let (home, away) = if home_probe {
-            (join.probe, join.build)
-        } else {
-            (join.build, join.probe)
-        };
+        let binds = |side: &Bindings| self.key.iter().all(|&v| side.position(v).is_some());
+        let probe_whole = binds(join.probe);
+        let build_whole = !probe_whole && binds(join.build);
         loc.clear();
-        loc.extend(self.key.iter().map(|&v| match home.position(v) {
-            Some(c) => (home_probe, c),
-            None => (
-                !home_probe,
-                away.position(v).expect("body binds every head key"),
+        loc.extend(self.key.iter().map(|&v| match join.probe.position(v) {
+            Some(c) if !build_whole => (true, c),
+            _ => (
+                false,
+                join.build.position(v).expect("body binds every head key"),
             ),
         }));
-        let run = loc.iter().take_while(|l| l.0 == home_probe).count();
-        cols.clear();
-        cols.extend(loc[..run].iter().map(|l| l.1));
+        let at = |on_probe: bool| {
+            loc.iter()
+                .enumerate()
+                .filter(move |(_, l)| l.0 == on_probe)
+                .map(|(i, l)| (i, l.1))
+        };
+        let value = |(on_probe, c): (bool, usize), bi: usize, pi: usize| {
+            if on_probe {
+                &pc.col(c)[pi]
+            } else {
+                &bc.col(c)[bi]
+            }
+        };
+        let key_eq = |key: &[Value], bi: usize, pi: usize| {
+            key.iter()
+                .zip(loc.iter())
+                .all(|(kv, &l)| kv == value(l, bi, pi))
+        };
         if mult.len() < self.entries() {
             mult.resize(self.entries(), 0);
         }
@@ -234,20 +313,24 @@ impl KeyTable {
             }
             *m += by;
         };
-        let home_store = home.columnar();
-        if run == loc.len() {
-            // Home binds the whole key: resolve each home row once.
-            hashjoin::hash_columns_into(home_store, cols, states);
+        if probe_whole || build_whole {
+            // One side binds the whole key: resolve each of its rows once.
+            let (store, hashes) = if probe_whole {
+                (pc, &mut *probe_parts)
+            } else {
+                (bc, &mut *build_parts)
+            };
+            parts_into(store, at(probe_whole), hashes);
             ents.clear();
-            ents.extend(states.iter().enumerate().map(|(i, &hash)| {
-                self.find(hash, |key| {
-                    key.iter()
-                        .zip(cols.iter())
-                        .all(|(kv, &c)| *kv == home_store.col(c)[i])
-                })
-                .unwrap_or(NONE)
+            ents.extend(hashes.iter().enumerate().map(|(i, &hash)| {
+                if !self.filter.may_contain(hash) {
+                    return NONE;
+                }
+                *probes += 1;
+                // Every key value is read from this side's row `i`.
+                self.find(hash, |key| key_eq(key, i, i)).unwrap_or(NONE)
             }));
-            if home_probe {
+            if probe_whole {
                 join.for_each_probe(groups, matched, |pi, fanout| {
                     if ents[pi] != NONE {
                         bump(ents[pi], fanout);
@@ -261,48 +344,51 @@ impl KeyTable {
                 });
             }
         } else {
-            // The key spans both sides: fold the rest per row pair.
-            hashjoin::fold_columns_into(home_store, cols, states);
-            let rest = &loc[run..];
-            if let [(_, c)] = *rest {
-                // One away value per pair — a chain's head key — with
-                // its column hoisted out of the pair loop.
-                let away_col = if home_probe { bc.col(c) } else { pc.col(c) };
-                join.for_each_pair(groups, matched, |bi, pi| {
-                    let (hr, ar) = if home_probe { (pi, bi) } else { (bi, pi) };
-                    let mut h = FxHasher::from_state(states[hr]);
-                    away_col[ar].hash(&mut h);
-                    let found = self.find(h.finish(), |key| {
-                        key[run] == away_col[ar]
-                            && key[..run]
-                                .iter()
-                                .zip(cols.iter())
-                                .all(|(kv, &c)| *kv == home_store.col(c)[hr])
-                    });
-                    if let Some(e) = found {
-                        bump(e, 1);
+            // The key spans both sides: a row pair's hash is one XOR.
+            parts_into(bc, at(false), build_parts);
+            parts_into(pc, at(true), probe_parts);
+            let (build_parts, probe_parts) = (&*build_parts, &*probe_parts);
+            let mut probe_table = |bi: usize, pi: usize| {
+                *probes += 1;
+                let hash = build_parts[bi] ^ probe_parts[pi];
+                if let Some(e) = self.find(hash, |key| key_eq(key, bi, pi)) {
+                    bump(e, 1);
+                }
+            };
+            let mut drain = |passed: &mut Vec<(u32, u32)>| {
+                for (bi, pi) in passed.drain(..) {
+                    probe_table(bi as usize, pi as usize);
+                }
+            };
+            if let Pairing::Groups(build, probe) = &join.pairing {
+                // Test the filter over one contiguous block of the build
+                // group per probe row, buffering the passing pairs, and
+                // probe the table for them after the loop (or once the
+                // buffer fills, which bounds it).
+                for &(bg, pg) in matched.iter() {
+                    block.clear();
+                    block.extend(
+                        build
+                            .group_rows(bg as usize)
+                            .map(|bi| (build_parts[bi], bi as u32)),
+                    );
+                    for pi in probe.group_rows(pg as usize) {
+                        let p = probe_parts[pi];
+                        for &(b, bi) in block.iter() {
+                            if self.filter.may_contain(b ^ p) {
+                                passed.push((bi, pi as u32));
+                            }
+                        }
+                        if passed.len() >= PASSED_BATCH {
+                            drain(passed);
+                        }
                     }
-                });
+                }
+                drain(passed);
             } else {
-                let value = |(on_probe, c): (bool, usize), bi: usize, pi: usize| {
-                    if on_probe {
-                        &pc.col(c)[pi]
-                    } else {
-                        &bc.col(c)[bi]
-                    }
-                };
                 join.for_each_pair(groups, matched, |bi, pi| {
-                    let mut h = FxHasher::from_state(states[if home_probe { pi } else { bi }]);
-                    for &l in rest {
-                        value(l, bi, pi).hash(&mut h);
-                    }
-                    let found = self.find(h.finish(), |key| {
-                        key.iter()
-                            .zip(loc.iter())
-                            .all(|(kv, &l)| kv == value(l, bi, pi))
-                    });
-                    if let Some(e) = found {
-                        bump(e, 1);
+                    if self.filter.may_contain(build_parts[bi] ^ probe_parts[pi]) {
+                        probe_table(bi, pi);
                     }
                 });
             }
@@ -319,6 +405,11 @@ impl KeyTable {
         }
     }
 }
+
+/// Passing pairs buffered before the group-blocked pair loop probes
+/// the table for them: enough to keep the loop on the filter, and a
+/// bound on the buffer however many pairs hit.
+const PASSED_BATCH: usize = 4096;
 
 /// No entry, or no build group.
 const NONE: u32 = u32::MAX;
@@ -568,6 +659,7 @@ impl HeadTable {
     /// Panics if the body does not bind every variable of some key.
     pub fn count(&self, left: &Bindings, right: &Bindings, scratch: &mut HeadScratch) -> usize {
         let (join, body_len) = Join::pair(left, right, scratch);
+        scratch.probes = 0;
         scratch.out.clear();
         scratch
             .out
@@ -592,7 +684,7 @@ impl HeadTable {
 /// body's counts.
 #[derive(Default)]
 pub struct HeadScratch {
-    /// Build-side join columns, then one key table's home columns.
+    /// Build-side join columns.
     cols: Vec<usize>,
     /// Probe-side join columns.
     probe_cols: Vec<usize>,
@@ -605,16 +697,24 @@ pub struct HeadScratch {
     matched: Vec<(u32, u32)>,
     /// Per key variable: `(read from the probe side, column)`.
     loc: Vec<(bool, usize)>,
-    /// Per home row: its key hash, or its partial state over the key's
-    /// leading run.
-    states: Vec<u64>,
-    /// Per home row binding the whole key: its entry, or `NONE`.
+    /// Per build row: the XOR of the parts of the key values read from
+    /// it (its key hash when it binds the whole key).
+    build_parts: Vec<u64>,
+    /// Per probe row: likewise.
+    probe_parts: Vec<u64>,
+    /// Per row of a side binding the whole key: its entry, or `NONE`.
     ents: Vec<u32>,
+    /// One build group's `(part, row)`, when both sides are grouped.
+    block: Vec<(u64, u32)>,
+    /// `(build row, probe row)` pairs that passed the filter.
+    passed: Vec<(u32, u32)>,
     /// Per entry of the table being counted: row pairs hitting it so far
     /// (all zero between counts).
     mult: Vec<usize>,
     touched: Vec<u32>,
     out: Vec<HeadCounts>,
+    /// Filter passes that probed a table in the last count.
+    probes: u64,
 }
 
 impl HeadScratch {
@@ -628,12 +728,19 @@ impl HeadScratch {
     pub fn counts(&self) -> &[HeadCounts] {
         &self.out
     }
+
+    /// Row pairs (or whole-key rows) of the last [`HeadTable::count`]
+    /// that passed a key table's filter and probed the table; the rest
+    /// were skipped by the filter.
+    pub fn probes(&self) -> u64 {
+        self.probes
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ints;
+    use crate::value::{ints, Tuple};
 
     fn v(i: u32) -> VarId {
         VarId(i)
@@ -768,6 +875,137 @@ mod tests {
                 oracle,
                 "head over {:?}",
                 h.vars()
+            );
+        }
+    }
+
+    #[test]
+    fn key_hash_keeps_positions_and_value_kinds_apart() {
+        use crate::symbol::Symbol;
+        let (int, sym) = (Value::Int, |n| Value::Sym(Symbol(n)));
+        let rel_of = |vars: &[u32], rows: &[[Value; 2]]| {
+            Bindings::from_parts(
+                vars.iter().map(|&i| v(i)).collect(),
+                rows.iter().map(|r| r.to_vec().into()).collect(),
+            )
+        };
+        // Chain P(X,Y), Q(Y,Z): the key [X,Z] is split across the sides.
+        // The body's keys are {1, #1, 3} × {2, 3, #2} plus (4, 4), where
+        // `#n` is the symbol with payload n.
+        let p = rel_of(
+            &[0, 1],
+            &[
+                [int(1), int(0)],
+                [sym(1), int(0)],
+                [int(3), int(0)],
+                [int(4), int(1)],
+            ],
+        );
+        let q = rel_of(
+            &[1, 2],
+            &[
+                [int(0), int(2)],
+                [int(0), int(3)],
+                [int(0), sym(2)],
+                [int(1), int(4)],
+            ],
+        );
+        let heads = [
+            // Swapped body keys miss; a repeated value hits only where
+            // the body repeats it.
+            rel_of(
+                &[0, 2],
+                &[
+                    [int(2), int(1)],
+                    [sym(2), int(1)],
+                    [int(3), int(3)],
+                    [int(4), int(4)],
+                    [sym(2), sym(2)],
+                ],
+            ),
+            // The same key in the other column order: (Z, X).
+            rel_of(
+                &[2, 0],
+                &[[int(1), int(2)], [int(2), int(1)], [int(3), int(3)]],
+            ),
+            // `Int` and `Sym` with equal payloads are different values.
+            rel_of(
+                &[0, 2],
+                &[
+                    [sym(3), int(3)],
+                    [int(3), sym(3)],
+                    [sym(1), int(2)],
+                    [int(1), sym(2)],
+                    [int(1), int(1)],
+                ],
+            ),
+        ];
+        check_streamed(&heads, &p, &q);
+        let mut scratch = HeadScratch::new();
+        let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+        assert_eq!(table.count(&p, &q, &mut scratch), 10);
+        let want = |head_hits, body_hits| HeadCounts {
+            head_hits,
+            body_hits,
+        };
+        assert_eq!(scratch.counts(), &[want(2, 2), want(2, 2), want(2, 2)]);
+    }
+
+    #[test]
+    fn passing_pairs_beyond_one_batch_all_count() {
+        // 20 000 row pairs, half of them hitting the head: more passing
+        // pairs than one buffered batch when the sides pair by group.
+        let grid = |xs: i64, ys: i64| -> Vec<Vec<i64>> {
+            (0..xs)
+                .flat_map(|x| (0..ys).map(move |y| vec![x, y]))
+                .collect()
+        };
+        let rel_of = |vars: &[u32], rows: &[Vec<i64>]| {
+            rel(vars, &rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
+        };
+        let p = rel_of(&[0, 1], &grid(100, 2));
+        let q = rel_of(&[2, 1], &grid(100, 2));
+        let head = rel_of(&[0, 2], &grid(100, 50));
+        check_streamed(&[head], &p, &q);
+    }
+
+    /// The filter skips almost every row pair that misses: on a body
+    /// shaped like a mined chain's, the probes beyond the true hits stay
+    /// under 1% of the row pairs streamed, whichever way the sides pair.
+    #[test]
+    fn filter_passes_few_misses() {
+        use crate::algebra::baseline;
+        use rand::SeedableRng;
+        let mut rng = rand::StdRng::seed_from_u64(29);
+        let p = random_rel(&mut rng, &[0, 1], 2000, 400);
+        let q = random_rel(&mut rng, &[1, 2], 2000, 400);
+        let heads: Vec<Bindings> = (0..3)
+            .map(|_| random_rel(&mut rng, &[0, 2], 2000, 400))
+            .collect();
+        let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+        let b = baseline::join(&p, &q);
+        let head_keys: std::collections::HashSet<Tuple> =
+            heads.iter().flat_map(Bindings::to_rows).collect();
+        let (x, z) = (b.position(v(0)).unwrap(), b.position(v(2)).unwrap());
+        let hits = b
+            .to_rows()
+            .iter()
+            .filter(|r| head_keys.contains(&Tuple::from(vec![r[x], r[z]])))
+            .count();
+        assert!(hits > 0, "the heads hit the body");
+        let mut scratch = HeadScratch::new();
+        // Unindexed sides pair row by row; indexed ones group by group.
+        for cached in [false, true] {
+            if cached {
+                p.binding_index(&[1]);
+                q.binding_index(&[0]);
+            }
+            assert_eq!(table.count(&p, &q, &mut scratch), b.len());
+            let false_passes = scratch.probes() as usize - hits;
+            assert!(
+                false_passes * 100 <= b.len(),
+                "{false_passes} of {} row pairs passed the filter and missed (cached: {cached})",
+                b.len()
             );
         }
     }
