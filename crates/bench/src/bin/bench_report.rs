@@ -45,8 +45,10 @@
 //! `head_count_phase` runs detailed-profile searches of the largest fig4
 //! chain on one thread and reports the `findHeads` head-count op's time
 //! (head-table build plus per-body streaming of the body's last join),
-//! calls (bodies counted) and body rows streamed per search and its
-//! share of the search;
+//! calls (bodies counted), body rows streamed and table probes (lookups
+//! whose bucket bit was set) per search and its share of the search, and
+//! `head_count_dense` does the same on a serve-shaped chain (3 × 1000
+//! rows over a domain of 60) where most row pairs hit a head;
 //! `trace_overhead` times that fig4 search with tracing forced off and
 //! on in paired batches of at least 50 ms (median-of-differences
 //! estimator), failing if the slowdown exceeds
@@ -58,8 +60,9 @@
 //! Besides the per-run `BENCH_findrules.json`, every run appends one
 //! compact record to `BENCH_history.jsonl` (`MQ_BENCH_HISTORY`
 //! overrides the path) — run ordinal, optimized medians, net p99,
-//! overhead percentages — and prints a delta-vs-previous table, so the
-//! perf trajectory across PRs lives in one machine-readable file.
+//! overhead percentages — so the perf trajectory across PRs lives in one
+//! machine-readable file. Records from different sessions also differ in
+//! machine load, so the report prints no deltas between them.
 
 use mq_bench::netload::{run_load, LoadConfig, LoadReport};
 use mq_bench::{
@@ -559,8 +562,10 @@ fn bench_width2_rows() -> Option<u64> {
     Some(rows_out)
 }
 
-/// Results of the `head_count_phase` workload.
+/// Results of a head-count workload (`head_count_phase`,
+/// `head_count_dense`).
 struct HeadCountReport {
+    name: &'static str,
     workload: &'static str,
     searches: usize,
     /// Median search wall time, ns.
@@ -571,29 +576,55 @@ struct HeadCountReport {
     calls: u64,
     /// Body rows streamed per search.
     rows: u64,
-    /// Head-table probes (filter passes) per search.
+    /// Head-table lookups per search whose key code's bucket bit was
+    /// set (with exact buckets, the row pairs that hit a head).
     probes: u64,
     /// Head-count time over search wall time, summed over the searches.
     share: f64,
 }
 
-/// The `findHeads` head-count op pinned to a layer: detailed-profile
-/// searches of the largest fig4 chain, each on a fresh memo service and
-/// on one thread (so the phase and the search share one clock), report
-/// the op's wall time (head-table build plus per-body streaming of the
-/// body's last join), calls (bodies counted) and body rows streamed per
-/// search and its share of the search wall time.
-fn bench_head_count_phase() -> Option<HeadCountReport> {
-    const NAME: &str = "head_count_phase";
-    const WORKLOAD: &str = "fig4_findrules_chain_d450";
+/// The `findHeads` head-count op pinned to a layer, on two chains: the
+/// largest fig4 chain (`head_count_phase`) and a dense serve-shaped one
+/// (`head_count_dense`: 3 × 1000 rows over a domain of 60, as perfbench
+/// serves, with every threshold at 1/10), where most row pairs hit a head.
+fn bench_head_counts() -> Vec<HeadCountReport> {
+    let k = Frac::new(1, 10);
+    [
+        (
+            "head_count_phase",
+            "fig4_findrules_chain_d450",
+            chain_workload(3, 450, 150, 2),
+            mid_thresholds(),
+        ),
+        (
+            "head_count_dense",
+            "serve_chain_d1000_dom60",
+            chain_workload(3, 1000, 60, 2),
+            Thresholds::all(k, k, k),
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, workload, w, th)| bench_head_count(name, workload, &w, th))
+    .collect()
+}
+
+/// Detailed-profile searches of `w`, each on a fresh memo service and on
+/// one thread (so the phase and the search share one clock), report the
+/// head-count op's wall time (head-table build plus per-body streaming
+/// of the body's last join), calls (bodies counted), body rows streamed
+/// and table probes per search, and its share of the search wall time.
+fn bench_head_count(
+    name: &'static str,
+    workload: &'static str,
+    w: &Workload,
+    th: Thresholds,
+) -> Option<HeadCountReport> {
     if let Some(only) = bench_only() {
-        if !NAME.contains(&only) {
-            eprintln!("{NAME}: skipped (MQ_BENCH_ONLY={only})");
+        if !name.contains(&only) {
+            eprintln!("{name}: skipped (MQ_BENCH_ONLY={only})");
             return None;
         }
     }
-    let w = chain_workload(3, 450, 150, 2);
-    let th = mid_thresholds();
     let searches = samples().max(9);
     let mut walls = Vec::with_capacity(searches);
     let mut phases = Vec::with_capacity(searches);
@@ -623,20 +654,21 @@ fn bench_head_count_phase() -> Option<HeadCountReport> {
         probes = phase.probes;
     }
     rayon::set_thread_override(None);
-    assert!(calls > 0, "{NAME}: {WORKLOAD} ran no head-count op");
+    assert!(calls > 0, "{name}: {workload} ran no head-count op");
     let share = phases.iter().sum::<u64>() as f64 / walls.iter().sum::<u64>().max(1) as f64;
     walls.sort_unstable();
     phases.sort_unstable();
     let (search_ns, phase_ns) = (walls[searches / 2], phases[searches / 2]);
     eprintln!(
-        "{NAME}: {WORKLOAD} — head counts {:.3} ms of a {:.3} ms search ({:.1}%), \
+        "{name}: {workload} — head counts {:.3} ms of a {:.3} ms search ({:.1}%), \
          {calls} calls, {rows} body rows streamed and {probes} table probes per search",
         phase_ns as f64 / 1e6,
         search_ns as f64 / 1e6,
         share * 100.0
     );
     Some(HeadCountReport {
-        workload: WORKLOAD,
+        name,
+        workload,
         searches,
         search_ns,
         phase_ns,
@@ -891,28 +923,6 @@ fn bench_scrape_overhead() -> Option<ScrapeOverheadReport> {
     })
 }
 
-/// Parse `"name": <number>` pairs out of a history record's
-/// `workloads` object — hand-rolled like the writer, since the
-/// workspace carries no JSON dependency.
-fn parse_history_workloads(line: &str) -> Vec<(String, f64)> {
-    let Some(start) = line.find("\"workloads\": {") else {
-        return Vec::new();
-    };
-    let rest = &line[start + "\"workloads\": {".len()..];
-    let Some(end) = rest.find('}') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once(':')?;
-            let name = k.trim().trim_matches('"').to_string();
-            let v = v.trim().parse::<f64>().ok()?;
-            Some((name, v))
-        })
-        .collect()
-}
-
 /// The integer right after `key` in a single-line JSON record.
 fn field_u64(line: &str, key: &str) -> Option<u64> {
     let i = line.find(key)? + key.len();
@@ -926,13 +936,14 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 /// The perf trajectory: append one compact JSONL record per bench run
 /// to `BENCH_history.jsonl` (`MQ_BENCH_HISTORY` overrides the path)
-/// with a monotonic run ordinal read back from the previous record, and
-/// print a delta-vs-previous table so a regression is visible in the
-/// bench log itself, not only by diffing report files across commits.
+/// with a monotonic run ordinal read back from the previous record.
+/// Records come from different sessions and machine loads, so they are
+/// not compared here: a before/after claim pairs runs of both commits in
+/// one session.
 fn append_history(
     rows: &[Row],
     net_load: &Option<NetLoadReport>,
-    head_counts: &Option<HeadCountReport>,
+    head_counts: &[HeadCountReport],
     trace_overhead: &Option<TraceOverheadReport>,
     scrape_overhead: &Option<ScrapeOverheadReport>,
 ) {
@@ -945,10 +956,6 @@ fn append_history(
     });
     let prev_run = prev_line.as_deref().and_then(|l| field_u64(l, "\"run\": "));
     let run = prev_run.map_or(1, |r| r + 1);
-    let prev_medians = prev_line
-        .as_deref()
-        .map(parse_history_workloads)
-        .unwrap_or_default();
 
     let t_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -974,7 +981,7 @@ fn append_history(
             n.load.throughput_rps()
         ));
     }
-    if let Some(h) = head_counts {
+    if let Some(h) = head_counts.iter().find(|h| h.name == "head_count_phase") {
         record.push_str(&format!(", \"head_count_share\": {:.4}", h.share));
     }
     if let Some(t) = trace_overhead {
@@ -993,29 +1000,6 @@ fn append_history(
         .and_then(|mut f| f.write_all(record.as_bytes()))
         .expect("append BENCH_history.jsonl");
     println!("appended run {run} to {path}");
-
-    if let Some(prev) = prev_run {
-        eprintln!("trajectory: run {run} vs run {prev}");
-        eprintln!(
-            "  {:<28} {:>12} {:>12} {:>8}",
-            "workload", "prev_s", "now_s", "delta"
-        );
-        for r in rows {
-            match prev_medians.iter().find(|(n, _)| *n == r.name) {
-                Some((_, p)) => eprintln!(
-                    "  {:<28} {:>12.6} {:>12.6} {:>+7.1}%",
-                    r.name,
-                    p,
-                    r.median_opt_s,
-                    (r.median_opt_s - p) / p.max(1e-12) * 100.0
-                ),
-                None => eprintln!(
-                    "  {:<28} {:>12} {:>12.6}     new",
-                    r.name, "-", r.median_opt_s
-                ),
-            }
-        }
-    }
 }
 
 fn main() {
@@ -1132,8 +1116,9 @@ fn main() {
     // Per-plan-node attribution of one detailed-profile search.
     let node_profile = bench_node_profile();
 
-    // The findHeads head-count op's share of a fig4 chain search.
-    let head_counts = bench_head_count_phase();
+    // The findHeads head-count op's share of a sparse and a dense chain
+    // search.
+    let head_counts = bench_head_counts();
 
     // The width-2 regression guard: cycle4's plan-node output rows.
     let width2_rows = bench_width2_rows();
@@ -1149,7 +1134,7 @@ fn main() {
             || service.is_some()
             || net_load.is_some()
             || node_profile.is_some()
-            || head_counts.is_some()
+            || !head_counts.is_empty()
             || width2_rows.is_some()
             || trace_overhead.is_some()
             || scrape_overhead.is_some(),
@@ -1285,12 +1270,20 @@ fn main() {
             p.workload, p.answers, p.wall_s
         ));
     }
-    if let Some(h) = &head_counts {
+    for h in &head_counts {
         json.push_str(&format!(
-            "  \"head_count_phase\": {{\"workload\": \"{}\", \"searches\": {}, \
+            "  \"{}\": {{\"workload\": \"{}\", \"searches\": {}, \
              \"search_ns\": {}, \"head_count_ns\": {}, \"calls\": {}, \"rows_streamed\": {}, \
              \"table_probes\": {}, \"share\": {:.4}}},\n",
-            h.workload, h.searches, h.search_ns, h.phase_ns, h.calls, h.rows, h.probes, h.share
+            h.name,
+            h.workload,
+            h.searches,
+            h.search_ns,
+            h.phase_ns,
+            h.calls,
+            h.rows,
+            h.probes,
+            h.share
         ));
     }
     if let Some(t) = &trace_overhead {

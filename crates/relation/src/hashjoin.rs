@@ -67,10 +67,7 @@ pub fn hash_vals(vals: &[Value]) -> u64 {
 /// Single-column keys hash one dense column slice end to end; wider keys
 /// keep one saved hasher state per row and fold each key column across
 /// the whole batch ([`FxHasher::from_state`]), so the inner loop always
-/// walks contiguous memory instead of hopping row to row. (The head
-/// table hashes its keys differently, as an XOR of per-position parts
-/// that each side of a body join computes once, see
-/// [`crate::head_table`].)
+/// walks contiguous memory instead of hopping row to row.
 pub fn hash_columns_into(store: &ColumnarRows<Value>, cols: &[usize], out: &mut Vec<u64>) {
     out.clear();
     if let [c] = cols {

@@ -7,57 +7,67 @@
 //! (confidence). The heads are the same few atoms for every body of a
 //! search, while each `b` is fresh, large, and its keys almost never hit a
 //! head. So the heads are merged once into a [`HeadTable`] and each body
-//! is streamed against it once:
+//! is streamed against it once, on integer key codes (dictionary-encoded
+//! evaluation, as in Abadi, Madden & Ferreira, SIGMOD 2006):
 //!
 //! * the **key** of a head is the variables it shares with the bodies,
 //!   **sorted by `VarId`**, so heads binding the same variables in any
 //!   column order share it; heads are grouped by key and each distinct
 //!   key gets its own table (in `findRules` every head has the same key);
-//! * a key's table maps each distinct key value to its **members** —
+//! * each key position **codes** its values as integers `0..cells`: a
+//!   position whose head values are all `Int` within a span of at most 4
+//!   per head row (at least 1024) is *range-coded*, `code = v − lo`; any
+//!   other position gets a *dictionary* of its head values, coded in
+//!   first-seen order (so `Sym(n)` never meets `Int(n)`). A key's code is
+//!   the mixed-radix sum `Σ code_i · stride_i`: distinct keys, distinct
+//!   codes;
+//! * a key's table maps each distinct key code to its **members** —
 //!   `(head, rows of that head with the key)` pairs stored CSR-style —
-//!   through an open-addressing table at load ≤ 0.5, fronted by a
-//!   **register-blocked Bloom filter** (Putze, Sanders & Singler, WEA
-//!   2007) of about 16 bits per key: a key sets three bits of one `u64`
-//!   word chosen by the hash's high bits, so a test is one load and one
-//!   compare (the table's slots use the hash's low bits);
-//! * a key's hash is **separable**: the XOR over key positions `i` of
-//!   `part(i, v_i)`, the avalanched FxHash of the value seeded by `i`.
-//!   The body arrives as the two inputs of its last join,
-//!   `b = left ⋈ right`, and is **streamed, not built**:
-//!   [`HeadTable::count`] pairs the rows through whichever side already
-//!   has a group index on the shared variables cached — both sides'
-//!   indexes pair group against group, one probe per distinct key —
-//!   building the smaller side's only when neither has one, and gathers
-//!   no output column. A body that is already one relation is counted
-//!   as `b ⋈ unit`;
-//! * when one side binds the whole key, each of its rows is hashed and
-//!   probed once and a hit counts every pair the row joins into.
-//!   Otherwise each side XORs the parts it binds once per row, so a row
-//!   pair's hash is one XOR; a pair whose filter bits are not all set
-//!   is skipped, the rest probe the table (which compares the key
-//!   values) and bump the hit entry's multiplicity. When both sides are
-//!   grouped, the pair loop runs block by block: one build group's
-//!   `(part, row)` is gathered once per matched group pair and every
-//!   probe row of the partner group tests the filter over that
-//!   contiguous block, buffering the passing pairs; the table is probed
-//!   for them after the loop. Each touched entry then folds into its
-//!   members: `body_hits += multiplicity` and
+//!   through one bucket structure. A code's bucket is
+//!   `(code · mul) >> shift`: the code itself (`mul = 1, shift = 0`) when
+//!   the key space has at most 32 cells per head row (at least 4096), a
+//!   multiply-shift into 16 buckets per head row otherwise. A bitmap holds
+//!   one bit per bucket and, per word, the set bits before it, so a set
+//!   bucket's rank is one popcount and indexes its entries, sorted by
+//!   code; every lookup ends in an integer compare;
+//! * a key's code is **separable**: a sum over its positions. The body
+//!   arrives as the two inputs of its last join, `b = left ⋈ right`, and
+//!   is **streamed, not built**: [`HeadTable::count`] pairs the rows
+//!   through whichever side already has a group index on the shared
+//!   variables cached — both sides' indexes pair group against group, one
+//!   probe per distinct key — building the smaller side's only when
+//!   neither has one, and gathers no output column. A body that is
+//!   already one relation is counted as `b ⋈ unit`;
+//! * each side codes the key values it holds once per row (a range-coded
+//!   position by a subtraction, a dictionary by one probe), and a row
+//!   holding a value no head has at that position is **dead** and skipped
+//!   before pairing. When one side binds the whole key, each of its rows
+//!   is looked up once and a hit counts every pair the row joins into.
+//!   Otherwise a row pair's code is one add of its rows' partial codes.
+//!   When both sides are grouped, the pair loop is branch-free: for each
+//!   probe row it writes every pair's code into a hit buffer and advances
+//!   the buffer's length by the code's bucket bit, then resolves the
+//!   buffered codes and bumps the hit entries' multiplicities. No `Value`
+//!   is hashed or compared per row pair. Each touched entry then folds
+//!   into its members: `body_hits += multiplicity` and
 //!   `head_hits += head rows with the key`. Per-pair work is O(1)
 //!   whatever the number of heads;
+//! * a key space beyond `u64` codes splits its heads' rows on the widest
+//!   position's codes until every part's space fits; each key value lands
+//!   in one part, so the parts' counts add;
 //! * a head sharing no variable with the bodies keeps the semijoin
 //!   semantics: `h ⋉ b` keeps all of `h` iff `b` is non-empty, and
 //!   symmetrically.
 //!
 //! The table is immutable once built, so every worker of a search shares
 //! one. Each worker owns a [`HeadScratch`] (hashes, groups, per-side
-//! parts, blocks, passing pairs, multiplicities, touched entries,
-//! output) reused across bodies, so counting a body allocates nothing
-//! once the scratch has grown (`tests/no_alloc_kernels.rs`).
+//! partial codes, blocks, hits, multiplicities, touched entries, output)
+//! reused across bodies, so counting a body allocates nothing once the
+//! scratch has grown (`tests/no_alloc_kernels.rs`).
 
 use crate::algebra::{Bindings, VarId};
-use crate::hashjoin::{self, ColumnarRows, FxHasher, GroupIndex, RawTable};
+use crate::hashjoin::{self, ColumnarRows, GroupIndex, RawTable};
 use crate::value::Value;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Both semijoin counts of one head against one body join.
@@ -69,194 +79,292 @@ pub struct HeadCounts {
     pub body_hits: usize,
 }
 
-/// The seed of key position `i`'s [`part`]s.
-fn seed(i: usize) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_usize(i);
-    h.state()
+/// A position is range-coded when its span has at most this many cells
+/// per head row of its table (or [`RANGE_MIN_CELLS`]).
+const RANGE_CELLS_PER_ROW: u64 = 4;
+const RANGE_MIN_CELLS: u64 = 1024;
+/// Buckets are exact codes when the key space has at most this many
+/// cells per head row (or [`EXACT_MIN_CELLS`]); hashed buckets number
+/// [`HASHED_BUCKETS_PER_ROW`] per head row otherwise.
+const EXACT_CELLS_PER_ROW: u64 = 32;
+const EXACT_MIN_CELLS: u64 = 4096;
+const HASHED_BUCKETS_PER_ROW: usize = 16;
+/// The multiplier of hashed buckets: odd, about `2^64 / φ`.
+const HASHED_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The partial code of a dead row: one holding a value that no head has
+/// at its position. Live codes stay below the key space, so below this.
+const DEAD: u64 = u64::MAX;
+
+/// How one key position codes its values as integers `0..cells`.
+enum Coder {
+    /// `code = v − lo` for `Int(v)` with `lo ≤ v < lo + cells`.
+    Range { lo: i64, cells: u64 },
+    /// The position's head values, coded in first-seen order.
+    Dict { table: RawTable, values: Vec<Value> },
 }
 
-/// A key value's share of its key's hash at the position whose
-/// [`seed`] is `seed`: a key hashes to the XOR of its positions' parts.
-#[inline]
-fn part(seed: u64, v: &Value) -> u64 {
-    let mut h = FxHasher::from_state(seed);
-    v.hash(&mut h);
-    h.finish()
-}
+impl Coder {
+    /// The coder of one position whose head values are `cols`, over
+    /// `rows` head rows in all.
+    fn new<'a>(cols: impl Iterator<Item = &'a [Value]> + Clone, rows: usize) -> Coder {
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        let all_int = cols.clone().flatten().all(|v| match v.as_int() {
+            Some(x) => {
+                (lo, hi) = (lo.min(x), hi.max(x));
+                true
+            }
+            None => false,
+        });
+        if all_int && lo <= hi {
+            let span = i128::from(hi) - i128::from(lo) + 1;
+            let limit = (RANGE_CELLS_PER_ROW * rows as u64).max(RANGE_MIN_CELLS);
+            if span <= i128::from(limit) {
+                return Coder::Range {
+                    lo,
+                    cells: span as u64,
+                };
+            }
+        }
+        let mut table = RawTable::with_capacity(rows);
+        let mut values = Vec::new();
+        for v in cols.flatten() {
+            let hash = hashjoin::hash_value(v);
+            if table.find(hash, |c| values[c as usize] == *v).is_none() {
+                table.insert_new(hash, values.len() as u32);
+                values.push(*v);
+            }
+        }
+        Coder::Dict { table, values }
+    }
 
-/// Fill `out` with one word per row of `store`: the XOR of the parts of
-/// its values at the `(key position, column)` pairs `at`. That is the
-/// row's key hash when `at` covers the whole key, and its side's share
-/// of a row pair's hash otherwise.
-fn parts_into(
-    store: &ColumnarRows<Value>,
-    at: impl Iterator<Item = (usize, usize)>,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    out.resize(store.len(), 0);
-    for (i, c) in at {
-        let seed = seed(i);
-        for (o, v) in out.iter_mut().zip(store.col(c)) {
-            *o ^= part(seed, v);
+    fn cells(&self) -> u64 {
+        match self {
+            Coder::Range { cells, .. } => *cells,
+            Coder::Dict { values, .. } => values.len() as u64,
+        }
+    }
+
+    #[inline]
+    fn range_code(lo: i64, cells: u64, v: &Value) -> Option<u64> {
+        // `cells` is the true span `hi − lo + 1`, so a value outside it
+        // never wraps into `0..cells`.
+        let d = v.as_int()?.wrapping_sub(lo) as u64;
+        (d < cells).then_some(d)
+    }
+
+    /// `v`'s code, if some head has `v` here.
+    #[inline]
+    fn code(&self, v: &Value) -> Option<u64> {
+        match self {
+            Coder::Range { lo, cells } => Coder::range_code(*lo, *cells, v),
+            Coder::Dict { table, values } => table
+                .find(hashjoin::hash_value(v), |c| values[c as usize] == *v)
+                .map(u64::from),
         }
     }
 }
 
-/// Filter bits per key, about: the filter has the next power of two at
-/// or above this many bits per entry.
-const FILTER_BITS_PER_ENTRY: usize = 16;
-
-/// A register-blocked Bloom filter: a key sets three bits, picked by its
-/// hash's low 18 bits, of the one `u64` word its high bits pick, so a
-/// test is one load and one compare.
-struct Filter {
-    words: Vec<u64>,
-    /// Word = `hash >> shift`.
-    shift: u32,
-}
-
-impl Filter {
-    fn new(hashes: &[u64]) -> Filter {
-        let words = (hashes.len() * FILTER_BITS_PER_ENTRY)
-            .next_power_of_two()
-            .max(128)
-            / 64;
-        let mut filter = Filter {
-            words: vec![0; words],
-            shift: 64 - words.trailing_zeros(),
-        };
-        for &hash in hashes {
-            filter.words[(hash >> filter.shift) as usize] |= Filter::bits(hash);
-        }
-        filter
-    }
-
-    #[inline]
-    fn bits(hash: u64) -> u64 {
-        1 << (hash & 63) | 1 << (hash >> 6 & 63) | 1 << (hash >> 12 & 63)
-    }
-
-    /// False only if no key hashing to `hash` was added.
-    #[inline]
-    fn may_contain(&self, hash: u64) -> bool {
-        let bits = Filter::bits(hash);
-        self.words[(hash >> self.shift) as usize] & bits == bits
-    }
-}
-
-/// The heads sharing one key, merged: distinct key value → members.
+/// The heads sharing one key, merged: distinct key code → members.
 struct KeyTable {
     /// The shared variables, sorted.
     key: Vec<VarId>,
-    filter: Filter,
-    /// Key hash → entry id.
-    table: RawTable,
-    /// Flattened entry keys: entry `e`'s key is `keys[e * k..(e + 1) * k]`.
-    keys: Vec<Value>,
-    /// Entry `e`'s members are `members[starts[e]..starts[e + 1]]`.
+    /// Per key position: its coder and its code's weight in a key code.
+    coders: Vec<(Coder, u64)>,
+    /// A code's bucket is `(code · mul) >> shift`.
+    mul: u64,
+    shift: u32,
+    /// One bit per bucket.
+    bits: Vec<u64>,
+    /// Per word of `bits`: the set bits in the words before it.
+    ranks: Vec<u32>,
+    /// Set bucket `r`'s entries are `starts[r]..starts[r + 1]`, sorted by
+    /// code; an exact bucket holds one.
     starts: Vec<u32>,
+    /// Per entry: its key code.
+    codes: Vec<u64>,
+    /// Entry `e`'s members are `members[member_starts[e]..member_starts[e + 1]]`.
+    member_starts: Vec<u32>,
     /// `(head, rows of that head with the entry's key)`, in head order
     /// within an entry.
     members: Vec<(u32, u32)>,
 }
 
 impl KeyTable {
-    /// Merge `heads` (`(head id, relation)`, every relation binding all
-    /// of `key`) into one table.
-    fn build(key: Vec<VarId>, heads: &[(u32, &Bindings)]) -> KeyTable {
-        let k = key.len();
+    /// Merge `heads` (`(head id, relation)` in head order, every relation
+    /// binding all of `key`) into one table. When the key space overflows
+    /// `u64` codes, returns the position with the most cells instead,
+    /// with its coder.
+    fn build(key: &[VarId], heads: &[(u32, &Bindings)]) -> Result<KeyTable, (usize, Coder)> {
         let rows: usize = heads.iter().map(|(_, h)| h.len()).sum();
-        let mut table = RawTable::sparse(rows);
-        let mut keys: Vec<Value> = Vec::with_capacity(rows * k);
-        let mut entry_hashes: Vec<u64> = Vec::with_capacity(rows);
-        // (entry, head, rows) in head order, and each entry's latest pair.
-        let mut pairs: Vec<(u32, u32, u32)> = Vec::with_capacity(rows);
-        let mut latest: Vec<usize> = Vec::with_capacity(rows);
-        let mut cols: Vec<usize> = Vec::with_capacity(k);
-        let mut hashes = Vec::new();
-        for &(head, h) in heads {
-            cols.clear();
-            cols.extend(
+        let cols: Vec<Vec<usize>> = heads
+            .iter()
+            .map(|(_, h)| {
                 key.iter()
-                    .map(|&v| h.position(v).expect("head binds its key")),
+                    .map(|&v| h.position(v).expect("head binds its key"))
+                    .collect()
+            })
+            .collect();
+        let column = |i: usize| {
+            heads
+                .iter()
+                .zip(&cols)
+                .map(move |((_, h), c)| h.columnar().col(c[i]))
+        };
+        let mut coders: Vec<Coder> = (0..key.len())
+            .map(|i| Coder::new(column(i), rows))
+            .collect();
+        let mut strides = Vec::with_capacity(key.len());
+        let mut space = 1u64;
+        for c in &coders {
+            strides.push(space);
+            let Some(s) = space.checked_mul(c.cells()) else {
+                let widest = (0..coders.len())
+                    .max_by_key(|&i| coders[i].cells())
+                    .expect("an overflowing key has a position");
+                return Err((widest, coders.swap_remove(widest)));
+            };
+            space = s;
+        }
+        let coders: Vec<(Coder, u64)> = coders.into_iter().zip(strides).collect();
+
+        // Every head row's key code and head, in head order.
+        let mut coded: Vec<(u64, u32)> = Vec::with_capacity(rows);
+        let mut part = Vec::new();
+        for ((head, h), c) in heads.iter().zip(&cols) {
+            codes_into(
+                &coders,
+                h.columnar(),
+                c.iter().copied().enumerate(),
+                &mut part,
             );
-            let store = h.columnar();
-            parts_into(store, cols.iter().copied().enumerate(), &mut hashes);
-            for (i, &hash) in hashes.iter().enumerate() {
-                let found = table.find(hash, |e| {
-                    let e = e as usize;
-                    keys[e * k..(e + 1) * k]
-                        .iter()
-                        .zip(&cols)
-                        .all(|(kv, &c)| *kv == store.col(c)[i])
-                });
-                let e = found.unwrap_or_else(|| {
-                    let e = entry_hashes.len() as u32;
-                    table.insert_new(hash, e);
-                    keys.extend(cols.iter().map(|&c| store.col(c)[i]));
-                    entry_hashes.push(hash);
-                    latest.push(usize::MAX);
-                    e
-                });
-                match pairs.get_mut(latest[e as usize]) {
-                    Some(p) if p.1 == head => p.2 += 1,
-                    _ => {
-                        latest[e as usize] = pairs.len();
-                        pairs.push((e, head, 1));
-                    }
+            coded.extend(part.iter().map(|&code| (code, *head)));
+        }
+
+        let (mul, shift, buckets) =
+            if space <= (EXACT_CELLS_PER_ROW * rows as u64).max(EXACT_MIN_CELLS) {
+                (1, 0, space as usize)
+            } else {
+                let buckets = (HASHED_BUCKETS_PER_ROW * rows).next_power_of_two();
+                (HASHED_MUL, 64 - buckets.trailing_zeros(), buckets)
+            };
+        let mut table = KeyTable {
+            key: key.to_vec(),
+            coders,
+            mul,
+            shift,
+            bits: vec![0; buckets.div_ceil(64)],
+            ranks: Vec::new(),
+            starts: Vec::new(),
+            codes: Vec::new(),
+            member_starts: Vec::new(),
+            members: Vec::new(),
+        };
+        for &(code, _) in &coded {
+            let b = table.bucket(code);
+            table.bits[b / 64] |= 1 << (b % 64);
+        }
+        let mut set = 0;
+        table.ranks = table
+            .bits
+            .iter()
+            .map(|w| {
+                let r = set;
+                set += w.count_ones();
+                r
+            })
+            .collect();
+
+        // The rows sorted by (bucket rank, code), stably, so a code's
+        // rows stay in head order: a counting sort by rank, then a sort
+        // of each (small) bucket by code.
+        let row_ranks: Vec<u32> = coded
+            .iter()
+            .map(|&(code, _)| table.rank(table.bucket(code)) as u32)
+            .collect();
+        let mut row_starts = vec![0u32; set as usize + 1];
+        for &r in &row_ranks {
+            row_starts[r as usize + 1] += 1;
+        }
+        for r in 0..set as usize {
+            row_starts[r + 1] += row_starts[r];
+        }
+        let mut fill = row_starts.clone();
+        let mut sorted = vec![(0, 0); rows];
+        for (&r, &row) in row_ranks.iter().zip(&coded) {
+            let f = &mut fill[r as usize];
+            sorted[*f as usize] = row;
+            *f += 1;
+        }
+
+        // Per set bucket, one entry per distinct code and one member per
+        // (code, head) run.
+        let mut starts = Vec::with_capacity(set as usize + 1);
+        starts.push(0);
+        let (mut codes, mut member_starts, mut members) = (Vec::new(), Vec::new(), Vec::new());
+        for w in row_starts.windows(2) {
+            let bucket = &mut sorted[w[0] as usize..w[1] as usize];
+            bucket.sort_by_key(|&(code, _)| code);
+            for &(code, head) in bucket.iter() {
+                let new = codes.last() != Some(&code);
+                if new {
+                    codes.push(code);
+                    member_starts.push(members.len() as u32);
+                }
+                match members.last_mut() {
+                    Some((h, n)) if !new && *h == head => *n += 1,
+                    _ => members.push((head, 1)),
                 }
             }
+            starts.push(codes.len() as u32);
         }
-        // CSR by entry: a stable counting sort keeps head order.
-        let entries = entry_hashes.len();
-        let mut starts = vec![0u32; entries + 1];
-        for &(e, _, _) in &pairs {
-            starts[e as usize + 1] += 1;
-        }
-        for e in 0..entries {
-            starts[e + 1] += starts[e];
-        }
-        let mut fill: Vec<u32> = starts[..entries].to_vec();
-        let mut members = vec![(0u32, 0u32); pairs.len()];
-        for &(e, head, n) in &pairs {
-            members[fill[e as usize] as usize] = (head, n);
-            fill[e as usize] += 1;
-        }
-        KeyTable {
-            key,
-            filter: Filter::new(&entry_hashes),
-            table,
-            keys,
-            starts,
-            members,
-        }
+        member_starts.push(members.len() as u32);
+        table.starts = starts;
+        table.codes = codes;
+        table.member_starts = member_starts;
+        table.members = members;
+        Ok(table)
     }
 
     fn entries(&self) -> usize {
-        self.starts.len() - 1
+        self.codes.len()
     }
 
-    /// The entry whose key hashes to `hash` and satisfies `eq` (called
-    /// with the entry's key values, in key order). Ask the filter first.
     #[inline]
-    fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<u32> {
-        let k = self.key.len();
-        self.table.find(hash, |e| {
-            eq(&self.keys[e as usize * k..(e as usize + 1) * k])
-        })
+    fn bucket(&self, code: u64) -> usize {
+        (code.wrapping_mul(self.mul) >> self.shift) as usize
+    }
+
+    /// Whether `code`'s bucket bit is set: false only if no entry has it.
+    #[inline]
+    fn may_hold(&self, code: u64) -> bool {
+        let b = self.bucket(code);
+        self.bits[b / 64] >> (b % 64) & 1 != 0
+    }
+
+    /// The rank of set bucket `b`: the set buckets before it.
+    #[inline]
+    fn rank(&self, b: usize) -> usize {
+        let below = self.bits[b / 64] & ((1 << (b % 64)) - 1);
+        self.ranks[b / 64] as usize + below.count_ones() as usize
+    }
+
+    /// The entry whose key code is `code`, which sets a bucket bit.
+    #[inline]
+    fn resolve(&self, code: u64) -> Option<u32> {
+        let r = self.rank(self.bucket(code));
+        (self.starts[r]..self.starts[r + 1]).find(|&e| self.codes[e as usize] == code)
     }
 
     /// Stream the body `join` once, adding every member head's counts
     /// into `scratch.out`.
     ///
     /// When one side binds the whole key (the probe side preferred), one
-    /// probe per row of it decides every row pair the row joins into; a
+    /// lookup per row of it decides every row pair the row joins into; a
     /// probe row that hits adds its join fan-out at once. Otherwise each
     /// key value is read from the probe side when it binds it and from
-    /// the build side if not, each side's rows carry the XOR of the parts
-    /// they hold, and a row pair's key hash is the XOR of its two rows'.
+    /// the build side if not, each side's rows carry the sum of the codes
+    /// they hold, and a row pair's key code is the sum of its two rows'.
     fn count(&self, join: &Join, scratch: &mut HeadScratch) {
         let HeadScratch {
             groups,
@@ -266,7 +374,7 @@ impl KeyTable {
             probe_parts,
             ents,
             block,
-            passed,
+            hits,
             mult,
             touched,
             out,
@@ -291,18 +399,6 @@ impl KeyTable {
                 .filter(move |(_, l)| l.0 == on_probe)
                 .map(|(i, l)| (i, l.1))
         };
-        let value = |(on_probe, c): (bool, usize), bi: usize, pi: usize| {
-            if on_probe {
-                &pc.col(c)[pi]
-            } else {
-                &bc.col(c)[bi]
-            }
-        };
-        let key_eq = |key: &[Value], bi: usize, pi: usize| {
-            key.iter()
-                .zip(loc.iter())
-                .all(|(kv, &l)| kv == value(l, bi, pi))
-        };
         if mult.len() < self.entries() {
             mult.resize(self.entries(), 0);
         }
@@ -313,23 +409,24 @@ impl KeyTable {
             }
             *m += by;
         };
+        // Look `code` up, counting a set bucket bit as a probe.
+        let mut lookup = |code: u64| {
+            if code == DEAD || !self.may_hold(code) {
+                return None;
+            }
+            *probes += 1;
+            self.resolve(code)
+        };
         if probe_whole || build_whole {
             // One side binds the whole key: resolve each of its rows once.
-            let (store, hashes) = if probe_whole {
+            let (store, codes) = if probe_whole {
                 (pc, &mut *probe_parts)
             } else {
                 (bc, &mut *build_parts)
             };
-            parts_into(store, at(probe_whole), hashes);
+            codes_into(&self.coders, store, at(probe_whole), codes);
             ents.clear();
-            ents.extend(hashes.iter().enumerate().map(|(i, &hash)| {
-                if !self.filter.may_contain(hash) {
-                    return NONE;
-                }
-                *probes += 1;
-                // Every key value is read from this side's row `i`.
-                self.find(hash, |key| key_eq(key, i, i)).unwrap_or(NONE)
-            }));
+            ents.extend(codes.iter().map(|&code| lookup(code).unwrap_or(NONE)));
             if probe_whole {
                 join.for_each_probe(groups, matched, |pi, fanout| {
                     if ents[pi] != NONE {
@@ -344,51 +441,49 @@ impl KeyTable {
                 });
             }
         } else {
-            // The key spans both sides: a row pair's hash is one XOR.
-            parts_into(bc, at(false), build_parts);
-            parts_into(pc, at(true), probe_parts);
+            // The key spans both sides: a row pair's code is one add.
+            codes_into(&self.coders, bc, at(false), build_parts);
+            codes_into(&self.coders, pc, at(true), probe_parts);
             let (build_parts, probe_parts) = (&*build_parts, &*probe_parts);
-            let mut probe_table = |bi: usize, pi: usize| {
-                *probes += 1;
-                let hash = build_parts[bi] ^ probe_parts[pi];
-                if let Some(e) = self.find(hash, |key| key_eq(key, bi, pi)) {
-                    bump(e, 1);
-                }
-            };
-            let mut drain = |passed: &mut Vec<(u32, u32)>| {
-                for (bi, pi) in passed.drain(..) {
-                    probe_table(bi as usize, pi as usize);
-                }
-            };
             if let Pairing::Groups(build, probe) = &join.pairing {
-                // Test the filter over one contiguous block of the build
-                // group per probe row, buffering the passing pairs, and
-                // probe the table for them after the loop (or once the
-                // buffer fills, which bounds it).
+                // Per probe row, write every pair's code into `hits` and
+                // advance by its bucket bit, then resolve the hits.
                 for &(bg, pg) in matched.iter() {
                     block.clear();
                     block.extend(
                         build
                             .group_rows(bg as usize)
-                            .map(|bi| (build_parts[bi], bi as u32)),
+                            .map(|bi| build_parts[bi])
+                            .filter(|&b| b != DEAD),
                     );
+                    if hits.len() < block.len() {
+                        hits.resize(block.len(), 0);
+                    }
                     for pi in probe.group_rows(pg as usize) {
                         let p = probe_parts[pi];
-                        for &(b, bi) in block.iter() {
-                            if self.filter.may_contain(b ^ p) {
-                                passed.push((bi, pi as u32));
-                            }
+                        if p == DEAD {
+                            continue;
                         }
-                        if passed.len() >= PASSED_BATCH {
-                            drain(passed);
+                        let mut n = 0;
+                        for &b in block.iter() {
+                            hits[n] = b + p;
+                            n += usize::from(self.may_hold(b + p));
+                        }
+                        *probes += n as u64;
+                        for &code in &hits[..n] {
+                            if let Some(e) = self.resolve(code) {
+                                bump(e, 1);
+                            }
                         }
                     }
                 }
-                drain(passed);
             } else {
                 join.for_each_pair(groups, matched, |bi, pi| {
-                    if self.filter.may_contain(build_parts[bi] ^ probe_parts[pi]) {
-                        probe_table(bi, pi);
+                    let (b, p) = (build_parts[bi], probe_parts[pi]);
+                    if b != DEAD && p != DEAD {
+                        if let Some(e) = lookup(b + p) {
+                            bump(e, 1);
+                        }
                     }
                 });
             }
@@ -396,7 +491,7 @@ impl KeyTable {
         for e in touched.drain(..) {
             let e = e as usize;
             let m = std::mem::take(&mut mult[e]);
-            let range = self.starts[e] as usize..self.starts[e + 1] as usize;
+            let range = self.member_starts[e] as usize..self.member_starts[e + 1] as usize;
             for &(head, n) in &self.members[range] {
                 let out = &mut out[head as usize];
                 out.body_hits += m;
@@ -406,10 +501,36 @@ impl KeyTable {
     }
 }
 
-/// Passing pairs buffered before the group-blocked pair loop probes
-/// the table for them: enough to keep the loop on the filter, and a
-/// bound on the buffer however many pairs hit.
-const PASSED_BATCH: usize = 4096;
+/// Fill `out` with one partial key code per row of `store`: the sum of
+/// `code_i · stride_i` over the `(key position i, column)` pairs `at`
+/// (the row's key code when `at` covers the whole key), or [`DEAD`] when
+/// a value has no code at its position.
+fn codes_into(
+    coders: &[(Coder, u64)],
+    store: &ColumnarRows<Value>,
+    at: impl Iterator<Item = (usize, usize)>,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    out.resize(store.len(), 0);
+    let add = |o: &mut u64, code: Option<u64>, stride: u64| {
+        *o = match code {
+            Some(code) if *o != DEAD => *o + code * stride,
+            _ => DEAD,
+        };
+    };
+    for (i, c) in at {
+        let (coder, stride) = (&coders[i].0, coders[i].1);
+        let rows = out.iter_mut().zip(store.col(c));
+        // One loop per coder kind, so the range loop has no probe in it.
+        match coder {
+            Coder::Range { lo, cells } => {
+                rows.for_each(|(o, v)| add(o, Coder::range_code(*lo, *cells, v), stride))
+            }
+            Coder::Dict { .. } => rows.for_each(|(o, v)| add(o, coder.code(v), stride)),
+        }
+    }
+}
 
 /// No entry, or no build group.
 const NONE: u32 = u32::MAX;
@@ -585,6 +706,37 @@ impl<'b> Join<'b> {
     }
 }
 
+/// Merge `heads` (all with `key`) into key tables, adding them to
+/// `tables`: one table, unless the key space overflows `u64` codes. Then
+/// the heads' rows split on the widest position's codes, which halves
+/// its cells, and each part gets its tables: every key value lands in
+/// exactly one part, so the parts' counts add.
+fn build_tables(key: &[VarId], heads: &[(u32, &Bindings)], tables: &mut Vec<KeyTable>) {
+    let (i, coder) = match KeyTable::build(key, heads) {
+        Ok(table) => return tables.push(table),
+        Err(widest) => widest,
+    };
+    let half = coder.cells() / 2;
+    for low in [true, false] {
+        let parts: Vec<Bindings> = heads
+            .iter()
+            .map(|(_, h)| {
+                let c = h.position(key[i]).expect("head binds its key");
+                let rows = h.to_rows().into_iter().filter(|row| {
+                    (coder.code(&row[c]).expect("a head value has a code") < half) == low
+                });
+                Bindings::from_parts(h.vars().to_vec(), rows.collect())
+            })
+            .collect();
+        let part_heads: Vec<(u32, &Bindings)> = heads
+            .iter()
+            .zip(&parts)
+            .map(|((id, _), p)| (*id, p))
+            .collect();
+        build_tables(key, &part_heads, tables);
+    }
+}
+
 /// Every head instantiation of a search merged into one immutable count
 /// structure: one key table per distinct shared key, plus the heads
 /// that share no variable with the bodies (see the module docs).
@@ -622,11 +774,12 @@ impl HeadTable {
                 None => by_key.push((key, vec![(i as u32, h)])),
             }
         }
+        let mut tables = Vec::new();
+        for (key, members) in &by_key {
+            build_tables(key, members, &mut tables);
+        }
         HeadTable {
-            tables: by_key
-                .into_iter()
-                .map(|(key, members)| KeyTable::build(key, &members))
-                .collect(),
+            tables,
             unkeyed,
             head_lens: heads.iter().map(|h| h.len()).collect(),
         }
@@ -638,13 +791,13 @@ impl HeadTable {
     }
 
     /// The distinct shared keys, one per merged table, in first-seen
-    /// head order.
+    /// head order (a key whose codes overflow `u64` has several tables).
     pub fn keys(&self) -> impl Iterator<Item = &[VarId]> + '_ {
         self.tables.iter().map(|t| t.key.as_slice())
     }
 
-    /// The keys with at least one head row: a non-empty body streams
-    /// once per such key.
+    /// The key tables with at least one head row: a non-empty body
+    /// streams once per such table (one per key, see [`HeadTable::keys`]).
     pub fn live_keys(&self) -> usize {
         self.tables.iter().filter(|t| t.entries() > 0).count()
     }
@@ -697,23 +850,23 @@ pub struct HeadScratch {
     matched: Vec<(u32, u32)>,
     /// Per key variable: `(read from the probe side, column)`.
     loc: Vec<(bool, usize)>,
-    /// Per build row: the XOR of the parts of the key values read from
-    /// it (its key hash when it binds the whole key).
+    /// Per build row: the sum of the codes of the key values read from
+    /// it (its key code when it binds the whole key), or `DEAD`.
     build_parts: Vec<u64>,
     /// Per probe row: likewise.
     probe_parts: Vec<u64>,
     /// Per row of a side binding the whole key: its entry, or `NONE`.
     ents: Vec<u32>,
-    /// One build group's `(part, row)`, when both sides are grouped.
-    block: Vec<(u64, u32)>,
-    /// `(build row, probe row)` pairs that passed the filter.
-    passed: Vec<(u32, u32)>,
+    /// One build group's live partial codes, when both sides are grouped.
+    block: Vec<u64>,
+    /// One probe row's pair codes; the first ones set a bucket bit.
+    hits: Vec<u64>,
     /// Per entry of the table being counted: row pairs hitting it so far
     /// (all zero between counts).
     mult: Vec<usize>,
     touched: Vec<u32>,
     out: Vec<HeadCounts>,
-    /// Filter passes that probed a table in the last count.
+    /// Lookups in the last count whose bucket bit was set.
     probes: u64,
 }
 
@@ -730,8 +883,9 @@ impl HeadScratch {
     }
 
     /// Row pairs (or whole-key rows) of the last [`HeadTable::count`]
-    /// that passed a key table's filter and probed the table; the rest
-    /// were skipped by the filter.
+    /// whose key code's bucket bit was set, so the bucket's entries were
+    /// compared; the rest were rejected by the bit alone. With exact
+    /// buckets, these are exactly the pairs (rows) that hit a head.
     pub fn probes(&self) -> u64 {
         self.probes
     }
@@ -953,8 +1107,9 @@ mod tests {
 
     #[test]
     fn passing_pairs_beyond_one_batch_all_count() {
-        // 20 000 row pairs, half of them hitting the head: more passing
-        // pairs than one buffered batch when the sides pair by group.
+        // 20 000 row pairs, half of them hitting the head: the hit
+        // buffer is refilled for every probe row when the sides pair by
+        // group, and every hit must still count.
         let grid = |xs: i64, ys: i64| -> Vec<Vec<i64>> {
             (0..xs)
                 .flat_map(|x| (0..ys).map(move |y| vec![x, y]))
@@ -969,45 +1124,241 @@ mod tests {
         check_streamed(&[head], &p, &q);
     }
 
-    /// The filter skips almost every row pair that misses: on a body
-    /// shaped like a mined chain's, the probes beyond the true hits stay
-    /// under 1% of the row pairs streamed, whichever way the sides pair.
+    /// Exact buckets make the bucket bit the answer: on chains shaped
+    /// like mine_data's (2000 × 2000 rows, domain 400) and serve_mixed's
+    /// (1000 × 1000 rows, domain 60), the lookups whose bit is set are
+    /// exactly the row pairs that hit a head, whichever way the sides
+    /// pair.
     #[test]
-    fn filter_passes_few_misses() {
+    fn probes_equal_true_hits() {
         use crate::algebra::baseline;
         use rand::SeedableRng;
         let mut rng = rand::StdRng::seed_from_u64(29);
-        let p = random_rel(&mut rng, &[0, 1], 2000, 400);
-        let q = random_rel(&mut rng, &[1, 2], 2000, 400);
-        let heads: Vec<Bindings> = (0..3)
-            .map(|_| random_rel(&mut rng, &[0, 2], 2000, 400))
-            .collect();
-        let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
-        let b = baseline::join(&p, &q);
-        let head_keys: std::collections::HashSet<Tuple> =
-            heads.iter().flat_map(Bindings::to_rows).collect();
-        let (x, z) = (b.position(v(0)).unwrap(), b.position(v(2)).unwrap());
-        let hits = b
-            .to_rows()
-            .iter()
-            .filter(|r| head_keys.contains(&Tuple::from(vec![r[x], r[z]])))
-            .count();
-        assert!(hits > 0, "the heads hit the body");
-        let mut scratch = HeadScratch::new();
-        // Unindexed sides pair row by row; indexed ones group by group.
-        for cached in [false, true] {
-            if cached {
-                p.binding_index(&[1]);
-                q.binding_index(&[0]);
+        for (rows, dom) in [(2000, 400), (1000, 60)] {
+            let p = random_rel(&mut rng, &[0, 1], rows, dom);
+            let q = random_rel(&mut rng, &[1, 2], rows, dom);
+            let heads: Vec<Bindings> = (0..3)
+                .map(|_| random_rel(&mut rng, &[0, 2], rows, dom))
+                .collect();
+            let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+            assert!(table.tables.iter().all(|t| t.shift == 0), "exact buckets");
+            let b = baseline::join(&p, &q);
+            let head_keys: std::collections::HashSet<Tuple> =
+                heads.iter().flat_map(Bindings::to_rows).collect();
+            let (x, z) = (b.position(v(0)).unwrap(), b.position(v(2)).unwrap());
+            let hits = b
+                .to_rows()
+                .iter()
+                .filter(|r| head_keys.contains(&Tuple::from(vec![r[x], r[z]])))
+                .count();
+            assert!(hits > 0, "the heads hit the body");
+            let mut scratch = HeadScratch::new();
+            // Unindexed sides pair row by row; indexed ones group by group.
+            for cached in [false, true] {
+                if cached {
+                    p.binding_index(&[1]);
+                    q.binding_index(&[0]);
+                }
+                assert_eq!(table.count(&p, &q, &mut scratch), b.len());
+                assert_eq!(
+                    scratch.probes() as usize,
+                    hits,
+                    "{rows} rows over {dom} (cached: {cached})"
+                );
             }
-            assert_eq!(table.count(&p, &q, &mut scratch), b.len());
-            let false_passes = scratch.probes() as usize - hits;
-            assert!(
-                false_passes * 100 <= b.len(),
-                "{false_passes} of {} row pairs passed the filter and missed (cached: {cached})",
-                b.len()
-            );
         }
+    }
+
+    /// Relabel each column of `b` through `f[column]`.
+    fn relabel(b: &Bindings, f: &[&dyn Fn(i64) -> Value]) -> Bindings {
+        let rows = b.to_rows().into_iter().map(|r| {
+            r.iter()
+                .zip(f)
+                .map(|(v, f)| f(v.as_int().unwrap()))
+                .collect()
+        });
+        Bindings::from_parts(b.vars().to_vec(), rows.collect())
+    }
+
+    /// Dictionaries whose cells multiply past the exact budget (sparse
+    /// `Int`s times symbols) hash their codes into buckets, and the
+    /// counts still match the oracle.
+    #[test]
+    fn hashed_buckets_match_the_oracle() {
+        use crate::symbol::Symbol;
+        use rand::SeedableRng;
+        let mut rng = rand::StdRng::seed_from_u64(30);
+        let sparse = |v: i64| Value::Int(v * 1_000_003 - 7_000_000_000);
+        let sym = |v: i64| Value::Sym(Symbol(v as u32));
+        let int = |v: i64| Value::Int(v);
+        // X sparse, Y small, Z symbols.
+        let p = relabel(&random_rel(&mut rng, &[0, 1], 400, 400), &[&sparse, &int]);
+        let q = relabel(&random_rel(&mut rng, &[1, 2], 400, 400), &[&int, &sym]);
+        let mut heads: Vec<Bindings> = (0..3)
+            .map(|_| relabel(&random_rel(&mut rng, &[0, 2], 500, 400), &[&sparse, &sym]))
+            .collect();
+        // Some body keys, so the heads hit.
+        let b = crate::algebra::baseline::join(&p, &q);
+        heads.push(b.project(&[v(2), v(0)]));
+        let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+        let t = &table.tables[0];
+        assert!(
+            matches!(
+                t.coders[..],
+                [(Coder::Dict { .. }, _), (Coder::Dict { .. }, _)]
+            ),
+            "both positions dictionary-coded"
+        );
+        assert!(t.coders.iter().all(|(c, _)| c.cells() >= 300));
+        assert_ne!(t.shift, 0, "hashed buckets");
+        check_streamed(&heads, &p, &q);
+    }
+
+    #[test]
+    fn range_codes_keep_extremes_and_kill_uncoded_rows() {
+        use crate::symbol::Symbol;
+        let (int, sym) = (Value::Int, |n| Value::Sym(Symbol(n)));
+        let rel_of = |vars: &[u32], rows: &[[Value; 2]]| {
+            Bindings::from_parts(
+                vars.iter().map(|&i| v(i)).collect(),
+                rows.iter().map(|r| r.to_vec().into()).collect(),
+            )
+        };
+        let (max, min) = (i64::MAX, i64::MIN);
+        let kinds = |heads: &[Bindings]| {
+            let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+            let t = &table.tables[0];
+            t.coders
+                .iter()
+                .map(|(c, _)| matches!(c, Coder::Range { .. }))
+                .collect::<Vec<_>>()
+        };
+        // Chain P(X,Y), Q(Y,Z), key [X,Z]. X is range-coded at the top of
+        // `i64` and Z at its bottom; the body holds values just outside
+        // both ranges, values that wrap onto them, and a symbol.
+        let heads = [rel_of(
+            &[0, 2],
+            &[
+                [int(max), int(min)],
+                [int(max - 2), int(min + 2)],
+                [int(max - 1), int(min)],
+                [int(max), int(min + 1)],
+            ],
+        )];
+        assert_eq!(kinds(&heads), [true, true]);
+        let p = rel_of(
+            &[0, 1],
+            &[
+                [int(max), int(0)],
+                [int(max - 2), int(0)],
+                [int(max - 3), int(0)],
+                [int(min), int(0)],
+                [sym(1), int(0)],
+                [int(max - 1), int(1)],
+            ],
+        );
+        let q = rel_of(
+            &[1, 2],
+            &[
+                [int(0), int(min)],
+                [int(0), int(min + 2)],
+                [int(0), int(min + 3)],
+                [int(0), int(max)],
+                [int(1), int(min)],
+                [int(1), int(-1)],
+            ],
+        );
+        check_streamed(&heads, &p, &q);
+        let mut scratch = HeadScratch::new();
+        let table = HeadTable::build(&heads.iter().collect::<Vec<_>>(), &[v(0), v(1), v(2)]);
+        // Y = 0 pairs 5 × 4 rows, Y = 1 pairs 1 × 2.
+        assert_eq!(table.count(&p, &q, &mut scratch), 5 * 4 + 2);
+        let want = HeadCounts {
+            head_hits: 3,
+            body_hits: 3,
+        };
+        assert_eq!(scratch.counts(), &[want]);
+        // X range-coded over negative values beside Z dictionary-coded:
+        // an `Int` where the heads hold the symbol of equal payload, and
+        // a symbol where they hold `Int`s, are dead.
+        let heads = [rel_of(
+            &[0, 2],
+            &[
+                [int(-5), sym(1)],
+                [int(-1), sym(2)],
+                [int(0), sym(1)],
+                [int(5), sym(3)],
+            ],
+        )];
+        assert_eq!(kinds(&heads), [true, false]);
+        let p = rel_of(
+            &[0, 1],
+            &[
+                [int(-5), int(0)],
+                [int(-6), int(0)],
+                [int(6), int(0)],
+                [sym(5), int(0)],
+                [int(0), int(0)],
+                [int(5), int(1)],
+            ],
+        );
+        let q = rel_of(
+            &[1, 2],
+            &[
+                [int(0), sym(1)],
+                [int(0), int(1)],
+                [int(0), sym(2)],
+                [int(1), sym(3)],
+                [int(1), sym(4)],
+            ],
+        );
+        check_streamed(&heads, &p, &q);
+    }
+
+    /// A key whose codes overflow `u64` (eight dictionary-coded positions
+    /// of hundreds of values each) splits into tables whose key spaces
+    /// fit, and the counts still match the oracle.
+    #[test]
+    fn overflowing_key_spaces_split() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::StdRng::seed_from_u64(31);
+        let sparse = |v: i64| Value::Int(v * 1_000_003 - 7_000_000_000);
+        let rows_of = |vars: &[u32], rows: Vec<Vec<Value>>| {
+            Bindings::from_parts(
+                vars.iter().map(|&i| v(i)).collect(),
+                rows.into_iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .map(Tuple::from)
+                    .collect(),
+            )
+        };
+        let key: Vec<Vec<Value>> = (0..600)
+            .map(|_| (0..8).map(|_| sparse(rng.gen_range(0..1000))).collect())
+            .collect();
+        let head = rows_of(&[0, 1, 2, 3, 4, 5, 6, 7], key.clone());
+        // Left binds X0..X3 and S, right S and X4..X7; rows cut from head
+        // keys (so some pairs hit) and random ones.
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for j in 0..40 {
+            let (s, k) = (Value::Int(j % 3), &key[j as usize]);
+            left.push([&k[..4], &[s]].concat());
+            right.push([&[s], &k[4..]].concat());
+            let r: Vec<Value> = (0..8).map(|_| sparse(rng.gen_range(0..1000))).collect();
+            left.push([&r[..4], &[s]].concat());
+            right.push([&[s], &r[4..]].concat());
+        }
+        let left = rows_of(&[0, 1, 2, 3, 9], left);
+        let right = rows_of(&[9, 4, 5, 6, 7], right);
+        let vars: Vec<VarId> = (0..10).map(v).collect();
+        let table = HeadTable::build(&[&head], &vars);
+        assert!(table.tables.len() > 1, "the key space split");
+        assert_eq!(
+            table.tables.iter().map(KeyTable::entries).sum::<usize>(),
+            head.len(),
+            "every key in exactly one part"
+        );
+        check_streamed(&[head], &left, &right);
     }
 
     #[test]
